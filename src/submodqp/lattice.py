@@ -17,6 +17,7 @@ therefore over the full hypercube of ``binary_dim`` coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,14 @@ class SignSplitMap:
     @property
     def n(self):
         return len(self.regimes)
+
+    @cached_property
+    def _bit_layout(self):
+        """Per variable: index of its z+ bit and of its z- bit (-1 if none), and
+        masks of the variables that have each bit."""
+        plus = np.array([-1 if p is None else p for p, _ in self.coord_of], dtype=np.intp)
+        minus = np.array([-1 if m is None else m for _, m in self.coord_of], dtype=np.intp)
+        return plus, minus, plus >= 0, minus >= 0
 
     @property
     def binary_dim(self):
@@ -188,20 +197,15 @@ def bounds_for_binary(smap, zbin, lo, up):
         raise InputError(f"expected binary vector of length {smap.binary_dim}")
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
-    blo = np.zeros(smap.n)
-    bup = np.zeros(smap.n)
-    for i, (p, m) in enumerate(smap.coord_of):
-        r = smap.regimes[i]
-        if r == NPLUS:
-            on = bool(zbin[p])
-            blo[i], bup[i] = (lo[i], up[i]) if on else (0.0, 0.0)
-        elif r == NMINUS:
-            off = not bool(zbin[m])
-            blo[i], bup[i] = (lo[i], up[i]) if off else (0.0, 0.0)
-        else:
-            blo[i] = lo[i] if not zbin[m] else 0.0
-            bup[i] = up[i] if zbin[p] else 0.0
-    return blo, bup
+    # the lower bound opens unless the z- bit is set (or, without one, the
+    # z+ bit is clear); the upper bound opens when the z+ bit is set (or,
+    # without one, the z- bit is clear)
+    on = zbin != 0
+    plus, minus, has_plus, has_minus = smap._bit_layout
+    on_plus, off_minus = on[plus], ~on[minus]
+    lo_open = np.where(has_minus, off_minus, on_plus)
+    up_open = np.where(has_plus, on_plus, off_minus)
+    return np.where(lo_open, lo, 0.0), np.where(up_open, up, 0.0)
 
 
 def variable_bounds(smap, i, zbin, lo, up):

@@ -186,9 +186,13 @@ class QuadraticForm:
         self.require_stieltjes()
         return cho_factor(self.Q, lower=True, check_finite=False)
 
-    def newton_point(self):
-        """Unconstrained minimizer Q^{-1} a (factorization is cached)."""
+    @cached_property
+    def _newton(self):
         return cho_solve(self._cho, self.a, check_finite=False)
+
+    def newton_point(self):
+        """Unconstrained minimizer Q^{-1} a (computed once, returned as a copy)."""
+        return self._newton.copy()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Parametric path tracing for indicator-quadratic value chains.
 
 Computes the whole chain ``v(1_[0]), v(1_[1]), ..., v(1_[m])`` of optimal
-values as indicators switch on one at a time, in O(n^3) total.  Instead of
-re-solving a box QP per prefix, each stage treats the newly released
-coordinate as a scalar parameter ``x`` and follows the minimizers of the
-remaining coordinates, which are piecewise-affine in ``x``:
+values as indicators switch on one at a time, in O(n^3) total (at most 2n
+stages and 4n breakpoints, each costing O(n^2)).  Instead of re-solving a box
+QP per prefix, each stage treats the newly released coordinate as a scalar
+parameter ``x`` and follows the minimizers of the remaining coordinates,
+which are piecewise-affine in ``x``:
 
     y_R(x) = Q_RR^{-1} (a_R - Q_RS l_S - Q_RT u_T) - (Q_RR^{-1} Q_R,j) x
 
@@ -13,7 +14,18 @@ leaves its lower bound at most once and reaches its upper bound at most once;
 the stage advances by ratio tests (nearest breakpoint vs. the stationarity
 root of the parametric coordinate, clamped to its box) and pivots a single
 variable at each breakpoint while a maintained Cholesky factor of Q_RR is
-updated in O(n^2).
+updated in O(|R|^2) (see :mod:`submodqp.cholesky`).
+
+Each segment (the stretch of the path between two breakpoints) costs one
+solve with Q_RR for a two-column right-hand side, the offset
+``a_R - Q_RA y_A`` and the direction ``Q_Rj``, plus three products with the
+full Q instead of gathers of its blocks: with the zero-padded bound part of
+y, with the zero-padded direction (giving the gradient's rate of change for
+every coordinate at once), and with y itself for the gradient
+``g = Q y - a``, which serves both the stationarity root and the ratio test
+of the lower-bound variables.  A segment therefore costs O(|R|^2 + n^2)
+arithmetic in a fixed number of numpy/LAPACK calls, plus the O(|R|^2)
+factor update at its breakpoint.
 
 Two drivers are provided: :func:`chain_nonnegative` for boxes with l >= 0
 (one indicator per variable, at most 2n breakpoints) and
@@ -41,6 +53,7 @@ EVENT_HIT_ZERO = "hit_zero"
 _FREE, _LO, _HI, _PARAM = 0, 1, 2, 3
 
 _RETREAT_TOL = 1e-12
+_EPS_256 = 256.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -135,9 +148,7 @@ class PathState:
         status[y <= lo] = _LO
         if param is not None:
             status[param] = _PARAM
-        chol = UpdatableCholesky(quad.Q)
-        for i in np.flatnonzero(status == _FREE):
-            chol.insert(int(i))
+        chol = UpdatableCholesky(quad.Q, np.flatnonzero(status == _FREE))
         state = cls(
             quad,
             lo,
@@ -218,21 +229,32 @@ def trace_path(state, to=None, max_pivots=None):
     if max_pivots is None:
         max_pivots = 6 * quad.n + 64
 
+    Q_j = Q[:, j]
+    abs_Q_j = np.abs(Q_j)
+    can_leave = lo < up
     for _ in range(max_pivots + 1):
         R = np.array(state.chol.indices, dtype=int)
-        Aset = np.flatnonzero((status == _LO) | (status == _HI))
+        free = status == _FREE
+        at_lower = status == _LO
+        d_full = np.zeros(quad.n)
         if R.size:
-            rhs = a[R] - Q[np.ix_(R, Aset)] @ y[Aset] if Aset.size else a[R].copy()
-            h = state.chol.solve(rhs)
-            d = state.chol.solve(Q[R, j])
+            # one solve with Q_RR for both columns: the offset h and the
+            # direction d of y_R(x) = h - d x
+            y_bound = np.where(at_lower | (status == _HI), y, 0.0)
+            B = np.empty((R.size, 2), order="F")
+            B[:, 0] = a[R] - (Q @ y_bound)[R]
+            B[:, 1] = Q_j[R]
+            h, d = state.chol.solve(B).T
+            d_full[R] = d
             y[R] = h - d * x0
-            slope_j = float(Q[j, j] - Q[j, R] @ d)
-        else:
-            h = d = np.zeros(0)
-            slope_j = float(Q[j, j])
+        # d(grad)/dx along the segment; its j entry is the Schur complement
+        # Q_jj - Q_jR d of the parametric coordinate
+        slope = Q_j - Q @ d_full
+        slope_j = float(slope[j])
         if slope_j <= 0:
             raise NumericalError("nonpositive Schur complement on parametric coordinate")
-        g_j = float(Q[j, :] @ y - a[j])
+        g = Q @ y - a
+        g_j = float(g[j])
         if to is None:
             xbar = x0 - g_j / slope_j
             target = min(max(lo[j], xbar), up[j])
@@ -241,46 +263,31 @@ def trace_path(state, to=None, max_pivots=None):
         # float noise in g_j is amplified by 1/slope_j (tiny Schur complements
         # happen, e.g. through the robust ridge), so the monotonicity guard
         # scales with the local conditioning
-        g_scale = abs(a[j]) + float(np.abs(Q[j, :]) @ np.abs(y)) + 1.0
-        retreat_tol = _RETREAT_TOL + 256.0 * np.finfo(float).eps * g_scale / slope_j
+        g_scale = abs(a[j]) + float(abs_Q_j @ np.abs(y)) + 1.0
+        retreat_tol = _RETREAT_TOL + _EPS_256 * g_scale / slope_j
         if target < x0 - retreat_tol:
             raise NumericalError(f"path target retreats from {x0} to {target}")
         target = max(target, x0)
 
-        # ratio tests: free variables reaching their upper bound ...
-        cand_r = []
-        cand_i = []
-        if R.size:
-            rate = -d
-            mask = (rate > 0) & np.isfinite(up[R])
-            if np.any(mask):
-                r = x0 + (up[R[mask]] - y[R[mask]]) / rate[mask]
-                cand_r.append(r)
-                cand_i.append(R[mask])
-        # ... and lower-bound variables whose gradient is being driven to 0
-        S = np.flatnonzero((status == _LO) & (lo < up))
-        if S.size:
-            slope_S = Q[S, j] - (Q[np.ix_(S, R)] @ d if R.size else 0.0)
-            mask = slope_S < 0
-            if np.any(mask):
-                Sm = S[mask]
-                g_S = Q[Sm, :] @ y - a[Sm]
-                r = x0 - g_S / slope_S[mask]
-                cand_r.append(r)
-                cand_i.append(Sm)
-
+        # ratio tests, each breakpoint at x0 + gap / rate: free variables
+        # reaching their upper bound (gap u - y, rate -d) and lower-bound
+        # variables whose gradient is driven to 0 (gap g, rate -slope).
+        # Rates too small to get there within twice the remaining span are
+        # screened out before dividing: such breakpoints lie beyond the
+        # target anyway, and tiny rates would overflow the division.
+        gap = np.where(free, up - y, g)
+        rate = np.where(free, -d_full, -slope)
+        reach = 2.0 * (target - x0) + 1.0
+        cand = (free | (at_lower & can_leave)) & (rate > 0) & (gap <= rate * reach)
+        ii = cand.nonzero()[0]
         rstar = np.inf
         istar = -1
-        if cand_r:
-            rr = np.concatenate(cand_r)
-            ii = np.concatenate(cand_i)
+        if ii.size:
             # exact arithmetic puts every breakpoint ahead of the path; noisy
             # ones slightly behind become zero-length pivots, which self-heal
-            rr = np.maximum(rr, x0)
-            k = int(np.argmin(rr))
-            ties = np.flatnonzero(rr == rr[k])
-            pick = ties[int(np.argmin(ii[ties]))]
-            rstar, istar = float(rr[pick]), int(ii[pick])
+            rr = np.maximum(x0 + gap[ii] / rate[ii], x0)
+            k = int(rr.argmin())  # first minimum: smallest index on ties
+            rstar, istar = float(rr[k]), int(ii[k])
 
         if istar >= 0 and rstar < target:
             x0 = rstar

@@ -161,10 +161,8 @@ def greedy_subgradient(oracle, zfrac):
     return w
 
 
-def _lex_better(candidate, incumbent, value, best, tol):
-    if incumbent is None or value < best - tol:
-        return True
-    return False
+def _lex_better(incumbent, value, best, tol):
+    return incumbent is None or value < best - tol
 
 
 def minimize_exhaustive(oracle, m=None, tie_tol=BRUTE_TIE_TOL):
@@ -176,7 +174,7 @@ def minimize_exhaustive(oracle, m=None, tie_tol=BRUTE_TIE_TOL):
     for bits in itertools.product((0, 1), repeat=m):
         z = np.array(bits, dtype=int)
         val = oracle.eval(z)
-        if _lex_better(z, best_z, val, best, tie_tol):
+        if _lex_better(best_z, val, best, tie_tol):
             best_z, best = z, val
     return SfmResult(
         z=best_z,
@@ -266,7 +264,7 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
         z = base.astype(int).copy()
         z[ambiguous] = bits
         val = oracle.eval(z)
-        if _lex_better(z, best_z, val, best, BRUTE_TIE_TOL):
+        if _lex_better(best_z, val, best, BRUTE_TIE_TOL):
             best_z, best = z, val
     lower_bound = f0 + float(np.minimum(x, 0.0).sum())
     if best < lower_bound - max(1e-6, 1e3 * tol) * (1.0 + abs(best)):

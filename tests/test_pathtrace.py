@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -229,3 +230,18 @@ def test_chain_serialization(small_quad):
     assert len(d["breakpoints"]) == len(chain.breakpoints) >= 1
     for bp in d["breakpoints"]:
         assert set(bp) == {"stage", "x", "index", "event"}
+
+
+def test_tiny_rate_does_not_overflow_ratio_test():
+    # releasing coordinate 0 drives the free coordinate 1 upward at rate
+    # 1e-300; its upper bound lies 1e10 away, so the naive ratio gap / rate
+    # overflows.  Such a breakpoint lies far beyond the stage target and must
+    # be screened out without a RuntimeWarning (the suite turns those into
+    # errors).
+    quad = sq.QuadraticForm([[1.0, -1e-300], [-1e-300, 1.0]], [1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        chain = chain_nonnegative(quad, np.zeros(2), np.array([1e10, 1e10]), order=[1, 0])
+    assert chain.breakpoints == ()
+    assert np.allclose(chain.values, [0.0, -0.5, -1.0], atol=1e-12)
+    assert np.allclose(chain.minimizers[2], [1.0, 1.0], atol=1e-12)
