@@ -255,6 +255,9 @@ class IndicatorProblem:
 
     Every continuous variable carries exactly one indicator; variables that
     the model does not want penalized (the x's in robust mode) get cost 0.
+    Such an indicator cannot change the optimum when 0 lies in [l, u]: the
+    solver then fixes it open before minimizing (see
+    :func:`submodqp.sfm.open_free_coordinates`).
     """
 
     quad: QuadraticForm
@@ -350,8 +353,10 @@ def compile_robust(inst, ridge=1e-8):
     Objective: sum_i nw_i (x_i - w_i - a_i)^2 + sum_ij w_ij (x_i - x_j)^2
     + ridge * sum_i w_i^2.  The ridge restores strict convexity (the plain
     reformulation is singular along x_i = w_i directions) with negligible bias;
-    it must be positive.  The x variables carry free indicators (cost 0, user
-    bounds); the w variables carry the discard costs and a box [-M, M].
+    it must be positive.  The x variables get indicators of cost 0 with the
+    user bounds; when those bounds contain 0 the solver fixes them open, so
+    only the w variables, which carry the discard costs and a box [-M, M],
+    reach the binary minimization.
     """
     if inst.mode != "robust":
         raise InputError(f"compile_robust requires mode='robust', got {inst.mode!r}")

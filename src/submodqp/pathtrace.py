@@ -410,7 +410,7 @@ def chain_nonnegative(quad, lo, up, order=None):
     return _run_chain(quad, stages, state, quad.value(np.zeros(n)), "nonnegative", order)
 
 
-def chain_general(quad, lo, up, smap=None, order=None):
+def chain_general(quad, lo, up, smap=None, order=None, fixed=None, stage0=None):
     """Value chain over sign-split coordinates (lower bounds may be negative).
 
     Stage 0 solves the all-off box (negative variables may start strictly
@@ -418,6 +418,14 @@ def chain_general(quad, lo, up, smap=None, order=None):
     coordinate on.  Flipping a minus-coordinate raises the variable's lower
     bound to 0; flipping a plus-coordinate opens its upper range.  Both move
     the minimizer monotonically upward.
+
+    ``fixed`` (one entry per split coordinate: 0 or 1 holds the coordinate at
+    that value, -1 leaves it live) restricts the chain to a face of the cube:
+    stage 0 solves the box with every live coordinate off and the fixed ones
+    at their values, and ``order`` permutes the live coordinates, numbered
+    0, 1, ... in ascending split index.  ``stage0`` is the box-QP solution of
+    that stage-0 box when the caller already has it; every chain of one
+    minimization starts there, so the caller can solve it once.
     """
     quad.require_stieltjes()
     n = quad.n
@@ -428,15 +436,19 @@ def chain_general(quad, lo, up, smap=None, order=None):
     if smap is None:
         smap, _ = split(lo, up)
     m = smap.binary_dim
-    order = _check_order(order, m)
+    fixed = np.full(m, -1) if fixed is None else np.asarray(fixed, dtype=int)
+    if fixed.shape != (m,) or np.any((fixed < -1) | (fixed > 1)):
+        raise InputError(f"fixed must have {m} entries in {{-1, 0, 1}}")
+    live = np.flatnonzero(fixed < 0)
+    zbin = np.maximum(fixed, 0)
+    order = _check_order(order, live.size)
 
-    zbin = np.zeros(m, dtype=int)
     lo0, up0 = bounds_for_binary(smap, zbin, lo, up)
-    sol = boxqp.solve(quad, lo0, up0)
+    sol = boxqp.solve(quad, lo0, up0) if stage0 is None else stage0
     state = PathState.from_point(quad, lo0, up0, sol.x, orig_lo=lo, orig_up=up, audit=False)
 
     stages = []
-    for cidx in order:
+    for cidx in live[order]:
         zbin[cidx] = 1
         j, _ = smap.coords[cidx]
         lo_j, up_j = variable_bounds(smap, j, zbin, lo, up)

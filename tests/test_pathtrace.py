@@ -133,6 +133,46 @@ def test_chain_general_endpoint_boxes():
         assert vfull == pytest.approx(full.value, abs=1e-9)
 
 
+def test_chain_general_on_a_face_matches_boxqp_prefixes():
+    # fixed coordinates hold their values; the order permutes the live ones
+    rng = np.random.default_rng(8)
+    for seed in range(6):
+        prob = sq.InstanceSampler(n=6, regime="mixed", seed=60 + seed).draw(0)
+        smap, _ = lattice.split(prob.lo, prob.up)
+        fixed = rng.integers(-1, 2, size=smap.binary_dim)
+        fixed[rng.integers(smap.binary_dim)] = -1
+        live = np.flatnonzero(fixed < 0)
+        order = rng.permutation(live.size)
+        chain = chain_general(prob.quad, prob.lo, prob.up, smap, order, fixed=fixed)
+        assert chain.m == live.size
+        z = np.maximum(fixed, 0)
+        for k in range(live.size + 1):
+            if k:
+                z[live[order[k - 1]]] = 1
+            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
+            assert abs(chain.values[k] - ref) <= 1e-8
+
+
+def test_chain_general_given_stage0_is_bit_identical():
+    prob = sq.InstanceSampler(n=8, regime="mixed", seed=12).draw(0)
+    smap, _ = lattice.split(prob.lo, prob.up)
+    lo0, up0 = lattice.bounds_for_binary(smap, np.zeros(smap.binary_dim), prob.lo, prob.up)
+    stage0 = boxqp.solve(prob.quad, lo0, up0)
+    order = np.random.default_rng(1).permutation(smap.binary_dim)
+    ref = chain_general(prob.quad, prob.lo, prob.up, smap, order)
+    got = chain_general(prob.quad, prob.lo, prob.up, smap, order, stage0=stage0)
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(got.minimizers, ref.minimizers)
+    assert got.breakpoints == ref.breakpoints
+
+
+def test_chain_general_rejects_bad_fixed(small_quad):
+    with pytest.raises(InputError):
+        chain_general(small_quad, np.full(2, -1.0), np.ones(2), fixed=[-1, 0, 1])
+    with pytest.raises(InputError):
+        chain_general(small_quad, np.full(2, -1.0), np.ones(2), fixed=[-1, 0, 2, 1])
+
+
 @pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])
 def test_chain_matches_boxqp_prefixes(regime):
     for seed in range(8):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -144,16 +146,131 @@ def test_solve_full_zero_signal():
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_solve_full_free_indicators_match_boxqp():
+@pytest.mark.parametrize("engine", ["exhaustive", "mnp"])
+def test_solve_full_free_indicators_match_boxqp(engine):
+    # every indicator is free, so every coordinate is fixed open and no
+    # engine runs
     inst = sq.ProblemInstance(
         sq.chain_graph(3), a=[1.0, 0.5, 2.0], node_weights=[1, 1, 1],
         c=[0, 0, 0], l=[0, 0, 0], u=[5, 5, 5],
     )
     problem = sq.compile_sparse(inst)
-    res = sq.solve_full(problem, engine="exhaustive")
+    res = sq.solve_full(problem, engine=engine)
     ref = boxqp.solve(problem.quad, problem.lo, problem.up)
     assert res.value == pytest.approx(ref.value, abs=1e-9)
     assert np.allclose(res.x, ref.x, atol=1e-8)
+
+
+def test_solve_full_robust_free_discard_single_vertex_mnp():
+    # c = 0 and a straddling box for both x and w: every coordinate is fixed
+    inst = sq.ProblemInstance(
+        sq.Graph(1), a=[7], node_weights=[1], c=[0], l=[-50], u=[50], mode="robust"
+    )
+    problem = sq.compile_robust(inst, ridge=1e-8)
+    res = sq.solve_full(problem, engine="mnp")
+    assert res.value == pytest.approx(sq.brute_force(problem).value, abs=1e-9)
+    assert res.value == pytest.approx(0.0, abs=1e-9)
+    assert res.converged
+    recomputed = problem.quad.value(res.x) + float(problem.costs @ res.z)
+    assert res.value == pytest.approx(recomputed, abs=1e-12)
+
+
+def test_open_free_coordinates_rule():
+    # variables: zero-cost nonnegative with l = 0 (fixed), zero-cost
+    # semi-continuous with l > 0 (live: {0} and [l, u] do not nest),
+    # zero-cost straddling (both bits fixed), zero-cost nonpositive with
+    # u = 0 (fixed), priced straddling (live)
+    lo = np.array([0.0, 0.5, -1.0, -2.0, -1.0])
+    up = np.array([2.0, 2.0, 1.0, 0.0, 1.0])
+    costs = np.array([0.0, 0.0, 0.0, 0.0, 0.3])
+    smap, _ = lattice.split(lo, up, costs)
+    fixed = sfm.open_free_coordinates(smap, lo, up, costs)
+    assert fixed.tolist() == [1, -1, 1, 0, 0, -1, -1]
+
+
+def _zero_half_the_costs(prob, rng):
+    """Zero the costs of a random half of the variables, one of them
+    semi-continuous (0 < l), which the open rule must leave live."""
+    n = prob.n
+    zero = rng.choice(n, size=n // 2, replace=False)
+    costs, lo, up = prob.costs.copy(), prob.lo.copy(), prob.up.copy()
+    costs[zero] = 0.0
+    if not np.any(lo[zero] > 0):
+        lo[zero[0]], up[zero[0]] = 0.25, 2.0
+    return sq.IndicatorProblem(prob.quad, costs, lo, up)
+
+
+def test_zero_cost_semicontinuous_variables_stay_live():
+    rng = np.random.default_rng(2209)
+    worst = {"exhaustive": 0.0, "mnp": 0.0}
+    for trial in range(12):
+        prob = sq.InstanceSampler(n=6 + trial % 3, regime="mixed", seed=4100 + trial).draw(0)
+        prob = _zero_half_the_costs(prob, rng)
+        assert np.any((prob.costs == 0) & (prob.lo > 0))
+        bf = sq.brute_force(prob)
+        for engine in worst:
+            res = sq.solve_full(prob, engine=engine)
+            worst[engine] = max(worst[engine], abs(res.value - bf.value))
+    assert worst["exhaustive"] <= 1e-6
+    assert worst["mnp"] <= 1e-6
+
+
+def test_robust_engine_sees_only_the_slack_coordinates(monkeypatch):
+    # the signal variables cost nothing and straddle zero, so only the two
+    # split bits of each slack reach the engine: 2n coordinates, not 4n
+    inst, _ = sq.generate("chain", (6,), signal_sparsity=0.0, outlier_fraction=0.2,
+                          noise_sd=0.25, seed=3, mode="robust", cost=4.0)
+    problem = sq.compile_instance(inst)
+    assert lattice.split(problem.lo, problem.up)[0].binary_dim == 4 * inst.n
+    seen = []
+    engine = sfm.minimize_mnp
+
+    def spy(oracle, **kwargs):
+        seen.append(oracle.m)
+        return engine(oracle, **kwargs)
+
+    monkeypatch.setattr(sfm, "minimize_mnp", spy)
+    res = sq.solve_full(problem, engine="mnp", tol=1e-6)
+    assert seen == [2 * inst.n]
+    assert res.value == pytest.approx(sq.brute_force(problem).value, abs=1e-6)
+
+
+def test_solve_full_logs_the_reduction(caplog):
+    inst, _ = sq.generate("chain", (3,), mode="robust", seed=0)
+    with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
+        sq.solve_full(sq.compile_instance(inst), engine="exhaustive")
+    assert "split 12 coordinates, 6 fixed open, 6 live, engine exhaustive" in caplog.messages
+
+
+def test_indicator_oracle_on_a_face_embeds_live_coordinates():
+    prob = sq.InstanceSampler(n=5, regime="mixed", seed=31).draw(0)
+    smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
+    rng = np.random.default_rng(4)
+    fixed = rng.integers(-1, 2, size=smap.binary_dim)
+    fixed[:2] = -1
+    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost, fixed=fixed)
+    live = np.flatnonzero(fixed < 0)
+    assert oracle.m == live.size
+    order = rng.permutation(oracle.m)
+    assert np.max(np.abs(oracle.chain(order) - oracle.chain_naive(order))) <= 1e-8
+    zlive = rng.integers(0, 2, size=oracle.m)
+    z = np.maximum(fixed, 0)
+    z[live] = zlive
+    full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost)
+    assert oracle.eval(zlive) == full.eval(z)
+    assert np.array_equal(oracle.recover_x(zlive), full.recover_x(z))
+
+
+def test_indicator_oracle_with_nothing_fixed_is_the_full_cube():
+    prob = sq.InstanceSampler(n=5, regime="nonnegative", seed=32).draw(0)
+    smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
+    full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost)
+    same = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost,
+                              fixed=np.full(smap.binary_dim, -1))
+    order = np.arange(smap.binary_dim)[::-1]
+    assert same.fixed is None
+    assert same.value_chain(order).kind == full.value_chain(order).kind == "nonnegative"
+    assert np.array_equal(same.chain(order), full.chain(order))
 
 
 def test_solve_full_rejects_unknown_engine():
