@@ -14,6 +14,10 @@ Typical use:
     >>> result = sq.solve_full(sq.compile_instance(inst), engine="mnp")
     >>> result.discarded
     [...]
+
+The top level exports what callers of the solver use; each layer's full
+interface stays importable from its module (``submodqp.lattice``,
+``submodqp.boxqp``, ``submodqp.pathtrace``, ``submodqp.cholesky``).
 """
 
 from .exceptions import InputError, NumericalError
@@ -27,28 +31,14 @@ from .model import (
     compile_robust,
     compile_sparse,
     generate,
-    grid_graph_2d,
-    grid_graph_3d,
     load_instance,
     save_instance,
 )
-from .lattice import (
-    BinaryCost,
-    SignSplitMap,
-    bounds_for_binary,
-    check_lattice_membership,
-    check_submodular_zeroth,
-    split,
-)
-from .boxqp import BoxQpSolution, kkt_residual
+from .lattice import check_lattice_membership
 from .boxqp import solve as solve_boxqp
-from .boxqp import value_function
-from .pathtrace import PathState, ValueChain, chain_general, chain_nonnegative, lovasz, trace_path
 from .sfm import (
     FunctionOracle,
     IndicatorOracle,
-    SfmResult,
-    SubmodularOracle,
     greedy_subgradient,
     minimize_exhaustive,
     minimize_mnp,
@@ -59,8 +49,6 @@ from .oracle import InstanceSampler, brute_force, replay_witness, run_property_s
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryCost",
-    "BoxQpSolution",
     "FunctionOracle",
     "Graph",
     "IndicatorOracle",
@@ -68,30 +56,17 @@ __all__ = [
     "InputError",
     "InstanceSampler",
     "NumericalError",
-    "PathState",
     "ProblemInstance",
     "QuadraticForm",
-    "SfmResult",
-    "SignSplitMap",
-    "SubmodularOracle",
-    "ValueChain",
-    "bounds_for_binary",
     "brute_force",
-    "chain_general",
     "chain_graph",
-    "chain_nonnegative",
     "check_lattice_membership",
-    "check_submodular_zeroth",
     "compile_instance",
     "compile_robust",
     "compile_sparse",
     "generate",
     "greedy_subgradient",
-    "grid_graph_2d",
-    "grid_graph_3d",
-    "kkt_residual",
     "load_instance",
-    "lovasz",
     "minimize_exhaustive",
     "minimize_mnp",
     "replay_witness",
@@ -99,7 +74,4 @@ __all__ = [
     "save_instance",
     "solve_boxqp",
     "solve_full",
-    "split",
-    "trace_path",
-    "value_function",
 ]

@@ -7,8 +7,12 @@ pivot; maintaining the lower factor L (``L L^T = Q[R, R]``) costs O(|R|^2).
 Storage: L lives in the leading k x k block of a Fortran-ordered n x n
 array, k = |R|.  The first k columns of that array are contiguous, so every
 triangular solve hands them to LAPACK ``dtrtrs`` as they are (leading
-dimension n): no copy and no argument-validation wrapper per call.  Each
-operation is a handful of whole-array calls:
+dimension n): no copy and no argument-validation wrapper per call.  Only
+the lower triangle of the block is L; ``dtrtrs`` with ``lower=1`` never
+reads the strict upper triangle, and neither does the lower part of the
+remove update below.  The update leaves roundoff there (zeros in exact
+arithmetic), which stays unused; :meth:`UpdatableCholesky.L` returns the
+lower triangle.  Each operation is a handful of whole-array calls:
 
 * solve: two ``dtrtrs`` calls (L, then L^T), for one right-hand side or for
   several columns at once; O(k^2) per column;
@@ -77,7 +81,7 @@ class UpdatableCholesky:
 
     def L(self):
         m = self.size
-        return self._L[:m, :m]
+        return np.tril(self._L[:m, :m])
 
     def insert(self, j):
         m = self.size
@@ -106,7 +110,7 @@ class UpdatableCholesky:
             W *= q / np.sqrt(t * t_prev)
             W += L22 * np.sqrt(t / t_prev)
             L[p : m - 1, :p] = L[p + 1 : m, :p]
-            L[p : m - 1, p : m - 1] = np.tril(W)  # exact zeros above the diagonal
+            L[p : m - 1, p : m - 1] = W
         L[m - 1, :m] = 0.0
         self._idx.pop(p)
 

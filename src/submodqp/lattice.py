@@ -163,6 +163,7 @@ def split(lo, up, costs=None):
     coord_of = []
     lin = []
     const = 0.0
+    lo, up, costs = lo.tolist(), up.tolist(), costs.tolist()  # scalar loop below
     for i in range(n):
         r = classify_regime(lo[i], up[i])
         regimes.append(r)

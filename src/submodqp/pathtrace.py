@@ -27,11 +27,15 @@ of the lower-bound variables.  A segment therefore costs O(|R|^2 + n^2)
 arithmetic in a fixed number of numpy/LAPACK calls, plus the O(|R|^2)
 factor update at its breakpoint.
 
-Two drivers are provided: :func:`chain_nonnegative` for boxes with l >= 0
-(one indicator per variable, at most 2n breakpoints) and
-:func:`chain_general` for sign-split coordinates (variables may start
-negative; at most 4n breakpoints).  :func:`lovasz` evaluates the piecewise
-linear extension from a computed chain.
+One driver, :func:`chain_general`, traces every chain over the sign-split
+coordinates: stage 0 is the box with every coordinate off (the zero box when
+l >= 0, one indicator per variable and at most 2n breakpoints; variables
+with l < 0 may start negative, at most 4n breakpoints), and each stage
+switches one coordinate on.  :func:`chain_nonnegative` is its entry point
+for l >= 0, indexed by variable.  Bounds must be finite;
+:func:`submodqp.boxqp.finite_box` replaces infinite ones by bounds no traced
+point reaches.  :func:`lovasz` evaluates the piecewise linear extension from
+a computed chain.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ EVENT_HIT_ZERO = "hit_zero"
 _FREE, _LO, _HI, _PARAM = 0, 1, 2, 3
 
 _RETREAT_TOL = 1e-12
+# pivots allowed inside one trace: 6n + 64, beyond the 4n breakpoints a whole
+# chain can take, so exceeding it means the path is cycling
+_PIVOTS_PER_VARIABLE, _PIVOTS_SPARE = 6, 64
 _EPS_256 = 256.0 * np.finfo(float).eps
 
 
@@ -210,7 +217,7 @@ class PathState:
         self.param = None
 
 
-def trace_path(state, to=None, max_pivots=None):
+def trace_path(state, to=None):
     """Advance the parametric coordinate along the solution path.
 
     ``to=None`` traces to the stage target min(max(lo_j, stationarity root),
@@ -226,13 +233,11 @@ def trace_path(state, to=None, max_pivots=None):
     Q, a = quad.Q, quad.a
     y, lo, up, status = state.y, state.lo, state.up, state.status
     x0 = float(y[j])
-    if max_pivots is None:
-        max_pivots = 6 * quad.n + 64
 
     Q_j = Q[:, j]
     abs_Q_j = np.abs(Q_j)
     can_leave = lo < up
-    for _ in range(max_pivots + 1):
+    for _ in range(_PIVOTS_PER_VARIABLE * quad.n + _PIVOTS_SPARE + 1):
         R = np.array(state.chol.indices, dtype=int)
         free = status == _FREE
         at_lower = status == _LO
@@ -348,11 +353,65 @@ def _stage_is_noop(state, j, lo_new, up_new):
     return False
 
 
-def _run_chain(quad, stages, state, values0, kind, order):
-    n = quad.n
-    values = [values0]
+def _check_order(order, m):
+    order = list(range(m)) if order is None else [int(i) for i in order]
+    if sorted(order) != list(range(m)):
+        raise InputError(f"order must be a permutation of 0..{m - 1}")
+    return order
+
+
+def chain_nonnegative(quad, lo, up, order=None):
+    """:func:`chain_general` for l >= 0: stage k releases variable order[k-1] to [l, u]."""
+    if np.any(np.asarray(lo) < 0):
+        raise InputError("chain_nonnegative needs l >= 0 (use chain_general)")
+    return chain_general(quad, lo, up, order=order)
+
+
+def chain_general(quad, lo, up, smap=None, order=None, fixed=None, stage0=None):
+    """Value chain over sign-split coordinates (lower bounds may be negative).
+
+    Stage 0 solves the all-off box (negative variables may start strictly
+    below zero; with l >= 0 it is the zero box) with the box-QP oracle; each
+    following stage flips one split coordinate on.  Flipping a
+    minus-coordinate raises the variable's lower bound to 0; flipping a
+    plus-coordinate opens its upper range.  Both move the minimizer
+    monotonically upward.  The chain's ``kind`` is ``"nonnegative"`` when
+    every l >= 0 and ``"general"`` otherwise.
+
+    ``fixed`` (one entry per split coordinate: 0 or 1 holds the coordinate at
+    that value, -1 leaves it live) restricts the chain to a face of the cube:
+    stage 0 solves the box with every live coordinate off and the fixed ones
+    at their values, and ``order`` permutes the live coordinates, numbered
+    0, 1, ... in ascending split index.  ``stage0`` is the box-QP solution of
+    that stage-0 box when the caller already has it; every chain of one
+    minimization starts there, so the caller can solve it once.
+    """
+    quad.require_stieltjes()
+    lo = np.asarray(lo, dtype=float)
+    up = np.asarray(up, dtype=float)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
+        raise InputError("chain_general needs finite bounds; clamp them first (boxqp.finite_box)")
+    if smap is None:
+        smap, _ = split(lo, up)
+    m = smap.binary_dim
+    fixed = np.full(m, -1) if fixed is None else np.asarray(fixed, dtype=int)
+    if fixed.shape != (m,) or np.any((fixed < -1) | (fixed > 1)):
+        raise InputError(f"fixed must have {m} entries in {{-1, 0, 1}}")
+    live = np.flatnonzero(fixed < 0)
+    zbin = np.maximum(fixed, 0)
+    order = _check_order(order, live.size)
+
+    lo0, up0 = bounds_for_binary(smap, zbin, lo, up)
+    sol = boxqp.solve(quad, lo0, up0) if stage0 is None else stage0
+    state = PathState.from_point(quad, lo0, up0, sol.x, orig_lo=lo, orig_up=up, audit=False)
+
+    values = [sol.value]
     minimizers = [state.y.copy()]
-    for k, (j, lo_j, up_j) in enumerate(stages, start=1):
+    zbin, lo_list, up_list = zbin.tolist(), lo.tolist(), up.tolist()  # scalar access per stage
+    for k, cidx in enumerate(live[order].tolist(), start=1):
+        zbin[cidx] = 1
+        j, _ = smap.coords[cidx]
+        lo_j, up_j = variable_bounds(smap, j, zbin, lo_list, up_list)
         state.stage = k
         if _stage_is_noop(state, j, lo_j, up_j):
             state.lo[j] = lo_j
@@ -370,90 +429,9 @@ def _run_chain(quad, stages, state, values0, kind, order):
         minimizers=np.array(minimizers),
         breakpoints=tuple(state.breakpoints),
         breakpoint_points=tuple(state.points),
-        order=tuple(int(i) for i in order),
-        kind=kind,
+        order=tuple(order),
+        kind="nonnegative" if np.all(lo >= 0) else "general",
     )
-
-
-def _check_order(order, m):
-    order = list(range(m)) if order is None else [int(i) for i in order]
-    if sorted(order) != list(range(m)):
-        raise InputError(f"order must be a permutation of 0..{m - 1}")
-    return order
-
-
-def chain_nonnegative(quad, lo, up, order=None):
-    """Value chain for nonnegative boxes: stage k releases order[k-1] to [l, u].
-
-    Requires l >= 0 and finite u (clamp unbounded variables first, as the
-    model compiler does for outlier slacks).  values[k] equals the optimum
-    with the first k indicators of ``order`` switched on.
-    """
-    quad.require_stieltjes()
-    n = quad.n
-    lo = np.asarray(lo, dtype=float)
-    up = np.asarray(up, dtype=float)
-    if np.any(lo < 0):
-        raise InputError("chain_nonnegative needs l >= 0 (use chain_general)")
-    if not np.all(np.isfinite(up)):
-        raise InputError(
-            "chain_nonnegative needs finite upper bounds; clamp them first "
-            "(see the model module's slack bound)"
-        )
-    if np.any(lo > up):
-        raise InputError("empty box")
-    order = _check_order(order, n)
-    state = PathState.from_point(
-        quad, np.zeros(n), np.zeros(n), np.zeros(n), orig_lo=lo, orig_up=up, audit=False
-    )
-    stages = [(j, lo[j], up[j]) for j in order]
-    return _run_chain(quad, stages, state, quad.value(np.zeros(n)), "nonnegative", order)
-
-
-def chain_general(quad, lo, up, smap=None, order=None, fixed=None, stage0=None):
-    """Value chain over sign-split coordinates (lower bounds may be negative).
-
-    Stage 0 solves the all-off box (negative variables may start strictly
-    below zero) with the box-QP oracle; each following stage flips one split
-    coordinate on.  Flipping a minus-coordinate raises the variable's lower
-    bound to 0; flipping a plus-coordinate opens its upper range.  Both move
-    the minimizer monotonically upward.
-
-    ``fixed`` (one entry per split coordinate: 0 or 1 holds the coordinate at
-    that value, -1 leaves it live) restricts the chain to a face of the cube:
-    stage 0 solves the box with every live coordinate off and the fixed ones
-    at their values, and ``order`` permutes the live coordinates, numbered
-    0, 1, ... in ascending split index.  ``stage0`` is the box-QP solution of
-    that stage-0 box when the caller already has it; every chain of one
-    minimization starts there, so the caller can solve it once.
-    """
-    quad.require_stieltjes()
-    n = quad.n
-    lo = np.asarray(lo, dtype=float)
-    up = np.asarray(up, dtype=float)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-        raise InputError("chain_general needs finite bounds; clamp them first")
-    if smap is None:
-        smap, _ = split(lo, up)
-    m = smap.binary_dim
-    fixed = np.full(m, -1) if fixed is None else np.asarray(fixed, dtype=int)
-    if fixed.shape != (m,) or np.any((fixed < -1) | (fixed > 1)):
-        raise InputError(f"fixed must have {m} entries in {{-1, 0, 1}}")
-    live = np.flatnonzero(fixed < 0)
-    zbin = np.maximum(fixed, 0)
-    order = _check_order(order, live.size)
-
-    lo0, up0 = bounds_for_binary(smap, zbin, lo, up)
-    sol = boxqp.solve(quad, lo0, up0) if stage0 is None else stage0
-    state = PathState.from_point(quad, lo0, up0, sol.x, orig_lo=lo, orig_up=up, audit=False)
-
-    stages = []
-    for cidx in live[order]:
-        zbin[cidx] = 1
-        j, _ = smap.coords[cidx]
-        lo_j, up_j = variable_bounds(smap, j, zbin, lo, up)
-        stages.append((j, lo_j, up_j))
-    return _run_chain(quad, stages, state, sol.value, "general", order)
 
 
 def lovasz(chain, zfrac):

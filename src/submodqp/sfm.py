@@ -115,9 +115,10 @@ class FunctionOracle(SubmodularOracle):
 class IndicatorOracle(SubmodularOracle):
     """F(z) = v(z) + binary cost for a compiled indicator problem.
 
-    ``v`` is evaluated by the box-QP oracle; chains go through the path
-    tracer when every bound is finite, and fall back to m+1 box-QP solves
-    otherwise (unbounded boxes cannot be traced).
+    ``v`` is evaluated by the box-QP oracle and every chain is traced by
+    :func:`pathtrace.chain_general`.  Infinite bounds are replaced once, by
+    :func:`boxqp.finite_box`, with finite ones that no indicator box or
+    traced point reaches, so v is unchanged.
 
     ``fixed`` restricts F to a face of the split cube: it holds one entry
     per split coordinate, 0 or 1 to fix the coordinate at that value and -1
@@ -131,8 +132,7 @@ class IndicatorOracle(SubmodularOracle):
     def __init__(self, quad, lo, up, costs=None, smap=None, bincost=None, fixed=None):
         quad.require_stieltjes()
         self.quad = quad
-        self.lo = np.asarray(lo, dtype=float)
-        self.up = np.asarray(up, dtype=float)
+        self.lo, self.up = boxqp.finite_box(quad, lo, up)
         if smap is None or bincost is None:
             smap, bincost = split(self.lo, self.up, costs)
         self.smap = smap
@@ -148,12 +148,6 @@ class IndicatorOracle(SubmodularOracle):
         self._live_cost = bincost.linear[self._live]
         # the cost of the start assignment: the constant plus the fixed coordinates
         self._start_cost = bincost(self._start)
-        self._traceable = bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.up)))
-        self._nonnegative = (
-            self.fixed is None
-            and all(r != NBOTH for r in smap.regimes)
-            and bool(np.all(self.lo >= 0))
-        )
 
     def embed(self, zbin):
         """Full split vector with the live coordinates set to ``zbin``."""
@@ -176,17 +170,12 @@ class IndicatorOracle(SubmodularOracle):
         return boxqp.value_function(self.quad, self.lo, self.up, self.smap, z) + self.bincost(z)
 
     def chain(self, order):
-        if not self._traceable:
-            return self.chain_naive(order)
         vc = self.value_chain(order)
         costs = np.concatenate([[0.0], np.cumsum(self._live_cost[list(order)])])
         return vc.values + costs + self._start_cost
 
     def value_chain(self, order):
         """Raw v-chain (no costs) as a :class:`pathtrace.ValueChain`."""
-        if self._nonnegative:
-            var_order = [self.smap.coords[int(c)][0] for c in order]
-            return pathtrace.chain_nonnegative(self.quad, self.lo, self.up, var_order)
         return pathtrace.chain_general(
             self.quad, self.lo, self.up, self.smap, order, fixed=self.fixed, stage0=self.stage0
         )
@@ -218,16 +207,16 @@ def _lex_better(incumbent, value, best, tol):
     return incumbent is None or value < best - tol
 
 
-def minimize_exhaustive(oracle, m=None, tie_tol=BRUTE_TIE_TOL):
+def minimize_exhaustive(oracle):
     """Enumerate every binary vector; ties resolve to the first in lex order."""
-    m = oracle.m if m is None else int(m)
+    m = oracle.m
     if m > EXHAUSTIVE_GUARD:
         raise InputError(f"exhaustive enumeration guarded at m <= {EXHAUSTIVE_GUARD}, got {m}")
     best_z, best = None, np.inf
     for bits in itertools.product((0, 1), repeat=m):
         z = np.array(bits, dtype=int)
         val = oracle.eval(z)
-        if _lex_better(best_z, val, best, tie_tol):
+        if _lex_better(best_z, val, best, BRUTE_TIE_TOL):
             best_z, best = z, val
     return SfmResult(
         z=best_z,

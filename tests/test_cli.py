@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import cli, model
+from submodqp import boxqp, cli, lattice, model
 
 
 def _run(argv):
@@ -100,6 +100,26 @@ def test_trace_writes_value_chain(tmp_path):
     d = json.loads(out.read_text())
     assert set(d) == {"kind", "order", "values", "breakpoints"}
     assert len(d["values"]) == len(d["order"]) + 1
+
+
+def test_trace_infinite_bounds_matches_naive_chain(tmp_path):
+    inst = sq.ProblemInstance(
+        sq.chain_graph(3, weight=0.5), a=[1.0, -2.0, 0.5], node_weights=[1, 1, 1],
+        c=[0.1, 0.1, 0.1], l=[-np.inf] * 3, u=[np.inf] * 3,
+    )
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    out = tmp_path / "chain.json"
+    assert _run(["trace", str(path), "--output", str(out)]) == cli.EXIT_OK
+    d = json.loads(out.read_text())
+    problem = model.compile_instance(inst)
+    smap, _ = lattice.split(problem.lo, problem.up)
+    naive = sq.FunctionOracle(
+        lambda z: boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z),
+        smap.binary_dim,
+    ).chain_naive(d["order"])
+    assert d["kind"] == "general"
+    assert np.max(np.abs(np.array(d["values"]) - naive)) <= 1e-8
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

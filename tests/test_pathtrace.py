@@ -178,22 +178,14 @@ def test_chain_matches_boxqp_prefixes(regime):
     for seed in range(8):
         prob = sq.InstanceSampler(n=7, regime=regime, seed=40 + seed).draw(0)
         smap, _ = lattice.split(prob.lo, prob.up)
-        if regime == "nonnegative":
-            chain = chain_nonnegative(prob.quad, prob.lo, prob.up)
-            z = np.zeros(smap.binary_dim, dtype=int)
-            for k in range(prob.n + 1):
-                if k:
-                    z[k - 1] = 1
-                ref = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
-                assert abs(chain.values[k] - ref) <= 1e-8
-        else:
-            chain = chain_general(prob.quad, prob.lo, prob.up, smap)
-            z = np.zeros(smap.binary_dim, dtype=int)
-            for k in range(smap.binary_dim + 1):
-                if k:
-                    z[k - 1] = 1
-                ref = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
-                assert abs(chain.values[k] - ref) <= 1e-8
+        chain = chain_general(prob.quad, prob.lo, prob.up, smap)
+        assert chain.kind == ("nonnegative" if regime == "nonnegative" else "general")
+        z = np.zeros(smap.binary_dim, dtype=int)
+        for k in range(smap.binary_dim + 1):
+            if k:
+                z[k - 1] = 1
+            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
+            assert abs(chain.values[k] - ref) <= 1e-8
 
 
 def test_chain_minimizers_pass_kkt_audit():

@@ -116,11 +116,47 @@ def test_oracle_chain_endpoints_match_eval():
         assert np.max(np.abs(values - naive)) <= 1e-8
 
 
-def test_oracle_falls_back_without_finite_bounds():
+def _naive_chain(quad, lo, up, costs, order):
+    """m+1 box-QP evaluations over the given (possibly infinite) bounds."""
+    smap, bincost = lattice.split(lo, up, costs)
+    return sq.FunctionOracle(
+        lambda z: boxqp.value_function(quad, lo, up, smap, z) + bincost(z), smap.binary_dim
+    ).chain_naive(order)
+
+
+def test_oracle_traces_infinite_bounds(monkeypatch):
     quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
-    oracle = sq.IndicatorOracle(quad, np.zeros(2), np.array([np.inf, 10.0]), costs=np.zeros(2))
+    lo, up = np.zeros(2), np.array([np.inf, 10.0])
+    oracle = sq.IndicatorOracle(quad, lo, up, costs=np.zeros(2))
+    monkeypatch.setattr(oracle, "chain_naive", None)  # the oracle must trace
     values = oracle.chain(np.arange(2))
     assert values[-1] == pytest.approx(-1.0 / 3.0, abs=1e-10)
+    assert np.max(np.abs(values - _naive_chain(quad, lo, up, np.zeros(2), np.arange(2)))) <= 1e-8
+
+
+@pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])
+def test_infinite_bounds_are_traced_exactly(regime, monkeypatch):
+    monkeypatch.setattr(sfm.IndicatorOracle, "chain_naive", None)  # no fallback
+    for seed in range(4):
+        prob = sq.InstanceSampler(n=6, regime=regime, seed=500 + seed).draw(0)
+        rng = np.random.default_rng(seed)
+        # open a random half of the bounds that can go infinite without
+        # changing a variable's sign regime
+        up_inf = (prob.up > 0) & (rng.random(prob.n) < 0.5)
+        lo_inf = (prob.lo < 0) & (rng.random(prob.n) < 0.5)
+        if not (up_inf.any() or lo_inf.any()):
+            (up_inf if regime == "nonnegative" else lo_inf)[0] = True
+        lo = np.where(lo_inf, -np.inf, prob.lo)
+        up = np.where(up_inf, np.inf, prob.up)
+        problem = sq.IndicatorProblem(prob.quad, prob.costs, lo, up)
+        oracle = sq.IndicatorOracle(problem.quad, lo, up, problem.costs)
+        order = rng.permutation(oracle.m)
+        naive = _naive_chain(problem.quad, lo, up, problem.costs, order)
+        assert np.max(np.abs(oracle.chain(order) - naive)) <= 1e-8
+        ref = sq.brute_force(problem)
+        for engine in ("exhaustive", "mnp"):
+            res = sq.solve_full(problem, engine=engine)
+            assert res.value == pytest.approx(ref.value, abs=1e-6)
 
 
 def test_solve_full_robust_two_chain():
