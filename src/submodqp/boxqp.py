@@ -6,7 +6,7 @@ value-function oracle: every active-set change triggers a fresh factorization
 (simplicity over speed; the O(n^2)-per-step incremental machinery lives in
 the path tracer), and every returned solution is audited against the KKT
 system before it leaves this module.  The free block goes straight to LAPACK
-``potrf``/``potrs`` and the audit is vectorised, so a solve costs a fixed
+``potrf``/``potrs`` and the audit is vectorised, so a solve costs a constant
 handful of calls per iteration rather than per-call wrapper overhead and
 Python loops over the variables.
 
@@ -14,7 +14,8 @@ KKT conventions, with g = Qx - a:
   * variables at the lower bound need g_i >= 0,
   * variables at the upper bound need g_i <= 0,
   * free variables need g_i = 0,
-all within ``KKT_TOL_FACTOR * (1 + max|a|)``.  Ties (g_i = 0 exactly at a
+all within ``KKT_TOL_FACTOR * (1 + max|a|)``; a NaN anywhere makes the
+residual NaN, which fails the audit.  Ties (g_i = 0 exactly at a
 bound) classify into the bound sets, never into the free set, so partitions
 are reproducible.
 """
@@ -60,12 +61,12 @@ def kkt_residual(quad, lo, up, x):
 def _kkt_violation(g, lo, up, x):
     below = lo - x
     above = x - up
-    res = max(0.0, float(below.max(initial=0.0)), float(above.max(initial=0.0)))
     atol = 1e-12 * (1.0 + np.abs(x))
     at_lo = (np.abs(below) <= atol) & np.isfinite(lo)
     at_up = (np.abs(above) <= atol) & np.isfinite(up)
-    viol = np.where(at_lo, -g, np.where(at_up, g, np.abs(g)))
-    return max(res, float(viol[~(at_lo & at_up)].max(initial=0.0)))
+    viol = np.where(at_lo, -g, np.where(at_up, g, np.abs(g)))[~(at_lo & at_up)]
+    # one numpy max over every violation, so a NaN anywhere makes the result NaN
+    return float(np.concatenate((below, above, viol)).max(initial=0.0))
 
 
 def _spd_solve(A, b):
@@ -99,7 +100,8 @@ def solve(quad, lo, up, max_iter=200):
     Armijo backtrack.  Once the clamp set settles, the free-block solve lands
     on the exact KKT point, so the final residual is at roundoff level.
     Strict convexity makes the minimizer unique; infinite bounds simply never
-    activate.
+    activate, but a lower bound of +inf or an upper bound of -inf, which
+    admits no finite point, raises :class:`InputError`.
     """
     quad.require_stieltjes()
     n = quad.n
@@ -112,16 +114,19 @@ def solve(quad, lo, up, max_iter=200):
         raise InputError(f"empty box: lo[{bad}] > up[{bad}]")
 
     Q, a = quad.Q, quad.a
-    x = np.clip(quad.newton_point(), lo, up)
+    x = quad.newton_point().clip(lo, up)
+    # Q^{-1} a is finite, so x is infinite exactly where l = +inf or u = -inf
+    if np.isinf(x).any():
+        raise InputError("a lower bound of +inf or an upper bound of -inf admits no finite point")
     value = None  # f(x), computed once a line search needs it
     tol_kkt = KKT_TOL_FACTOR * (1.0 + float(np.abs(a).max(initial=0.0)))
 
-    fixed = lo == up
+    zero_width = lo == up
     iters = 0
     while iters < max_iter:
         iters += 1
         g = Q @ x - a
-        clamped = ((x <= lo) & (g >= 0)) | ((x >= up) & (g <= 0)) | fixed
+        clamped = ((x <= lo) & (g >= 0)) | ((x >= up) & (g <= 0)) | zero_width
         R = (~clamped).nonzero()[0]
         # bounds hold by clipping and the clamp set has the right gradient
         # signs by construction, so a small free-set gradient is the whole
@@ -152,7 +157,7 @@ def solve(quad, lo, up, max_iter=200):
         noise = 8.0 * np.finfo(float).eps * (1.0 + abs(value))
         step = 1.0
         while True:
-            xc = np.clip(x + step * d, lo, up)
+            xc = (x + step * d).clip(lo, up)
             vc = quad.value(xc)
             gain = float(g @ (xc - x))
             if vc <= value + 0.1 * gain + noise or step < 1e-20:
@@ -166,7 +171,7 @@ def solve(quad, lo, up, max_iter=200):
 
     # every exit above leaves g = Q x - a at the final x
     res = _kkt_violation(g, lo, up, x)
-    if res > tol_kkt:
+    if not res <= tol_kkt:
         raise NumericalError(f"KKT residual {res:.3e} above tolerance {tol_kkt:.3e}")
     status = _classify(x, lo, up, g)
     part = ActiveSetPartition(
@@ -182,9 +187,9 @@ def solve(quad, lo, up, max_iter=200):
 def finite_box(quad, lo, up):
     """Bounds with every infinite one replaced by a finite bound that never binds.
 
-    A lower bound of +inf or an upper bound of -inf raises
-    :class:`InputError`.  Finite input comes back unchanged, and nothing is
-    solved.  Otherwise two box QPs are solved: ``top`` over
+    Finite input comes back unchanged, and nothing is solved.  A lower
+    bound of +inf or an upper bound of -inf reaches :func:`solve`, which
+    raises :class:`InputError`.  Otherwise two box QPs are solved: ``top`` over
     [max(l, 0), max(u, 0)] and ``bot`` over [min(l, 0), min(u, 0)].  Each
     infinite upper bound becomes ``top + pad`` and each infinite lower bound
     ``bot - pad``, with ``pad = 1 + |top| + |bot|``.
@@ -204,8 +209,6 @@ def finite_box(quad, lo, up):
     """
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
-    if np.any(lo == np.inf) or np.any(up == -np.inf):
-        raise InputError("a lower bound of +inf or an upper bound of -inf admits no finite point")
     lo_inf, up_inf = ~np.isfinite(lo), ~np.isfinite(up)
     if not (lo_inf.any() or up_inf.any()):
         return lo, up
@@ -216,6 +219,6 @@ def finite_box(quad, lo, up):
 
 
 def value_function(quad, lo, up, smap, zbin):
-    """v(z): optimal objective with the indicator assignment fixed to zbin."""
+    """v(z): optimal objective under the indicator assignment zbin."""
     blo, bup = bounds_for_binary(smap, zbin, lo, up)
     return solve(quad, blo, bup).value

@@ -98,13 +98,8 @@ def cmd_eval(args):
 def cmd_trace(args):
     inst = model.load_instance(args.input)
     problem = model.compile_instance(inst, ridge=args.ridge)
-    smap, _ = split(problem.lo, problem.up, problem.costs)
-    orl = sfm.IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, smap=smap)
-    order = None
-    if args.order:
-        order = _parse_int_list(args.order, "order")
-    if order is None:
-        order = list(range(smap.binary_dim))
+    orl = sfm.IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs)
+    order = _parse_int_list(args.order, "order") if args.order else list(range(orl.m))
     chain = orl.value_chain(order)
     payload = chain.to_json_dict()
     _write_json(args.output, payload)

@@ -7,6 +7,8 @@ pair ``(z_plus, z_minus)`` restores it:
 * ``NPLUS``  (0 <= l <= u):  one bit, box [l*z, u*z]
 * ``NMINUS`` (l <= u <= 0):  one bit, box [l*(1-z), u*(1-z)]
 * ``NBOTH``  (l < 0 < u):    two bits, box [l*(1-z_minus), u*z_plus]
+* ``NOPEN``  (always open):  no bit, box [l, u], z = 1 (marked by the caller,
+  see :func:`submodqp.sfm.solve_full`)
 
 The coupling constraint ``z_minus >= z_plus`` can be dropped because costs are
 nonnegative: any optimum using the spurious corner (1, 0) can be repaired to a
@@ -26,6 +28,7 @@ from .exceptions import InputError
 NPLUS = "+"
 NMINUS = "-"
 NBOTH = "+-"
+NOPEN = "open"
 
 KIND_PLUS = "z+"
 KIND_MINUS = "z-"
@@ -50,6 +53,7 @@ class SignSplitMap:
     Coordinates are laid out per variable in ascending index order, with the
     ``z+`` bit before the ``z-`` bit for straddling variables; that order is
     the engine's canonical one (used for lexicographic tie-breaking).
+    Always-open variables (``NOPEN``) have no coordinate.
     """
 
     regimes: tuple
@@ -62,11 +66,13 @@ class SignSplitMap:
 
     @cached_property
     def _bit_layout(self):
-        """Per variable: index of its z+ bit and of its z- bit (-1 if none), and
-        masks of the variables that have each bit."""
+        """Per variable: index of its z+ bit and of its z- bit (-1 if none),
+        masks of the variables that have each bit, and the always-open mask
+        (None when no variable is always open)."""
         plus = np.array([-1 if p is None else p for p, _ in self.coord_of], dtype=np.intp)
         minus = np.array([-1 if m is None else m for _, m in self.coord_of], dtype=np.intp)
-        return plus, minus, plus >= 0, minus >= 0
+        is_open = np.array([r == NOPEN for r in self.regimes], dtype=bool)
+        return plus, minus, plus >= 0, minus >= 0, is_open if is_open.any() else None
 
     @property
     def binary_dim(self):
@@ -89,13 +95,16 @@ class SignSplitMap:
 
         Uses z = z_plus + (1 - z_minus) per straddling variable; the spurious
         corner (1, 0) maps to 2 and is rejected here (repair it first).
+        Always-open variables map to 1.
         """
         zbin = np.asarray(zbin)
         if zbin.shape != (self.binary_dim,):
             raise InputError(f"expected binary vector of length {self.binary_dim}")
         z = np.zeros(self.n, dtype=int)
         for i, (p, m) in enumerate(self.coord_of):
-            if self.regimes[i] == NPLUS:
+            if self.regimes[i] == NOPEN:
+                z[i] = 1
+            elif self.regimes[i] == NPLUS:
                 z[i] = int(zbin[p])
             elif self.regimes[i] == NMINUS:
                 z[i] = 1 - int(zbin[m])
@@ -121,7 +130,7 @@ class SignSplitMap:
                 zbin[p] = int(z[i])
             elif r == NMINUS:
                 zbin[m] = 1 - int(z[i])
-            else:
+            elif r == NBOTH:
                 if z[i] == 0:
                     zbin[p], zbin[m] = 0, 1
                 elif x is not None and x[i] < 0:
@@ -141,11 +150,13 @@ def classify_regime(lo, up):
     return NBOTH
 
 
-def split(lo, up, costs=None):
+def split(lo, up, costs=None, always_open=None):
     """Build the sign-split map and the binary cost for bounds (lo, up).
 
     Boundary cases go to NPLUS whenever 0 <= lo (including lo = u = 0), and to
     NMINUS when up <= 0 < -lo; a variable is split only when l < 0 < u.
+    Variables marked in the boolean mask ``always_open`` go to NOPEN: they
+    get no coordinate, and their cost, paid at z = 1, joins the constant.
     """
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
@@ -157,17 +168,26 @@ def split(lo, up, costs=None):
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (n,):
         raise InputError("costs shape mismatch")
+    always_open = np.zeros(n, dtype=bool) if always_open is None else np.asarray(always_open)
+    if always_open.shape != (n,) or always_open.dtype != bool:
+        raise InputError(f"always_open must be a boolean mask of {n} variables")
 
     regimes = []
     coords = []
     coord_of = []
     lin = []
     const = 0.0
-    lo, up, costs = lo.tolist(), up.tolist(), costs.tolist()  # scalar loop below
+    # scalar loop below
+    lo, up, costs, always_open = lo.tolist(), up.tolist(), costs.tolist(), always_open.tolist()
     for i in range(n):
         r = classify_regime(lo[i], up[i])
+        if always_open[i]:
+            r = NOPEN
         regimes.append(r)
-        if r == NPLUS:
+        if r == NOPEN:
+            coord_of.append((None, None))
+            const += costs[i]
+        elif r == NPLUS:
             coord_of.append((len(coords), None))
             coords.append((i, KIND_PLUS))
             lin.append(costs[i])
@@ -189,23 +209,29 @@ def split(lo, up, costs=None):
 def bounds_for_binary(smap, zbin, lo, up):
     """Per-variable box implied by a split binary assignment.
 
-    NPLUS: [l*z, u*z]; NMINUS: [l*(1-z-), u*(1-z-)]; NBOTH: [l*(1-z-), u*z+].
-    Infinite bounds multiplied by a zero indicator collapse to 0 (the usual
-    0*inf = 0 convention).  Straddling boxes are never empty since l < 0 < u.
+    NPLUS: [l*z, u*z]; NMINUS: [l*(1-z-), u*(1-z-)]; NBOTH: [l*(1-z-), u*z+];
+    NOPEN: [l, u].  Infinite bounds multiplied by a zero indicator collapse to
+    0 (the usual 0*inf = 0 convention).  Straddling boxes are never empty
+    since l < 0 < u.
     """
     zbin = np.asarray(zbin)
     if zbin.shape != (smap.binary_dim,):
         raise InputError(f"expected binary vector of length {smap.binary_dim}")
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
+    if not smap.binary_dim:  # every variable is always open
+        return lo.copy(), up.copy()
     # the lower bound opens unless the z- bit is set (or, without one, the
     # z+ bit is clear); the upper bound opens when the z+ bit is set (or,
-    # without one, the z- bit is clear)
+    # without one, the z- bit is clear); both open for always-open variables
     on = zbin != 0
-    plus, minus, has_plus, has_minus = smap._bit_layout
+    plus, minus, has_plus, has_minus, is_open = smap._bit_layout
     on_plus, off_minus = on[plus], ~on[minus]
     lo_open = np.where(has_minus, off_minus, on_plus)
     up_open = np.where(has_plus, on_plus, off_minus)
+    if is_open is not None:
+        lo_open |= is_open
+        up_open |= is_open
     return np.where(lo_open, lo, 0.0), np.where(up_open, up, 0.0)
 
 

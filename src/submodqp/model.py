@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -256,8 +256,8 @@ class IndicatorProblem:
     Every continuous variable carries exactly one indicator; variables that
     the model does not want penalized (the x's in robust mode) get cost 0.
     Such an indicator cannot change the optimum when 0 lies in [l, u]: the
-    solver then fixes it open before minimizing (see
-    :func:`submodqp.sfm.open_free_coordinates`).
+    solver then gives the variable no binary coordinate (see
+    :func:`submodqp.sfm.solve_full`).
     """
 
     quad: QuadraticForm
@@ -354,9 +354,9 @@ def compile_robust(inst, ridge=1e-8):
     + ridge * sum_i w_i^2.  The ridge restores strict convexity (the plain
     reformulation is singular along x_i = w_i directions) with negligible bias;
     it must be positive.  The x variables get indicators of cost 0 with the
-    user bounds; when those bounds contain 0 the solver fixes them open, so
-    only the w variables, which carry the discard costs and a box [-M, M],
-    reach the binary minimization.
+    user bounds; when those bounds contain 0 the sign split leaves them
+    always open, so only the w variables, which carry the discard costs and
+    a box [-M, M], reach the binary minimization.
     """
     if inst.mode != "robust":
         raise InputError(f"compile_robust requires mode='robust', got {inst.mode!r}")
@@ -406,7 +406,7 @@ def generate(
     ``signal_sparsity`` is the fraction of vertices whose true value is zero
     (exact count, rounded).  ``outlier_fraction`` picks round(frac*n) vertices
     whose observation is shifted by ``outlier_scale`` times a random sign.
-    Deterministic for a fixed seed.  Returns ``(instance, truth)`` where truth
+    Deterministic in the seed.  Returns ``(instance, truth)`` where truth
     records the planted signal and outlier set.
     """
     if topology not in TOPOLOGIES:

@@ -199,12 +199,10 @@ def _check_boxqp_isotone(problem, rng):
     return drop <= 1e-10, None if drop <= 1e-10 else {"i": i, "delta": delta, "drop": drop}
 
 
-def _chain_for(problem, order=None):
-    smap, _ = split(problem.lo, problem.up, problem.costs)
-    oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, smap=smap)
-    if order is None:
-        order = np.arange(smap.binary_dim)
-    return oracle, smap, oracle.value_chain(order), order
+def _chain_for(problem):
+    oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs)
+    order = np.arange(oracle.m)
+    return oracle, oracle.smap, oracle.value_chain(order), order
 
 
 def _check_chain_matches_oracle(problem, rng):

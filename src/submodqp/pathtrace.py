@@ -24,23 +24,23 @@ y, with the zero-padded direction (giving the gradient's rate of change for
 every coordinate at once), and with y itself for the gradient
 ``g = Q y - a``, which serves both the stationarity root and the ratio test
 of the lower-bound variables.  A segment therefore costs O(|R|^2 + n^2)
-arithmetic in a fixed number of numpy/LAPACK calls, plus the O(|R|^2)
+arithmetic in a constant number of numpy/LAPACK calls, plus the O(|R|^2)
 factor update at its breakpoint.
 
 One driver, :func:`chain_general`, traces every chain over the sign-split
 coordinates: stage 0 is the box with every coordinate off (the zero box when
 l >= 0, one indicator per variable and at most 2n breakpoints; variables
-with l < 0 may start negative, at most 4n breakpoints), and each stage
-switches one coordinate on.  :func:`chain_nonnegative` is its entry point
-for l >= 0, indexed by variable.  Bounds must be finite;
-:func:`submodqp.boxqp.finite_box` replaces infinite ones by bounds no traced
-point reaches.  :func:`lovasz` evaluates the piecewise linear extension from
-a computed chain.
+with l < 0 may start negative, at most 4n breakpoints; always-open
+variables keep [l, u]), and each stage switches one coordinate on.
+:func:`chain_nonnegative` is its entry point for l >= 0, indexed by
+variable.  Bounds must be finite; :func:`submodqp.boxqp.finite_box` replaces
+infinite ones by bounds no traced point reaches.  :func:`lovasz` evaluates
+the piecewise linear extension from a computed chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -367,24 +367,20 @@ def chain_nonnegative(quad, lo, up, order=None):
     return chain_general(quad, lo, up, order=order)
 
 
-def chain_general(quad, lo, up, smap=None, order=None, fixed=None, stage0=None):
+def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
     """Value chain over sign-split coordinates (lower bounds may be negative).
 
     Stage 0 solves the all-off box (negative variables may start strictly
-    below zero; with l >= 0 it is the zero box) with the box-QP oracle; each
-    following stage flips one split coordinate on.  Flipping a
-    minus-coordinate raises the variable's lower bound to 0; flipping a
-    plus-coordinate opens its upper range.  Both move the minimizer
-    monotonically upward.  The chain's ``kind`` is ``"nonnegative"`` when
-    every l >= 0 and ``"general"`` otherwise.
-
-    ``fixed`` (one entry per split coordinate: 0 or 1 holds the coordinate at
-    that value, -1 leaves it live) restricts the chain to a face of the cube:
-    stage 0 solves the box with every live coordinate off and the fixed ones
-    at their values, and ``order`` permutes the live coordinates, numbered
-    0, 1, ... in ascending split index.  ``stage0`` is the box-QP solution of
-    that stage-0 box when the caller already has it; every chain of one
-    minimization starts there, so the caller can solve it once.
+    below zero; with l >= 0 it is the zero box; always-open variables of
+    ``smap`` keep [l, u]) with the box-QP oracle; each following stage flips
+    one split coordinate on, in the given ``order`` (default: ascending).
+    Flipping a minus-coordinate raises the variable's lower bound to 0;
+    flipping a plus-coordinate opens its upper range.  Both move the
+    minimizer monotonically upward.  The chain's ``kind`` is
+    ``"nonnegative"`` when every l >= 0 and ``"general"`` otherwise.
+    ``stage0`` is the box-QP solution of the stage-0 box when the caller
+    already has it; every chain of one minimization starts there, so the
+    caller can solve it once.
     """
     quad.require_stieltjes()
     lo = np.asarray(lo, dtype=float)
@@ -393,13 +389,8 @@ def chain_general(quad, lo, up, smap=None, order=None, fixed=None, stage0=None):
         raise InputError("chain_general needs finite bounds; clamp them first (boxqp.finite_box)")
     if smap is None:
         smap, _ = split(lo, up)
-    m = smap.binary_dim
-    fixed = np.full(m, -1) if fixed is None else np.asarray(fixed, dtype=int)
-    if fixed.shape != (m,) or np.any((fixed < -1) | (fixed > 1)):
-        raise InputError(f"fixed must have {m} entries in {{-1, 0, 1}}")
-    live = np.flatnonzero(fixed < 0)
-    zbin = np.maximum(fixed, 0)
-    order = _check_order(order, live.size)
+    zbin = [0] * smap.binary_dim
+    order = _check_order(order, len(zbin))
 
     lo0, up0 = bounds_for_binary(smap, zbin, lo, up)
     sol = boxqp.solve(quad, lo0, up0) if stage0 is None else stage0
@@ -407,8 +398,8 @@ def chain_general(quad, lo, up, smap=None, order=None, fixed=None, stage0=None):
 
     values = [sol.value]
     minimizers = [state.y.copy()]
-    zbin, lo_list, up_list = zbin.tolist(), lo.tolist(), up.tolist()  # scalar access per stage
-    for k, cidx in enumerate(live[order].tolist(), start=1):
+    lo_list, up_list = lo.tolist(), up.tolist()  # scalar access per stage
+    for k, cidx in enumerate(order, start=1):
         zbin[cidx] = 1
         j, _ = smap.coords[cidx]
         lo_j, up_j = variable_bounds(smap, j, zbin, lo_list, up_list)

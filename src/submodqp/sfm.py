@@ -11,15 +11,10 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
 
 :func:`solve_full` wires everything together for a compiled indicator
 problem: sign split, oracle construction, minimization, and recovery of the
-original indicator vector and continuous minimizer.  Before minimizing it
-restricts F to a face of the cube: a split coordinate is fixed at its open
-value (1 for ``z+``, 0 for ``z-``) when (a) its variable costs nothing and
-(b) 0 lies in [l_i, u_i], so every box the indicator can select nests inside
-the open box.  Opening a box never raises v and a zero cost never changes the
-cost term, so F with the coordinate open is at most F with it closed for
-every z; the restriction is still submodular and has the same minimum
-(Bach 2013, *Learning with Submodular Functions*, on restriction).  In robust
-mode this removes the signal variables' coordinates, half the ground set.
+original indicator vector and continuous minimizer.  Variables whose
+indicator cannot change the optimum get no binary coordinate (see
+:func:`solve_full`); in robust mode these are the signal variables, half
+the ground set.
 """
 
 from __future__ import annotations
@@ -118,70 +113,45 @@ class IndicatorOracle(SubmodularOracle):
     ``v`` is evaluated by the box-QP oracle and every chain is traced by
     :func:`pathtrace.chain_general`.  Infinite bounds are replaced once, by
     :func:`boxqp.finite_box`, with finite ones that no indicator box or
-    traced point reaches, so v is unchanged.
-
-    ``fixed`` restricts F to a face of the split cube: it holds one entry
-    per split coordinate, 0 or 1 to fix the coordinate at that value and -1
-    to leave it live.  The oracle's ground set is then the live coordinates
-    in ascending split index, and :meth:`eval`, :meth:`chain`,
-    :meth:`value_chain` and :meth:`recover_x` take vectors and orders over
-    them, embedding each into the full split vector.  Without ``fixed`` the
-    ground set is the whole split cube.
+    traced point reaches, so v is unchanged.  The ground set is the oracle's
+    own sign split (``smap``, with binary cost ``bincost``): variables in the
+    boolean mask ``always_open`` get no coordinate and keep their box
+    [l, u] under every assignment.  Without the mask every variable has one
+    or two coordinates.
     """
 
-    def __init__(self, quad, lo, up, costs=None, smap=None, bincost=None, fixed=None):
+    def __init__(self, quad, lo, up, costs=None, always_open=None):
         quad.require_stieltjes()
         self.quad = quad
         self.lo, self.up = boxqp.finite_box(quad, lo, up)
-        if smap is None or bincost is None:
-            smap, bincost = split(self.lo, self.up, costs)
-        self.smap = smap
-        self.bincost = bincost
-        m = smap.binary_dim
-        fixed = np.full(m, -1) if fixed is None else np.asarray(fixed, dtype=int)
-        if fixed.shape != (m,) or np.any((fixed < -1) | (fixed > 1)):
-            raise InputError(f"fixed must have {m} entries in {{-1, 0, 1}}")
-        self._live = np.flatnonzero(fixed < 0)
-        self._start = np.maximum(fixed, 0)
-        self.m = self._live.size
-        self.fixed = fixed if self.m < m else None  # None: the whole cube
-        self._live_cost = bincost.linear[self._live]
-        # the cost of the start assignment: the constant plus the fixed coordinates
-        self._start_cost = bincost(self._start)
-
-    def embed(self, zbin):
-        """Full split vector with the live coordinates set to ``zbin``."""
-        if self.fixed is None:
-            return zbin
-        z = self._start.copy()
-        z[self._live] = zbin
-        return z
+        self.smap, self.bincost = split(self.lo, self.up, costs, always_open)
+        self.m = self.smap.binary_dim
 
     @cached_property
     def stage0(self):
-        """Box-QP solution with every live coordinate off: where chains start."""
-        blo, bup = bounds_for_binary(self.smap, self._start, self.lo, self.up)
+        """Box-QP solution with every coordinate off: where chains start."""
+        blo, bup = bounds_for_binary(self.smap, np.zeros(self.m, dtype=int), self.lo, self.up)
         sol = boxqp.solve(self.quad, blo, bup)
         sol.x.flags.writeable = False  # shared by every chain
         return sol
 
     def eval(self, zbin):
-        z = self.embed(zbin)
-        return boxqp.value_function(self.quad, self.lo, self.up, self.smap, z) + self.bincost(z)
+        v = boxqp.value_function(self.quad, self.lo, self.up, self.smap, zbin)
+        return v + self.bincost(zbin)
 
     def chain(self, order):
         vc = self.value_chain(order)
-        costs = np.concatenate([[0.0], np.cumsum(self._live_cost[list(order)])])
-        return vc.values + costs + self._start_cost
+        costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[list(order)])])
+        return vc.values + costs + self.bincost.constant
 
     def value_chain(self, order):
         """Raw v-chain (no costs) as a :class:`pathtrace.ValueChain`."""
         return pathtrace.chain_general(
-            self.quad, self.lo, self.up, self.smap, order, fixed=self.fixed, stage0=self.stage0
+            self.quad, self.lo, self.up, self.smap, order, stage0=self.stage0
         )
 
     def recover_x(self, zbin):
-        blo, bup = bounds_for_binary(self.smap, self.embed(zbin), self.lo, self.up)
+        blo, bup = bounds_for_binary(self.smap, zbin, self.lo, self.up)
         return boxqp.solve(self.quad, blo, bup).x
 
 
@@ -341,65 +311,40 @@ def _repair_split_vector(smap, zbin, x):
     return zbin
 
 
-def open_free_coordinates(smap, lo, up, costs):
-    """The ``fixed`` vector of :class:`IndicatorOracle` for the open rule.
-
-    Each coordinate of a variable with (a) cost 0 and (b) 0 in [l_i, u_i] is
-    fixed at its open value (1 for ``z+``, 0 for ``z-``); the others are live
-    (-1).  Condition (b) matters: a zero-cost semi-continuous variable
-    (0 < l) chooses between {0} and [l, u], which do not nest.
-    """
-    fixed = np.full(smap.binary_dim, -1)
-    free = (np.asarray(costs) == 0.0) & (np.asarray(lo) <= 0.0) & (np.asarray(up) >= 0.0)
-    for i in np.flatnonzero(free):
-        p, q = smap.coord_of[i]
-        if p is not None:
-            fixed[p] = 1
-        if q is not None:
-            fixed[q] = 0
-    return fixed
-
-
 def solve_full(problem, engine="mnp", tol=1e-9):
     """End-to-end minimization of f(x) + c^T z over the indicator feasible set.
 
-    Splits signs and fixes a split coordinate at its open value (1 for
-    ``z+``, 0 for ``z-``) when (a) its variable costs nothing and (b) 0 lies
-    in [l_i, u_i] (:func:`open_free_coordinates`).  This is exact: opening a
-    box never raises v and a zero cost never changes the cost term, so F
-    with the coordinate open is at most F with it closed.  The requested
-    engine then minimizes the (submodular) value-plus-cost function over the
-    live coordinates; when none is left, the fixed state is the minimizer
-    and no engine runs.  Finally it maps back: repairs any spurious split
-    corner, recovers x with one box-QP solve, and reports the
-    discarded-observation set for robust-mode problems.
+    A variable is always open, with no binary coordinate and the box
+    [l_i, u_i] under every assignment, when (a) it costs nothing and (b) 0
+    lies in [l_i, u_i].  Then its feasible set [l_i, u_i] ∪ {0} is [l_i, u_i]:
+    opening a box never raises v and a zero cost never changes the cost
+    term, so F with the indicator open is at most F with it closed, and the
+    restriction of F to the open indicators is submodular with the same
+    minimum (Bach 2013, *Learning with Submodular Functions*, on
+    restriction).  Condition (b) matters: a zero-cost semi-continuous
+    variable (0 < l_i) chooses between {0} and [l_i, u_i], which do not
+    nest.  The requested engine then minimizes the (submodular)
+    value-plus-cost function over the remaining split coordinates; when
+    none is left, one box-QP solve is the whole minimization.  Finally it
+    maps back: repairs any spurious split corner, recovers x with one
+    box-QP solve, and reports the discarded-observation set for robust-mode
+    problems.
     """
     if engine not in ("exhaustive", "mnp"):
         raise InputError(f"unknown engine {engine!r} (use 'exhaustive' or 'mnp')")
-    smap, bincost = split(problem.lo, problem.up, problem.costs)
-    fixed = open_free_coordinates(smap, problem.lo, problem.up, problem.costs)
-    oracle = IndicatorOracle(
-        problem.quad, problem.lo, problem.up, smap=smap, bincost=bincost, fixed=fixed
-    )
+    always_open = (problem.costs == 0.0) & (problem.lo <= 0.0) & (problem.up >= 0.0)
+    oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, always_open)
+    smap = oracle.smap
     _log.debug(
-        "split %d coordinates, %d fixed open, %d live, engine %s",
-        smap.binary_dim, smap.binary_dim - oracle.m, oracle.m, engine,
+        "%d variables, %d always open, %d binary coordinates, engine %s",
+        smap.n, int(always_open.sum()), oracle.m, engine,
     )
-    if oracle.m == 0:
-        sol = oracle.stage0
-        res = SfmResult(
-            z=np.zeros(0, dtype=int),
-            value=sol.value + oracle._start_cost,
-            x=sol.x,
-            certificate="exhaustive",
-            engine=engine,
-        )
-    elif engine == "exhaustive":
-        res = minimize_exhaustive(oracle)
-    else:
+    if engine == "mnp" and oracle.m:
         res = minimize_mnp(oracle, tol=tol)
+    else:  # with no coordinate, enumeration is one evaluation
+        res = minimize_exhaustive(oracle)
 
-    zbin = _repair_split_vector(smap, oracle.embed(res.z), res.x)
+    zbin = _repair_split_vector(smap, res.z, res.x)
     blo, bup = bounds_for_binary(smap, zbin, problem.lo, problem.up)
     xstar = boxqp.solve(problem.quad, blo, bup).x
     z = smap.forward(zbin)

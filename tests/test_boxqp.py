@@ -148,3 +148,21 @@ def test_finite_box_rejects_bounds_that_leave_no_box(small_quad, bound):
     lo, up = np.array([bound[0], 0.0]), np.array([bound[1], 1.0])
     with pytest.raises(InputError, match="no finite point"):
         boxqp.finite_box(small_quad, lo, up)
+
+
+def test_kkt_residual_propagates_nan(small_quad):
+    x = np.array([np.nan, 0.5])
+    assert np.isnan(boxqp.kkt_residual(small_quad, np.zeros(2), np.ones(2), x))
+
+
+def test_solve_audit_rejects_a_nan_residual(small_quad, monkeypatch):
+    monkeypatch.setattr(boxqp, "_kkt_violation", lambda *args: np.nan)
+    with pytest.raises(NumericalError, match="KKT residual"):
+        boxqp.solve(small_quad, np.zeros(2), np.ones(2))
+
+
+@pytest.mark.parametrize("inf", [np.inf, -np.inf])
+def test_solve_rejects_bounds_that_leave_no_box(small_quad, inf):
+    # l = u = -inf used to come back as x = -inf with value NaN
+    with pytest.raises(InputError, match="no finite point"):
+        boxqp.solve(small_quad, np.full(2, inf), np.full(2, inf))

@@ -206,3 +206,46 @@ def test_forward_rejects_spurious_corner():
     smap, _ = lattice.split(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(InputError):
         smap.forward(np.array([1, 0]))
+
+
+def test_split_always_open_layout():
+    # the open variables (0, 2, 3) get no coordinate and keep [l, u]
+    lo = np.array([0.0, 0.5, -1.0, -2.0, -1.0])
+    up = np.array([2.0, 2.0, 1.0, 0.0, 1.0])
+    costs = np.array([0.0, 0.0, 0.0, 0.0, 0.3])
+    mask = np.array([True, False, True, True, False])
+    smap, cost = lattice.split(lo, up, costs, always_open=mask)
+    assert smap.regimes == (lattice.NOPEN, lattice.NPLUS, lattice.NOPEN, lattice.NOPEN,
+                            lattice.NBOTH)
+    assert smap.coords == ((1, "z+"), (4, "z+"), (4, "z-"))
+    assert smap.coord_of == ((None, None), (0, None), (None, None), (None, None), (1, 2))
+    assert smap.binary_dim == 3
+    for z in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
+        blo, bup = lattice.bounds_for_binary(smap, z, lo, up)
+        assert np.array_equal(blo[mask], lo[mask]) and np.array_equal(bup[mask], up[mask])
+    assert smap.forward(np.array([0, 0, 1])).tolist() == [1, 0, 1, 1, 0]
+    assert smap.forward(np.array([1, 1, 1])).tolist() == [1, 1, 1, 1, 1]
+    for z in _all_binary(3):
+        if z[1] > z[2]:
+            continue  # spurious corner
+        orig = smap.forward(z)
+        assert cost(z) == pytest.approx(float(costs @ orig), abs=1e-12)
+        assert np.array_equal(smap.forward(smap.backward(orig)), orig)
+
+
+def test_split_with_every_variable_open():
+    lo, up = np.array([-1.0, 0.0, -3.0]), np.array([2.0, 1.0, 0.0])
+    smap, cost = lattice.split(lo, up, np.array([0.0, 0.5, 0.0]), always_open=np.ones(3, bool))
+    assert smap.binary_dim == 0
+    blo, bup = lattice.bounds_for_binary(smap, np.zeros(0, dtype=int), lo, up)
+    assert np.array_equal(blo, lo) and np.array_equal(bup, up)
+    assert smap.forward(np.zeros(0, dtype=int)).tolist() == [1, 1, 1]
+    assert cost(np.zeros(0)) == pytest.approx(0.5)  # an open variable pays at z = 1
+
+
+def test_split_rejects_bad_always_open():
+    lo, up = np.full(2, -1.0), np.ones(2)
+    with pytest.raises(InputError):
+        lattice.split(lo, up, always_open=[True, False, True])
+    with pytest.raises(InputError):
+        lattice.split(lo, up, always_open=[1, 0])

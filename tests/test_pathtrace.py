@@ -133,23 +133,24 @@ def test_chain_general_endpoint_boxes():
         assert vfull == pytest.approx(full.value, abs=1e-9)
 
 
-def test_chain_general_on_a_face_matches_boxqp_prefixes():
-    # fixed coordinates hold their values; the order permutes the live ones
+def test_chain_general_with_always_open_matches_boxqp_prefixes():
+    # always-open variables keep [l, u] at every stage; the reference boxes
+    # come from the full split with their z+ bits on and z- bits off
     rng = np.random.default_rng(8)
     for seed in range(6):
         prob = sq.InstanceSampler(n=6, regime="mixed", seed=60 + seed).draw(0)
-        smap, _ = lattice.split(prob.lo, prob.up)
-        fixed = rng.integers(-1, 2, size=smap.binary_dim)
-        fixed[rng.integers(smap.binary_dim)] = -1
-        live = np.flatnonzero(fixed < 0)
-        order = rng.permutation(live.size)
-        chain = chain_general(prob.quad, prob.lo, prob.up, smap, order, fixed=fixed)
-        assert chain.m == live.size
-        z = np.maximum(fixed, 0)
-        for k in range(live.size + 1):
+        mask = rng.random(prob.n) < 0.5
+        mask[rng.integers(prob.n)] = False
+        smap, _ = lattice.split(prob.lo, prob.up, always_open=mask)
+        full, _ = lattice.split(prob.lo, prob.up)
+        order = rng.permutation(smap.binary_dim)
+        chain = chain_general(prob.quad, prob.lo, prob.up, smap, order)
+        assert chain.m == sum(1 for i, _ in full.coords if not mask[i])
+        z = np.array([mask[i] and kind == lattice.KIND_PLUS for i, kind in full.coords], dtype=int)
+        for k in range(smap.binary_dim + 1):
             if k:
-                z[live[order[k - 1]]] = 1
-            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
+                z[full.coords.index(smap.coords[order[k - 1]])] = 1
+            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, full, z)
             assert abs(chain.values[k] - ref) <= 1e-8
 
 
@@ -164,13 +165,6 @@ def test_chain_general_given_stage0_is_bit_identical():
     assert np.array_equal(got.values, ref.values)
     assert np.array_equal(got.minimizers, ref.minimizers)
     assert got.breakpoints == ref.breakpoints
-
-
-def test_chain_general_rejects_bad_fixed(small_quad):
-    with pytest.raises(InputError):
-        chain_general(small_quad, np.full(2, -1.0), np.ones(2), fixed=[-1, 0, 1])
-    with pytest.raises(InputError):
-        chain_general(small_quad, np.full(2, -1.0), np.ones(2), fixed=[-1, 0, 2, 1])
 
 
 @pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])

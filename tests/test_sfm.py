@@ -184,8 +184,8 @@ def test_solve_full_zero_signal():
 
 @pytest.mark.parametrize("engine", ["exhaustive", "mnp"])
 def test_solve_full_free_indicators_match_boxqp(engine):
-    # every indicator is free, so every coordinate is fixed open and no
-    # engine runs
+    # every indicator is free, so every variable is always open and no
+    # binary coordinate is left
     inst = sq.ProblemInstance(
         sq.chain_graph(3), a=[1.0, 0.5, 2.0], node_weights=[1, 1, 1],
         c=[0, 0, 0], l=[0, 0, 0], u=[5, 5, 5],
@@ -198,7 +198,7 @@ def test_solve_full_free_indicators_match_boxqp(engine):
 
 
 def test_solve_full_robust_free_discard_single_vertex_mnp():
-    # c = 0 and a straddling box for both x and w: every coordinate is fixed
+    # c = 0 and a straddling box for both x and w: every variable is open
     inst = sq.ProblemInstance(
         sq.Graph(1), a=[7], node_weights=[1], c=[0], l=[-50], u=[50], mode="robust"
     )
@@ -211,17 +211,31 @@ def test_solve_full_robust_free_discard_single_vertex_mnp():
     assert res.value == pytest.approx(recomputed, abs=1e-12)
 
 
-def test_open_free_coordinates_rule():
-    # variables: zero-cost nonnegative with l = 0 (fixed), zero-cost
-    # semi-continuous with l > 0 (live: {0} and [l, u] do not nest),
-    # zero-cost straddling (both bits fixed), zero-cost nonpositive with
-    # u = 0 (fixed), priced straddling (live)
+def test_solve_full_always_open_rule(monkeypatch):
+    # variables: zero-cost nonnegative with l = 0 (open), zero-cost
+    # semi-continuous with l > 0 (kept: {0} and [l, u] do not nest),
+    # zero-cost straddling (open), zero-cost nonpositive with u = 0 (open),
+    # priced straddling (two bits)
     lo = np.array([0.0, 0.5, -1.0, -2.0, -1.0])
     up = np.array([2.0, 2.0, 1.0, 0.0, 1.0])
     costs = np.array([0.0, 0.0, 0.0, 0.0, 0.3])
-    smap, _ = lattice.split(lo, up, costs)
-    fixed = sfm.open_free_coordinates(smap, lo, up, costs)
-    assert fixed.tolist() == [1, -1, 1, 0, 0, -1, -1]
+    quad = sq.InstanceSampler(n=5, regime="mixed", seed=3).draw(0).quad
+    problem = sq.IndicatorProblem(quad, costs, lo, up)
+    seen = []
+    engine = sfm.minimize_exhaustive
+
+    def spy(oracle):
+        seen.append(oracle.smap)
+        return engine(oracle)
+
+    monkeypatch.setattr(sfm, "minimize_exhaustive", spy)
+    res = sq.solve_full(problem, engine="exhaustive")
+    (smap,) = seen
+    assert smap.regimes == (lattice.NOPEN, lattice.NPLUS, lattice.NOPEN, lattice.NOPEN,
+                            lattice.NBOTH)
+    assert smap.coords == ((1, "z+"), (4, "z+"), (4, "z-"))
+    assert res.z[[0, 2, 3]].tolist() == [1, 1, 1]
+    assert res.value == pytest.approx(sq.brute_force(problem).value, abs=1e-9)
 
 
 def _zero_half_the_costs(prob, rng):
@@ -275,36 +289,44 @@ def test_solve_full_logs_the_reduction(caplog):
     inst, _ = sq.generate("chain", (3,), mode="robust", seed=0)
     with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
         sq.solve_full(sq.compile_instance(inst), engine="exhaustive")
-    assert "split 12 coordinates, 6 fixed open, 6 live, engine exhaustive" in caplog.messages
+    assert "6 variables, 3 always open, 6 binary coordinates, engine exhaustive" in caplog.messages
 
 
-def test_indicator_oracle_on_a_face_embeds_live_coordinates():
-    prob = sq.InstanceSampler(n=5, regime="mixed", seed=31).draw(0)
-    smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
+def _embed(full, oracle, mask, z):
+    """The full-cube vector for an always-open oracle's z: z+ = 1 and z- = 0
+    for the open variables, the oracle's bits for the others."""
+    where = {c: k for k, c in enumerate(oracle.smap.coords)}
+    return np.array([kind == lattice.KIND_PLUS if mask[i] else z[where[i, kind]]
+                     for i, kind in full.smap.coords], dtype=int)
+
+
+def test_indicator_oracle_with_always_open_matches_full_cube():
     rng = np.random.default_rng(4)
-    fixed = rng.integers(-1, 2, size=smap.binary_dim)
-    fixed[:2] = -1
-    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost, fixed=fixed)
-    live = np.flatnonzero(fixed < 0)
-    assert oracle.m == live.size
-    order = rng.permutation(oracle.m)
-    assert np.max(np.abs(oracle.chain(order) - oracle.chain_naive(order))) <= 1e-8
-    zlive = rng.integers(0, 2, size=oracle.m)
-    z = np.maximum(fixed, 0)
-    z[live] = zlive
-    full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost)
-    assert oracle.eval(zlive) == full.eval(z)
-    assert np.array_equal(oracle.recover_x(zlive), full.recover_x(z))
+    for trial in range(6):
+        prob = sq.InstanceSampler(n=6, regime="mixed", seed=31 + trial).draw(0)
+        costs = np.where(rng.random(prob.n) < 0.5, 0.0, prob.costs)
+        prob = sq.IndicatorProblem(prob.quad, costs, prob.lo, prob.up)
+        mask = (prob.costs == 0) & (prob.lo <= 0) & (prob.up >= 0)
+        assert mask.any() and not mask.all()
+        oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs, always_open=mask)
+        full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+        assert oracle.m == sum(1 for i, _ in full.smap.coords if not mask[i])
+        order = rng.permutation(oracle.m)
+        assert np.max(np.abs(oracle.chain(order) - oracle.chain_naive(order))) <= 1e-8
+        for _ in range(4):
+            z = rng.integers(0, 2, size=oracle.m)
+            zfull = _embed(full, oracle, mask, z)
+            assert oracle.eval(z) == pytest.approx(full.eval(zfull), abs=1e-12)
+            assert np.array_equal(oracle.recover_x(z), full.recover_x(zfull))
 
 
-def test_indicator_oracle_with_nothing_fixed_is_the_full_cube():
+def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     prob = sq.InstanceSampler(n=5, regime="nonnegative", seed=32).draw(0)
-    smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
-    full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost)
-    same = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, smap=smap, bincost=bincost,
-                              fixed=np.full(smap.binary_dim, -1))
-    order = np.arange(smap.binary_dim)[::-1]
-    assert same.fixed is None
+    full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    same = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs,
+                              always_open=np.zeros(prob.n, dtype=bool))
+    order = np.arange(full.m)[::-1]
+    assert same.smap == full.smap
     assert same.value_chain(order).kind == full.value_chain(order).kind == "nonnegative"
     assert np.array_equal(same.chain(order), full.chain(order))
 
