@@ -6,7 +6,7 @@ Doubling n multiplies the chain time by up to 8 (less at small n, where
 fixed per-stage overhead still matters) and the naive time by noticeably more.
 """
 
-from submodqp.cli import bench_rows
+from submodqp.bench import bench_rows
 
 
 def main():

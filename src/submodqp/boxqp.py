@@ -15,9 +15,7 @@ KKT conventions, with g = Qx - a:
   * variables at the upper bound need g_i <= 0,
   * free variables need g_i = 0,
 all within ``KKT_TOL_FACTOR * (1 + max|a|)``; a NaN anywhere makes the
-residual NaN, which fails the audit.  Ties (g_i = 0 exactly at a
-bound) classify into the bound sets, never into the free set, so partitions
-are reproducible.
+residual NaN, which fails the audit.
 """
 
 from __future__ import annotations
@@ -32,30 +30,19 @@ from .lattice import bounds_for_binary
 
 KKT_TOL_FACTOR = 1e-10
 
-_FREE, _LO, _HI = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class ActiveSetPartition:
-    """Final split of indices: S at lower bounds, T at upper bounds, R free."""
-
-    lower: tuple
-    upper: tuple
-    free: tuple
-
 
 @dataclass(frozen=True)
 class BoxQpSolution:
     x: np.ndarray
     value: float
-    partition: ActiveSetPartition
     kkt_residual: float
     iterations: int
 
 
 def kkt_residual(quad, lo, up, x):
     """Independent audit of the optimality system at x (max violation)."""
-    return _kkt_violation(quad.grad(x), lo, up, x)
+    x = np.asarray(x, dtype=float)
+    return _kkt_violation(quad.grad(x), np.asarray(lo, dtype=float), np.asarray(up, dtype=float), x)
 
 
 def _kkt_violation(g, lo, up, x):
@@ -77,18 +64,6 @@ def _spd_solve(A, b):
     if info != 0:
         raise NumericalError(f"free block is not positive definite (LAPACK info={info})")
     return x
-
-
-def _classify(x, lo, up, g):
-    status = np.full(x.shape[0], _FREE, dtype=np.int8)
-    at_lo = (x <= lo) & np.isfinite(lo)
-    at_up = (x >= up) & np.isfinite(up)
-    pinned = at_lo & at_up
-    status[at_lo] = _LO
-    status[at_up & ~at_lo] = _HI
-    # pinned variables: pick the side matching the gradient sign
-    status[pinned & (g < 0)] = _HI
-    return status
 
 
 def solve(quad, lo, up, max_iter=200):
@@ -173,15 +148,9 @@ def solve(quad, lo, up, max_iter=200):
     res = _kkt_violation(g, lo, up, x)
     if not res <= tol_kkt:
         raise NumericalError(f"KKT residual {res:.3e} above tolerance {tol_kkt:.3e}")
-    status = _classify(x, lo, up, g)
-    part = ActiveSetPartition(
-        lower=tuple((status == _LO).nonzero()[0].tolist()),
-        upper=tuple((status == _HI).nonzero()[0].tolist()),
-        free=tuple((status == _FREE).nonzero()[0].tolist()),
-    )
     if value is None:
         value = quad.value(x)
-    return BoxQpSolution(x=x, value=value, partition=part, kkt_residual=res, iterations=iters)
+    return BoxQpSolution(x=x, value=value, kkt_residual=res, iterations=iters)
 
 
 def finite_box(quad, lo, up):

@@ -9,7 +9,6 @@ one-line summary.  Exit codes: 0 success, 1 input error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 import time
@@ -17,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boxqp, model, oracle, pathtrace, sfm
+from . import boxqp, model, oracle, sfm
+from .bench import bench_rows
 from .exceptions import InputError, NumericalError
-from .lattice import split
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -121,95 +120,6 @@ def cmd_verify(args):
         return EXIT_VERIFY
     print(f"verify: all checks passed over {args.trials} trials")
     return EXIT_OK
-
-
-def _bench_problem(n, seed):
-    rng = np.random.default_rng([seed, n])
-    graph = model.chain_graph(n, weight=1.0)
-    return model.compile_sparse(
-        model.ProblemInstance(
-            graph, rng.normal(0.0, 1.5, n), np.ones(n), np.ones(n),
-            np.zeros(n), np.full(n, 1.0), mode="sparse",
-        )
-    )
-
-
-# timings per size in each repetition; a chain costs a few % of a naive pass
-_CHAIN_RUNS = 5
-_NAIVE_RUNS = 2
-
-
-def _time_chain(problem):
-    t0 = time.perf_counter()
-    chain = pathtrace.chain_nonnegative(problem.quad, problem.lo, problem.up)
-    return time.perf_counter() - t0, len(chain.breakpoints)
-
-
-def _time_naive(problem, smap):
-    t0 = time.perf_counter()
-    z = np.zeros(problem.n, dtype=int)
-    boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z)
-    for j in range(problem.n):
-        z[j] = 1
-        boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z)
-    return time.perf_counter() - t0
-
-
-def bench_rows(sizes, reps=3, seed=0):
-    """Time one traced chain vs n+1 independent box-QP evaluations per size.
-
-    Instances are chains with mixed-sign noise observations and binding
-    upper bounds, so every prefix solve works a nontrivial active set.
-
-    Every size is run once untimed first (first calls at a new size pay for
-    allocation and library warm-up).  Each repetition then times every size
-    in turn, so a drift in machine speed hits all sizes alike instead of
-    skewing their ratios; within a repetition the naive pass is timed twice
-    and the chain, which costs a few percent of it, five times.  The garbage
-    collector is held off while the clock runs, as ``timeit`` does.  Rows
-    report medians.
-    """
-    if reps < 1:
-        raise InputError("reps must be >= 1")
-    for n in sizes:
-        if n < 2:
-            raise InputError("bench sizes must be >= 2")
-    cases = []
-    for n in sizes:
-        problem = _bench_problem(n, seed)
-        smap, _ = split(problem.lo, problem.up, problem.costs)
-        cases.append((problem, smap))
-    t_chain = [[] for _ in sizes]
-    t_naive = [[] for _ in sizes]
-    bps = [0] * len(sizes)
-    gc_was_enabled = gc.isenabled()
-    try:
-        for rep in range(reps + 1):
-            for k, (problem, smap) in enumerate(cases):
-                gc.collect()
-                gc.disable()
-                tc = []
-                for _ in range(_CHAIN_RUNS):
-                    t, bps[k] = _time_chain(problem)
-                    tc.append(t)
-                tn = [_time_naive(problem, smap) for _ in range(_NAIVE_RUNS)]
-                if gc_was_enabled:
-                    gc.enable()
-                if rep:  # repetition 0 is the warm-up
-                    t_chain[k].extend(tc)
-                    t_naive[k].extend(tn)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return [
-        {
-            "n": n,
-            "t_chain_ms": 1000.0 * float(np.median(t_chain[k])),
-            "t_naive_ms": 1000.0 * float(np.median(t_naive[k])),
-            "breakpoints": bps[k],
-        }
-        for k, n in enumerate(sizes)
-    ]
 
 
 def cmd_bench(args):

@@ -2,36 +2,39 @@
 
 When a variable's range straddles zero, a single indicator does not preserve
 the lattice structure of the feasible set.  Splitting the indicator into a
-pair ``(z_plus, z_minus)`` restores it:
+pair ``(z_plus, z_minus)`` restores it.  By the signs of its bounds each
+variable falls in one of four regimes:
 
-* ``NPLUS``  (0 <= l <= u):  one bit, box [l*z, u*z]
-* ``NMINUS`` (l <= u <= 0):  one bit, box [l*(1-z), u*(1-z)]
-* ``NBOTH``  (l < 0 < u):    two bits, box [l*(1-z_minus), u*z_plus]
-* ``NOPEN``  (always open):  no bit, box [l, u], z = 1 (marked by the caller,
-  see :func:`submodqp.sfm.solve_full`)
+* ``0 <= l <= u``:  one bit z+, box [l*z+, u*z+]
+* ``l <= u <= 0``:  one bit z-, box [l*(1-z-), u*(1-z-)]
+* ``l < 0 < u``:    two bits, box [l*(1-z-), u*z+]
+* always open:      no bit, box [l, u], z = 1 (marked by the caller, see
+  :func:`submodqp.sfm.solve_full`)
+
+Every bit opens or closes bounds of its variable: a z+ bit is open when set
+and opens u (and, alone, l too); a z- bit is open when clear and opens l
+(and, alone, u too); a closed bound is 0.  :class:`SignSplitMap` stores the
+four regimes as one bound table.  Per coordinate k: ``var[k]``, its
+variable, and ``plus[k]``, True for a z+ bit.  Per variable i: ``lo_bit[i]``
+and ``up_bit[i]``, the coordinates whose open state opens l_i and u_i.  A
+one-bit variable points both at its bit, a straddling one at its z- and its
+z+ bit, and an always-open one at ``binary_dim``, which stands for "always
+open".
 
 The coupling constraint ``z_minus >= z_plus`` can be dropped because costs are
-nonnegative: any optimum using the spurious corner (1, 0) can be repaired to a
-feasible assignment without increasing the objective.  The binary problem is
-therefore over the full hypercube of ``binary_dim`` coordinates.
+nonnegative: any optimum using the spurious corner (1, 0), where both bounds
+of a straddling variable are open, can be repaired to a feasible assignment
+without increasing the objective (:meth:`SignSplitMap.repair`).  The binary
+problem is therefore over the full hypercube of ``binary_dim`` coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .exceptions import InputError
-
-NPLUS = "+"
-NMINUS = "-"
-NBOTH = "+-"
-NOPEN = "open"
-
-KIND_PLUS = "z+"
-KIND_MINUS = "z-"
 
 
 @dataclass(frozen=True)
@@ -45,118 +48,112 @@ class BinaryCost:
         return float(self.linear @ np.asarray(zbin, dtype=float) + self.constant)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignSplitMap:
-    """Partition of variables by sign regime plus the binary coordinate layout.
+    """The bound table of a sign split (see the module docstring).
 
-    ``coords[k] = (variable index, kind)`` where kind is ``"z+"`` or ``"z-"``.
     Coordinates are laid out per variable in ascending index order, with the
-    ``z+`` bit before the ``z-`` bit for straddling variables; that order is
-    the engine's canonical one (used for lexicographic tie-breaking).
-    Always-open variables (``NOPEN``) have no coordinate.
+    z+ bit before the z- bit of a straddling variable; that order is the
+    engine's canonical one (used for lexicographic tie-breaking).
     """
 
-    regimes: tuple
-    coords: tuple
-    coord_of: tuple  # per variable: (plus index or None, minus index or None)
+    var: np.ndarray  # per coordinate: its variable
+    plus: np.ndarray  # per coordinate: True for z+ (open when set), False for z-
+    lo_bit: np.ndarray  # per variable: coordinate opening l, binary_dim if always
+    up_bit: np.ndarray  # per variable: coordinate opening u, binary_dim if always
 
     @property
     def n(self):
-        return len(self.regimes)
-
-    @cached_property
-    def _bit_layout(self):
-        """Per variable: index of its z+ bit and of its z- bit (-1 if none),
-        masks of the variables that have each bit, and the always-open mask
-        (None when no variable is always open)."""
-        plus = np.array([-1 if p is None else p for p, _ in self.coord_of], dtype=np.intp)
-        minus = np.array([-1 if m is None else m for _, m in self.coord_of], dtype=np.intp)
-        is_open = np.array([r == NOPEN for r in self.regimes], dtype=bool)
-        return plus, minus, plus >= 0, minus >= 0, is_open if is_open.any() else None
+        return self.lo_bit.shape[0]
 
     @property
     def binary_dim(self):
-        return len(self.coords)
+        return self.var.shape[0]
 
-    @property
-    def n_plus(self):
-        return tuple(i for i, r in enumerate(self.regimes) if r == NPLUS)
+    def _open_bounds(self, zbin):
+        """Per variable: whether ``zbin`` opens its lower and its upper bound."""
+        zbin = np.asarray(zbin)
+        m = self.binary_dim
+        if zbin.shape != (m,):
+            raise InputError(f"expected binary vector of length {m}")
+        is_open = np.empty(m + 1, dtype=bool)
+        np.equal(zbin, self.plus, out=is_open[:m])
+        is_open[m] = True
+        return is_open[self.lo_bit], is_open[self.up_bit]
 
-    @property
-    def n_minus(self):
-        return tuple(i for i, r in enumerate(self.regimes) if r == NMINUS)
-
-    @property
-    def n_pm(self):
-        return tuple(i for i, r in enumerate(self.regimes) if r == NBOTH)
+    def stage_bounds(self, order, lo, up):
+        """Per stage of a chain that sets the coordinates in ``order`` one at
+        a time from all clear: (variable, its new lower, its new upper
+        bound), as Python scalars."""
+        plus = self.plus.tolist()
+        is_open = [not p for p in plus] + [True]  # all clear
+        var, lo_bit, up_bit = self.var.tolist(), self.lo_bit.tolist(), self.up_bit.tolist()
+        lo, up = lo.tolist(), up.tolist()
+        stages = []
+        for c in order:
+            is_open[c] = plus[c]
+            j = var[c]
+            stages.append(
+                (j, lo[j] if is_open[lo_bit[j]] else 0.0, up[j] if is_open[up_bit[j]] else 0.0)
+            )
+        return stages
 
     def forward(self, zbin):
         """Map a split binary vector to the original indicator vector.
 
-        Uses z = z_plus + (1 - z_minus) per straddling variable; the spurious
-        corner (1, 0) maps to 2 and is rejected here (repair it first).
-        Always-open variables map to 1.
+        z_i = 1 when either bound of variable i is open, so always-open
+        variables map to 1.  A straddling variable with both bounds open
+        sits on the spurious corner (z+, z-) = (1, 0) and is rejected here
+        (repair it first).
         """
-        zbin = np.asarray(zbin)
-        if zbin.shape != (self.binary_dim,):
-            raise InputError(f"expected binary vector of length {self.binary_dim}")
-        z = np.zeros(self.n, dtype=int)
-        for i, (p, m) in enumerate(self.coord_of):
-            if self.regimes[i] == NOPEN:
-                z[i] = 1
-            elif self.regimes[i] == NPLUS:
-                z[i] = int(zbin[p])
-            elif self.regimes[i] == NMINUS:
-                z[i] = 1 - int(zbin[m])
-            else:
-                z[i] = int(zbin[p]) + 1 - int(zbin[m])
-                if z[i] > 1:
-                    raise InputError(
-                        f"variable {i}: (z+, z-) = (1, 0) does not map to a binary z"
-                    )
-        return z
+        lo_open, up_open = self._open_bounds(zbin)
+        spurious = lo_open & up_open & (self.lo_bit != self.up_bit)
+        if spurious.any():
+            i = int(spurious.argmax())
+            raise InputError(f"variable {i}: (z+, z-) = (1, 0) does not map to a binary z")
+        return (lo_open | up_open).astype(int)
 
     def backward(self, z, x=None):
         """Map an original indicator vector to split coordinates.
 
         For straddling variables with z=1 the sign of ``x`` (default: positive)
-        picks between the (1,1) and (0,0) encodings.
+        picks between the (1,1) and (0,0) encodings, which open u and l.
         """
-        z = np.asarray(z)
-        zbin = np.zeros(self.binary_dim, dtype=int)
-        for i, (p, m) in enumerate(self.coord_of):
-            r = self.regimes[i]
-            if r == NPLUS:
-                zbin[p] = int(z[i])
-            elif r == NMINUS:
-                zbin[m] = 1 - int(z[i])
-            elif r == NBOTH:
-                if z[i] == 0:
-                    zbin[p], zbin[m] = 0, 1
-                elif x is not None and x[i] < 0:
-                    zbin[p], zbin[m] = 0, 0
-                else:
-                    zbin[p], zbin[m] = 1, 1
+        on = np.asarray(z) != 0
+        neg = np.zeros(self.n, dtype=bool) if x is None else np.asarray(x) < 0
+        one_bit = self.lo_bit == self.up_bit
+        zbin = np.empty(self.binary_dim + 1, dtype=int)
+        plus = np.append(self.plus, True)
+        # a bit is set when its open state equals its kind; always-open
+        # variables write the trailing slot, which is dropped
+        zbin[self.lo_bit] = (on & (neg | one_bit)) == plus[self.lo_bit]
+        zbin[self.up_bit] = (on & (~neg | one_bit)) == plus[self.up_bit]
+        return zbin[:-1]
+
+    def repair(self, zbin, x):
+        """Resolve spurious (z+, z-) = (1, 0) corners using the sign of x.
+
+        x > 0 closes the lower bound (sets z-), x < 0 closes the upper bound
+        (clears z+), and x = 0 closes both.  The repaired assignment keeps
+        the minimizer feasible, never increases the cost, and maps cleanly
+        to an original binary indicator vector.
+        """
+        zbin = np.array(zbin, dtype=int)
+        lo_open, up_open = self._open_bounds(zbin)
+        spurious = lo_open & up_open & (self.lo_bit != self.up_bit)
+        x = np.asarray(x)
+        zbin[self.lo_bit[spurious & ~(x < 0)]] = 1  # a straddler's l is its z- bit
+        zbin[self.up_bit[spurious & ~(x > 0)]] = 0  # and its u its z+ bit
         return zbin
-
-
-def classify_regime(lo, up):
-    if lo > up:
-        raise InputError("lo > up")
-    if 0.0 <= lo:
-        return NPLUS
-    if up <= 0.0:
-        return NMINUS
-    return NBOTH
 
 
 def split(lo, up, costs=None, always_open=None):
     """Build the sign-split map and the binary cost for bounds (lo, up).
 
-    Boundary cases go to NPLUS whenever 0 <= lo (including lo = u = 0), and to
-    NMINUS when up <= 0 < -lo; a variable is split only when l < 0 < u.
-    Variables marked in the boolean mask ``always_open`` go to NOPEN: they
-    get no coordinate, and their cost, paid at z = 1, joins the constant.
+    Boundary cases take one z+ bit whenever 0 <= lo (including lo = u = 0),
+    and one z- bit when up <= 0 < -lo; a variable is split only when
+    l < 0 < u.  Variables marked in the boolean mask ``always_open`` get no
+    coordinate, and their cost, paid at z = 1, joins the constant.
     """
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
@@ -171,79 +168,43 @@ def split(lo, up, costs=None, always_open=None):
     always_open = np.zeros(n, dtype=bool) if always_open is None else np.asarray(always_open)
     if always_open.shape != (n,) or always_open.dtype != bool:
         raise InputError(f"always_open must be a boolean mask of {n} variables")
+    if (lo > up).any():
+        raise InputError("lo > up")
 
-    regimes = []
-    coords = []
-    coord_of = []
-    lin = []
+    nonneg = 0.0 <= lo
+    minus = ~always_open & ~nonneg & (up <= 0.0)
+    both = ~always_open & ~nonneg & ~(up <= 0.0)
+    nbits = (~always_open).astype(np.intp) + both
+    first = np.cumsum(nbits) - nbits
+    m = int(nbits.sum())
+    var = np.repeat(np.arange(n), nbits)
+    plus = np.zeros(m, dtype=bool)
+    plus[first[~always_open & ~minus]] = True
+    lo_bit = np.where(always_open, m, first + both)
+    up_bit = np.where(always_open, m, first)
+    for arr in (var, plus, lo_bit, up_bit):
+        arr.flags.writeable = False
+    linear = np.where(plus, costs[var], -costs[var])
+    # a closed z- bit and an open variable pay at zbin = 0; summed in
+    # ascending variable order, one by one, which fixes F's last bits
     const = 0.0
-    # scalar loop below
-    lo, up, costs, always_open = lo.tolist(), up.tolist(), costs.tolist(), always_open.tolist()
-    for i in range(n):
-        r = classify_regime(lo[i], up[i])
-        if always_open[i]:
-            r = NOPEN
-        regimes.append(r)
-        if r == NOPEN:
-            coord_of.append((None, None))
-            const += costs[i]
-        elif r == NPLUS:
-            coord_of.append((len(coords), None))
-            coords.append((i, KIND_PLUS))
-            lin.append(costs[i])
-        elif r == NMINUS:
-            coord_of.append((None, len(coords)))
-            coords.append((i, KIND_MINUS))
-            lin.append(-costs[i])
-            const += costs[i]
-        else:
-            coord_of.append((len(coords), len(coords) + 1))
-            coords.append((i, KIND_PLUS))
-            coords.append((i, KIND_MINUS))
-            lin.extend([costs[i], -costs[i]])
-            const += costs[i]
-    smap = SignSplitMap(tuple(regimes), tuple(coords), tuple(coord_of))
-    return smap, BinaryCost(np.array(lin), const)
+    for c in costs[always_open | ~nonneg].tolist():
+        const += c
+    return SignSplitMap(var, plus, lo_bit, up_bit), BinaryCost(linear, const)
 
 
 def bounds_for_binary(smap, zbin, lo, up):
     """Per-variable box implied by a split binary assignment.
 
-    NPLUS: [l*z, u*z]; NMINUS: [l*(1-z-), u*(1-z-)]; NBOTH: [l*(1-z-), u*z+];
-    NOPEN: [l, u].  Infinite bounds multiplied by a zero indicator collapse to
-    0 (the usual 0*inf = 0 convention).  Straddling boxes are never empty
-    since l < 0 < u.
+    A bound is l_i or u_i where the table opens it and 0 where it is closed
+    (the usual 0*inf = 0 convention for infinite bounds).  Straddling boxes
+    are never empty since l < 0 < u.
     """
-    zbin = np.asarray(zbin)
-    if zbin.shape != (smap.binary_dim,):
-        raise InputError(f"expected binary vector of length {smap.binary_dim}")
-    lo = np.asarray(lo, dtype=float)
-    up = np.asarray(up, dtype=float)
-    if not smap.binary_dim:  # every variable is always open
-        return lo.copy(), up.copy()
-    # the lower bound opens unless the z- bit is set (or, without one, the
-    # z+ bit is clear); the upper bound opens when the z+ bit is set (or,
-    # without one, the z- bit is clear); both open for always-open variables
-    on = zbin != 0
-    plus, minus, has_plus, has_minus, is_open = smap._bit_layout
-    on_plus, off_minus = on[plus], ~on[minus]
-    lo_open = np.where(has_minus, off_minus, on_plus)
-    up_open = np.where(has_plus, on_plus, off_minus)
-    if is_open is not None:
-        lo_open |= is_open
-        up_open |= is_open
-    return np.where(lo_open, lo, 0.0), np.where(up_open, up, 0.0)
-
-
-def variable_bounds(smap, i, zbin, lo, up):
-    """Box of a single variable under a split assignment (scalar fast path)."""
-    p, m = smap.coord_of[i]
-    r = smap.regimes[i]
-    if r == NPLUS:
-        return (float(lo[i]), float(up[i])) if zbin[p] else (0.0, 0.0)
-    if r == NMINUS:
-        return (float(lo[i]), float(up[i])) if not zbin[m] else (0.0, 0.0)
-    return (float(lo[i]) if not zbin[m] else 0.0, float(up[i]) if zbin[p] else 0.0)
+    lo_open, up_open = smap._open_bounds(zbin)
+    return (
+        np.where(lo_open, np.asarray(lo, dtype=float), 0.0),
+        np.where(up_open, np.asarray(up, dtype=float), 0.0),
+    )
 
 
 @dataclass(frozen=True)

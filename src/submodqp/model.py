@@ -25,9 +25,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .exceptions import InputError
+from .exceptions import InputError, NumericalError
 
 MODES = ("sparse", "robust")
 
@@ -182,17 +182,19 @@ class QuadraticForm:
             raise InputError(f"Q is not a Stieltjes matrix (violation {v:.3e})")
 
     @cached_property
-    def _cho(self):
-        self.require_stieltjes()
-        return cho_factor(self.Q, lower=True, check_finite=False)
-
-    @cached_property
     def _newton(self):
-        return cho_solve(self._cho, self.a, check_finite=False)
+        self.require_stieltjes()
+        c, info = dpotrf(self.Q, lower=1)
+        if info == 0:
+            x, info = dpotrs(c, self.a, lower=1)
+        if info != 0:
+            raise NumericalError(f"Q is not positive definite (LAPACK info={info})")
+        x.flags.writeable = False
+        return x
 
     def newton_point(self):
-        """Unconstrained minimizer Q^{-1} a (computed once, returned as a copy)."""
-        return self._newton.copy()
+        """Unconstrained minimizer Q^{-1} a (computed once; read-only, shared)."""
+        return self._newton
 
 
 @dataclass(frozen=True)
@@ -272,6 +274,8 @@ class IndicatorProblem:
         c = _as_float_vector(self.costs, n, "costs")
         lo = _as_float_vector(self.lo, n, "lo")
         up = _as_float_vector(self.up, n, "up")
+        if np.isnan(c).any() or np.isnan(lo).any() or np.isnan(up).any():
+            raise InputError("NaN in compiled problem")
         if np.any(lo > up):
             raise InputError("lo > up in compiled problem")
         if not np.all(c >= 0):

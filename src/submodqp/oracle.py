@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boxqp, pathtrace, sfm
 from .exceptions import InputError
-from .lattice import NBOTH, bounds_for_binary, split
+from .lattice import bounds_for_binary, split
 from .model import IndicatorProblem, QuadraticForm
 from .sfm import BRUTE_TIE_TOL, IndicatorOracle, SfmResult
 
@@ -230,8 +230,8 @@ def _check_monotone_path(problem, rng):
 
 
 def _check_breakpoint_budget(problem, rng):
-    _, smap, vc, _ = _chain_for(problem)
-    general = any(r == NBOTH for r in smap.regimes) or np.any(problem.lo < 0)
+    _, _, vc, _ = _chain_for(problem)
+    general = np.any(problem.lo < 0)  # a straddling variable has l < 0 too
     budget = (4 if general else 2) * problem.n
     count = len(vc.breakpoints)
     return count <= budget, None if count <= budget else {"count": count, "budget": budget}
@@ -325,7 +325,7 @@ def _check_segment_affine(problem, rng):
         if len(stage_bps) < 2 or seen > 3:
             continue
         seen += 1
-        j = smap.coords[int(cidx)][0]
+        j = smap.var[cidx]
         (b0, p0), (b1, p1) = stage_bps[0], stage_bps[1]
         if b1.x - b0.x <= 1e-9:
             continue

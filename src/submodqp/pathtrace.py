@@ -47,7 +47,7 @@ import numpy as np
 from . import boxqp
 from .cholesky import UpdatableCholesky
 from .exceptions import InputError, NumericalError
-from .lattice import bounds_for_binary, split, variable_bounds
+from .lattice import bounds_for_binary, split
 
 EVENT_LEAVE_LOWER = "leave_lower"
 EVENT_HIT_UPPER = "hit_upper"
@@ -389,20 +389,15 @@ def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
         raise InputError("chain_general needs finite bounds; clamp them first (boxqp.finite_box)")
     if smap is None:
         smap, _ = split(lo, up)
-    zbin = [0] * smap.binary_dim
-    order = _check_order(order, len(zbin))
+    order = _check_order(order, smap.binary_dim)
 
-    lo0, up0 = bounds_for_binary(smap, zbin, lo, up)
+    lo0, up0 = bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int), lo, up)
     sol = boxqp.solve(quad, lo0, up0) if stage0 is None else stage0
     state = PathState.from_point(quad, lo0, up0, sol.x, orig_lo=lo, orig_up=up, audit=False)
 
     values = [sol.value]
     minimizers = [state.y.copy()]
-    lo_list, up_list = lo.tolist(), up.tolist()  # scalar access per stage
-    for k, cidx in enumerate(order, start=1):
-        zbin[cidx] = 1
-        j, _ = smap.coords[cidx]
-        lo_j, up_j = variable_bounds(smap, j, zbin, lo_list, up_list)
+    for k, (j, lo_j, up_j) in enumerate(smap.stage_bounds(order, lo, up), start=1):
         state.stage = k
         if _stage_is_noop(state, j, lo_j, up_j):
             state.lo[j] = lo_j

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import boxqp, pathtrace
 from .exceptions import InputError, NumericalError
-from .lattice import NBOTH, bounds_for_binary, split
+from .lattice import bounds_for_binary, split
 
 EXHAUSTIVE_GUARD = 25
 BRUTE_TIE_TOL = 1e-9
@@ -291,26 +291,6 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     )
 
 
-def _repair_split_vector(smap, zbin, x):
-    """Resolve spurious (z+, z-) = (1, 0) corners using the sign of x.
-
-    The repaired assignment keeps the minimizer feasible, never increases the
-    cost, and maps cleanly to an original binary indicator vector.
-    """
-    zbin = np.array(zbin, dtype=int)
-    for i, (p, q) in enumerate(smap.coord_of):
-        if smap.regimes[i] != NBOTH:
-            continue
-        if zbin[p] == 1 and zbin[q] == 0:
-            if x[i] > 0:
-                zbin[q] = 1
-            elif x[i] < 0:
-                zbin[p] = 0
-            else:
-                zbin[p], zbin[q] = 0, 1
-    return zbin
-
-
 def solve_full(problem, engine="mnp", tol=1e-9):
     """End-to-end minimization of f(x) + c^T z over the indicator feasible set.
 
@@ -344,7 +324,7 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     else:  # with no coordinate, enumeration is one evaluation
         res = minimize_exhaustive(oracle)
 
-    zbin = _repair_split_vector(smap, res.z, res.x)
+    zbin = smap.repair(res.z, res.x)
     blo, bup = bounds_for_binary(smap, zbin, problem.lo, problem.up)
     xstar = boxqp.solve(problem.quad, blo, bup).x
     z = smap.forward(zbin)

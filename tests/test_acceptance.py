@@ -23,7 +23,7 @@ import pytest
 
 import submodqp as sq
 from submodqp import boxqp, model, pathtrace
-from submodqp.cli import bench_rows
+from submodqp.bench import bench_rows
 from submodqp.lattice import bounds_for_binary, split
 
 

@@ -15,7 +15,8 @@ def test_interior_minimum(small_quad):
     sol = boxqp.solve(small_quad, np.zeros(2), np.full(2, 10.0))
     assert np.allclose(sol.x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
     assert sol.value == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    assert sol.partition.free == (0, 1)
+    # both coordinates strictly inside the box
+    assert np.all(sol.x > 0.0) and np.all(sol.x < 10.0)
 
 
 def test_pinned_coordinate(small_quad):
@@ -41,7 +42,7 @@ def test_active_upper_bound(small_quad):
     # x1 clamps at 0.25; x2 solves -(-1)*0.25... gradient zero at x2 = 0.125
     assert sol.x[0] == 0.25
     assert sol.x[1] == pytest.approx(0.125, abs=1e-12)
-    assert 0 in sol.partition.upper
+    assert small_quad.grad(sol.x)[0] < 0.0  # the upper bound binds
 
 
 def test_rejects_non_stieltjes():
@@ -98,11 +99,10 @@ def test_isotone_in_linear_term():
 
 
 def test_degenerate_gradient_classifies_to_bound():
-    # gradient is exactly 0 at the lower bound: the variable reports as lower
+    # gradient is exactly 0 at the lower bound: the minimizer is the bound itself
     quad = sq.QuadraticForm([[2.0]], [0.0])
     sol = boxqp.solve(quad, np.zeros(1), np.ones(1))
-    assert sol.partition.lower == (0,)
-    assert sol.partition.free == ()
+    assert sol.x.tolist() == [0.0]
 
 
 def test_value_function_four_corners(small_quad):
@@ -153,6 +153,13 @@ def test_finite_box_rejects_bounds_that_leave_no_box(small_quad, bound):
 def test_kkt_residual_propagates_nan(small_quad):
     x = np.array([np.nan, 0.5])
     assert np.isnan(boxqp.kkt_residual(small_quad, np.zeros(2), np.ones(2), x))
+
+
+def test_kkt_residual_accepts_lists(small_quad):
+    # the audit takes the same array-likes as solve
+    ref = boxqp.kkt_residual(small_quad, np.zeros(2), np.ones(2), np.array([0.5, 0.5]))
+    assert boxqp.kkt_residual(small_quad, [0, 0], [1, 1], [0.5, 0.5]) == ref == 0.5
+    assert np.isnan(boxqp.kkt_residual(small_quad, [0, 0], [1, 1], [np.nan, 0.5]))
 
 
 def test_solve_audit_rejects_a_nan_residual(small_quad, monkeypatch):

@@ -25,8 +25,13 @@ def test_split_partitions_every_index(pairs):
     lo = np.array([a for a, _ in pairs])
     up = np.array([a + w for a, w in pairs])
     smap, _ = lattice.split(lo, up)
-    assert sorted(smap.n_plus + smap.n_minus + smap.n_pm) == list(range(len(pairs)))
-    assert smap.binary_dim == len(smap.n_plus) + len(smap.n_minus) + 2 * len(smap.n_pm)
+    # every variable owns one or two consecutive coordinates, ascending
+    assert smap.n == len(pairs)
+    assert np.all(np.diff(smap.var) >= 0)
+    assert np.array_equal(np.unique(smap.var), np.arange(len(pairs)))
+    straddle = (lo < 0) & (up > 0)
+    assert np.array_equal(np.bincount(smap.var, minlength=len(pairs)), 1 + straddle)
+    assert smap.binary_dim == len(pairs) + straddle.sum()
 
 
 @given(_bound_pairs, st.integers(0, 2**12 - 1))
@@ -41,17 +46,20 @@ def test_bounds_for_binary_never_empty(pairs, code):
 
 
 def test_split_regimes_example():
+    # a straddling variable (z+ then z-), a nonnegative one (z+) and a
+    # nonpositive one (z-)
     smap, _ = lattice.split(np.array([-1.0, 0.0, -2.0]), np.array([2.0, 3.0, -1.0]))
-    assert smap.n_pm == (0,)
-    assert smap.n_plus == (1,)
-    assert smap.n_minus == (2,)
+    assert smap.var.tolist() == [0, 0, 1, 2]
+    assert smap.plus.tolist() == [True, False, True, False]
+    assert smap.lo_bit.tolist() == [1, 2, 3]
+    assert smap.up_bit.tolist() == [0, 2, 3]
     assert smap.binary_dim == 4
 
 
 def test_split_unit_box_is_identity():
     n = 5
     smap, cost = lattice.split(np.zeros(n), np.ones(n), np.arange(n, dtype=float))
-    assert smap.n_plus == tuple(range(n))
+    assert smap.var.tolist() == list(range(n)) and smap.plus.all()
     assert smap.binary_dim == n
     z = np.array([1, 0, 1, 0, 1])
     assert np.array_equal(smap.forward(z), z)
@@ -172,11 +180,7 @@ def test_dropping_coupling_constraint_preserves_optimum():
         for z in _all_binary(smap.binary_dim):
             val = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z) + bincost(z)
             best_full = min(best_full, val)
-            coupled = all(
-                z[m] >= z[p]
-                for i, (p, m) in enumerate(smap.coord_of)
-                if smap.regimes[i] == lattice.NBOTH
-            )
+            coupled = np.all(z[smap.lo_bit] >= z[smap.up_bit])  # z- >= z+
             if coupled:
                 best_coupled = min(best_coupled, val)
         assert best_full == pytest.approx(best_coupled, abs=1e-9)
@@ -188,11 +192,7 @@ def test_forward_map_round_trip_and_cost():
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=200 + seed).draw(0)
         smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
         for z in _all_binary(smap.binary_dim):
-            coupled = all(
-                z[m] >= z[p]
-                for i, (p, m) in enumerate(smap.coord_of)
-                if smap.regimes[i] == lattice.NBOTH
-            )
+            coupled = np.all(z[smap.lo_bit] >= z[smap.up_bit])  # z- >= z+
             if not coupled:
                 continue
             orig = smap.forward(z)
@@ -215,10 +215,10 @@ def test_split_always_open_layout():
     costs = np.array([0.0, 0.0, 0.0, 0.0, 0.3])
     mask = np.array([True, False, True, True, False])
     smap, cost = lattice.split(lo, up, costs, always_open=mask)
-    assert smap.regimes == (lattice.NOPEN, lattice.NPLUS, lattice.NOPEN, lattice.NOPEN,
-                            lattice.NBOTH)
-    assert smap.coords == ((1, "z+"), (4, "z+"), (4, "z-"))
-    assert smap.coord_of == ((None, None), (0, None), (None, None), (None, None), (1, 2))
+    assert smap.var.tolist() == [1, 4, 4]
+    assert smap.plus.tolist() == [True, True, False]
+    assert smap.lo_bit.tolist() == [3, 0, 3, 3, 2]
+    assert smap.up_bit.tolist() == [3, 0, 3, 3, 1]
     assert smap.binary_dim == 3
     for z in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
         blo, bup = lattice.bounds_for_binary(smap, z, lo, up)
@@ -249,3 +249,117 @@ def test_split_rejects_bad_always_open():
         lattice.split(lo, up, always_open=[True, False, True])
     with pytest.raises(InputError):
         lattice.split(lo, up, always_open=[1, 0])
+
+
+# --- the bound table against the four box formulas --------------------------
+
+def _reference_layout(lo, up, always_open):
+    """Per variable: regime and the coordinates of its z+ and z- bits (None
+    when absent), laid out per variable in ascending order, z+ before z-."""
+    layout, k = [], 0
+    for lo_i, up_i, open_i in zip(lo, up, always_open):
+        if open_i:
+            layout.append(("open", None, None))
+        elif lo_i >= 0:
+            layout.append(("+", k, None))
+            k += 1
+        elif up_i <= 0:
+            layout.append(("-", None, k))
+            k += 1
+        else:
+            layout.append(("+-", k, k + 1))
+            k += 2
+    return layout, k
+
+
+def _times(bound, bit):
+    return bound if bit else 0.0  # 0 * inf = 0
+
+
+def _reference_box(layout, z, lo, up):
+    """[l z, u z], [l (1 - z-), u (1 - z-)], [l (1 - z-), u z+] and [l, u]."""
+    box = []
+    for (regime, p, m), lo_i, up_i in zip(layout, lo, up):
+        if regime == "open":
+            box.append((lo_i, up_i))
+        elif regime == "+":
+            box.append((_times(lo_i, z[p]), _times(up_i, z[p])))
+        elif regime == "-":
+            box.append((_times(lo_i, 1 - z[m]), _times(up_i, 1 - z[m])))
+        else:
+            box.append((_times(lo_i, 1 - z[m]), _times(up_i, z[p])))
+    return box
+
+
+def _reference_forward(layout, z):
+    """z+, 1 - z-, z+ + 1 - z- (None on the spurious corner) and 1."""
+    out = []
+    for regime, p, m in layout:
+        if regime == "open":
+            zi = 1
+        elif regime == "+":
+            zi = z[p]
+        elif regime == "-":
+            zi = 1 - z[m]
+        else:
+            zi = z[p] + 1 - z[m]
+            if zi > 1:
+                return None
+        out.append(int(zi))
+    return out
+
+
+def _reference_backward(layout, z, x, m):
+    zbin = [0] * m
+    for i, (regime, p, q) in enumerate(layout):
+        if regime == "+":
+            zbin[p] = z[i]
+        elif regime == "-":
+            zbin[q] = 1 - z[i]
+        elif regime == "+-":
+            neg = x is not None and x[i] < 0
+            zbin[p], zbin[q] = (0, 1) if not z[i] else (0, 0) if neg else (1, 1)
+    return zbin
+
+
+def _reference_repair(layout, z, x):
+    z = list(z)
+    for i, (regime, p, m) in enumerate(layout):
+        if regime == "+-" and z[p] == 1 and z[m] == 0:
+            if x[i] > 0:
+                z[m] = 1
+            elif x[i] < 0:
+                z[p] = 0
+            else:
+                z[p], z[m] = 0, 1
+    return z
+
+
+def test_bound_table_matches_the_four_box_formulas():
+    rng = np.random.default_rng(2209)
+    values = [-np.inf, -2.0, -0.5, 0.0, 0.5, 2.0, np.inf]
+    for trial in range(150):
+        n = int(rng.integers(1, 6))
+        pairs = [sorted(rng.choice(values, 2)) for _ in range(n)]
+        lo = np.array([min(a, 1.0) for a, _ in pairs])  # l < +inf
+        up = np.array([max(b, -1.0) for _, b in pairs])  # u > -inf
+        mask = rng.random(n) < 0.3 if trial % 2 else np.zeros(n, dtype=bool)
+        smap, _ = lattice.split(lo, up, always_open=mask)
+        layout, m = _reference_layout(lo, up, mask)
+        assert smap.binary_dim == m
+        for z in _all_binary(m):
+            blo, bup = lattice.bounds_for_binary(smap, z, lo, up)
+            assert list(zip(blo.tolist(), bup.tolist())) == _reference_box(layout, z, lo, up)
+            ref = _reference_forward(layout, z)
+            if ref is None:
+                with pytest.raises(InputError):
+                    smap.forward(z)
+                x = rng.choice([-1.0, 0.0, 1.0], n)
+                repaired = smap.repair(z, x)
+                assert repaired.tolist() == _reference_repair(layout, z, x)
+                assert _reference_forward(layout, repaired) is not None
+                continue
+            assert smap.forward(z).tolist() == ref
+            assert smap.repair(z, rng.normal(size=n)).tolist() == z.tolist()
+            for x in (None, rng.normal(size=n)):
+                assert smap.backward(ref, x).tolist() == _reference_backward(layout, ref, x, m)

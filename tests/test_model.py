@@ -145,6 +145,17 @@ def test_instance_validation_errors():
         sq.ProblemInstance(g, [0, 0], [1, 1], [0, 0], [0, 0], [1, 1], mode="other")
 
 
+@pytest.mark.parametrize("field", ["costs", "lo", "up"])
+def test_indicator_problem_rejects_nan(field):
+    # NaN is an input error (CLI exit 1), not a numerical failure of the
+    # box-QP solver later on (exit 2)
+    data = {"costs": [1.0, 1.0], "lo": [0.0, 0.0], "up": [1.0, 1.0]}
+    data[field][0] = np.nan
+    quad = sq.QuadraticForm([[2.0, -1.0], [-1.0, 2.0]], [1.0, 0.0])
+    with pytest.raises(InputError, match="NaN"):
+        sq.IndicatorProblem(quad, **data)
+
+
 def test_generate_fully_sparse_noiseless():
     inst, truth = model.generate("chain", (5,), signal_sparsity=1.0, noise_sd=0.0, seed=3)
     assert np.all(inst.a == 0.0)

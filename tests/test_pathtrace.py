@@ -125,9 +125,7 @@ def test_chain_general_endpoint_boxes():
         chain = chain_general(prob.quad, lo, up, smap)
         nonneg = boxqp.solve(prob.quad, np.zeros(prob.n), up)
         assert chain.values[-1] == pytest.approx(nonneg.value, abs=1e-9)
-        zfull = np.zeros(smap.binary_dim, dtype=int)
-        for p, m in smap.coord_of:
-            zfull[p] = 1
+        zfull = smap.plus.astype(int)
         full = boxqp.solve(prob.quad, lo, up)
         vfull = boxqp.value_function(prob.quad, lo, up, smap, zfull)
         assert vfull == pytest.approx(full.value, abs=1e-9)
@@ -145,11 +143,13 @@ def test_chain_general_with_always_open_matches_boxqp_prefixes():
         full, _ = lattice.split(prob.lo, prob.up)
         order = rng.permutation(smap.binary_dim)
         chain = chain_general(prob.quad, prob.lo, prob.up, smap, order)
-        assert chain.m == sum(1 for i, _ in full.coords if not mask[i])
-        z = np.array([mask[i] and kind == lattice.KIND_PLUS for i, kind in full.coords], dtype=int)
+        coords = list(zip(smap.var.tolist(), smap.plus.tolist()))
+        full_coords = list(zip(full.var.tolist(), full.plus.tolist()))
+        assert chain.m == sum(1 for i, _ in full_coords if not mask[i])
+        z = np.array([mask[i] and plus for i, plus in full_coords], dtype=int)
         for k in range(smap.binary_dim + 1):
             if k:
-                z[full.coords.index(smap.coords[order[k - 1]])] = 1
+                z[full_coords.index(coords[order[k - 1]])] = 1
             ref = boxqp.value_function(prob.quad, prob.lo, prob.up, full, z)
             assert abs(chain.values[k] - ref) <= 1e-8
 

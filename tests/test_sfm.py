@@ -231,9 +231,10 @@ def test_solve_full_always_open_rule(monkeypatch):
     monkeypatch.setattr(sfm, "minimize_exhaustive", spy)
     res = sq.solve_full(problem, engine="exhaustive")
     (smap,) = seen
-    assert smap.regimes == (lattice.NOPEN, lattice.NPLUS, lattice.NOPEN, lattice.NOPEN,
-                            lattice.NBOTH)
-    assert smap.coords == ((1, "z+"), (4, "z+"), (4, "z-"))
+    assert smap.var.tolist() == [1, 4, 4]
+    assert smap.plus.tolist() == [True, True, False]
+    assert smap.lo_bit.tolist() == [3, 0, 3, 3, 2]
+    assert smap.up_bit.tolist() == [3, 0, 3, 3, 1]
     assert res.z[[0, 2, 3]].tolist() == [1, 1, 1]
     assert res.value == pytest.approx(sq.brute_force(problem).value, abs=1e-9)
 
@@ -292,12 +293,17 @@ def test_solve_full_logs_the_reduction(caplog):
     assert "6 variables, 3 always open, 6 binary coordinates, engine exhaustive" in caplog.messages
 
 
+def _coords(smap):
+    """Each coordinate as (variable, True for z+)."""
+    return list(zip(smap.var.tolist(), smap.plus.tolist()))
+
+
 def _embed(full, oracle, mask, z):
     """The full-cube vector for an always-open oracle's z: z+ = 1 and z- = 0
     for the open variables, the oracle's bits for the others."""
-    where = {c: k for k, c in enumerate(oracle.smap.coords)}
-    return np.array([kind == lattice.KIND_PLUS if mask[i] else z[where[i, kind]]
-                     for i, kind in full.smap.coords], dtype=int)
+    where = {c: k for k, c in enumerate(_coords(oracle.smap))}
+    return np.array([plus if mask[i] else z[where[i, plus]]
+                     for i, plus in _coords(full.smap)], dtype=int)
 
 
 def test_indicator_oracle_with_always_open_matches_full_cube():
@@ -310,7 +316,7 @@ def test_indicator_oracle_with_always_open_matches_full_cube():
         assert mask.any() and not mask.all()
         oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs, always_open=mask)
         full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
-        assert oracle.m == sum(1 for i, _ in full.smap.coords if not mask[i])
+        assert oracle.m == sum(1 for i, _ in _coords(full.smap) if not mask[i])
         order = rng.permutation(oracle.m)
         assert np.max(np.abs(oracle.chain(order) - oracle.chain_naive(order))) <= 1e-8
         for _ in range(4):
@@ -326,7 +332,8 @@ def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     same = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs,
                               always_open=np.zeros(prob.n, dtype=bool))
     order = np.arange(full.m)[::-1]
-    assert same.smap == full.smap
+    for table in ("var", "plus", "lo_bit", "up_bit"):
+        assert np.array_equal(getattr(same.smap, table), getattr(full.smap, table))
     assert same.value_chain(order).kind == full.value_chain(order).kind == "nonnegative"
     assert np.array_equal(same.chain(order), full.chain(order))
 
