@@ -74,7 +74,11 @@ def cmd_solve(args):
     extra = f" discarded={res.discarded}" if res.discarded is not None else ""
     print(f"solve[{args.engine}] value={res.value:.6f} z={payload['z']}{extra}")
     if not res.converged:
-        print("warning: engine hit its iteration cap; result is best-found", file=sys.stderr)
+        print(
+            f"warning: result not certified: duality gap {res.certificate:.3g} above "
+            f"{sfm.gap_tolerance(res.value, args.tol):.3g}",
+            file=sys.stderr,
+        )
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -61,8 +62,8 @@ class Graph:
                 raise InputError(f"self-loop at vertex {i}")
             if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
                 raise InputError(f"edge ({i},{j}) out of range")
-            if w < 0:
-                raise InputError(f"negative edge weight {w} on ({i},{j})")
+            if not 0 <= w < math.inf:
+                raise InputError(f"edge weight {w} on ({i},{j}) must be finite and nonnegative")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise InputError(f"duplicate edge ({i},{j})")
@@ -120,9 +121,10 @@ def grid_graph_3d(nx, ny, nz, weight=1.0):
 class QuadraticForm:
     """f(x) = -a^T x + 0.5 x^T Q x + k0 with symmetric Q.
 
-    Construction checks shape and symmetry only; solvers additionally require
-    the Stieltjes property (see :meth:`stieltjes_violation`), so that invalid
-    matrices can still be represented, e.g. to exercise rejection paths.
+    Construction checks shape, finiteness and symmetry only; solvers
+    additionally require the Stieltjes property (see
+    :meth:`stieltjes_violation`), so that invalid matrices can still be
+    represented, e.g. to exercise rejection paths.
     Arrays are copied and frozen; instances are safe to share across threads.
     """
 
@@ -133,17 +135,20 @@ class QuadraticForm:
     def __post_init__(self):
         Q = np.array(self.Q, dtype=float)
         a = np.array(self.a, dtype=float).ravel()
+        k0 = float(self.k0)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise InputError(f"Q must be square, got shape {Q.shape}")
         if a.shape[0] != Q.shape[0]:
             raise InputError("a and Q dimensions disagree")
+        if not (np.isfinite(Q).all() and np.isfinite(a).all() and math.isfinite(k0)):
+            raise InputError("quadratic form has non-finite entries")
         if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(Q).max())):
             raise InputError("Q must be symmetric")
         Q.flags.writeable = False
         a.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "k0", float(self.k0))
+        object.__setattr__(self, "k0", k0)
 
     @property
     def n(self):
@@ -225,8 +230,10 @@ class ProblemInstance:
         if np.any(lo > up):
             bad = int(np.argmax(lo > up))
             raise InputError(f"l[{bad}] > u[{bad}]")
-        if np.any(np.isnan(a)) or np.any(np.isnan(lo)) or np.any(np.isnan(up)):
+        if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
             raise InputError("NaN in instance data")
+        if not (np.isfinite(a).all() and np.isfinite(nw).all() and np.isfinite(c).all()):
+            raise InputError("a, node_weights and c must be finite (only l and u may be infinite)")
         for arr in (a, nw, c, lo, up):
             arr.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -276,6 +283,8 @@ class IndicatorProblem:
         up = _as_float_vector(self.up, n, "up")
         if np.isnan(c).any() or np.isnan(lo).any() or np.isnan(up).any():
             raise InputError("NaN in compiled problem")
+        if np.isinf(c).any():
+            raise InputError("infinite indicator cost")
         if np.any(lo > up):
             raise InputError("lo > up in compiled problem")
         if not np.all(c >= 0):
@@ -294,9 +303,12 @@ class IndicatorProblem:
     def n(self):
         return self.quad.n
 
-    def slack_vertices(self):
-        """Map variable index -> owning vertex, restricted to slack variables."""
-        return {k: v for k, (kind, v) in enumerate(self.roles) if kind == ROLE_SLACK}
+    def discarded(self, z):
+        """Sorted vertices whose observation the indicator vector z discards,
+        or None outside robust mode."""
+        if self.mode != "robust":
+            return None
+        return sorted(v for (kind, v), zk in zip(self.roles, z) if kind == ROLE_SLACK and zk == 1)
 
     def to_json_dict(self):
         return {
@@ -314,16 +326,19 @@ class IndicatorProblem:
     def from_json_dict(d):
         known = {"Q", "a", "k0", "c", "l", "u", "roles", "mode"}
         _reject_unknown_keys(d, known, "indicator problem")
-        quad = QuadraticForm(np.array(d["Q"], dtype=float), np.array(d["a"], dtype=float), float(d.get("k0", 0.0)))
-        roles = tuple((kind, int(v)) for kind, v in d.get("roles", []))
-        return IndicatorProblem(
-            quad=quad,
-            costs=np.array(d["c"], dtype=float),
-            lo=np.array([_num_from_json(v) for v in d["l"]], dtype=float),
-            up=np.array([_num_from_json(v) for v in d["u"]], dtype=float),
-            roles=roles,
-            mode=d.get("mode", "sparse"),
-        )
+        with _json_errors("indicator problem"):
+            quad = QuadraticForm(
+                np.array(d["Q"], dtype=float), np.array(d["a"], dtype=float), float(d.get("k0", 0.0))
+            )
+            roles = tuple((kind, int(v)) for kind, v in d.get("roles", []))
+            return IndicatorProblem(
+                quad=quad,
+                costs=np.array(d["c"], dtype=float),
+                lo=np.array([_num_from_json(v) for v in d["l"]], dtype=float),
+                up=np.array([_num_from_json(v) for v in d["u"]], dtype=float),
+                roles=roles,
+                mode=d.get("mode", "sparse"),
+            )
 
 
 def compile_sparse(inst):
@@ -335,9 +350,10 @@ def compile_sparse(inst):
     if inst.mode != "sparse":
         raise InputError(f"compile_sparse requires mode='sparse', got {inst.mode!r}")
     nw = inst.node_weights
-    Q = 2.0 * np.diag(nw) + 2.0 * inst.graph.laplacian()
-    a = 2.0 * nw * inst.a
-    k0 = float(np.sum(nw * inst.a**2))
+    with np.errstate(over="ignore"):  # QuadraticForm rejects what overflows
+        Q = 2.0 * np.diag(nw) + 2.0 * inst.graph.laplacian()
+        a = 2.0 * nw * inst.a
+        k0 = float(np.sum(nw * inst.a**2))
     quad = QuadraticForm(Q, a, k0)
     quad.require_stieltjes()
     roles = tuple((ROLE_SIGNAL, i) for i in range(inst.n))
@@ -369,12 +385,13 @@ def compile_robust(inst, ridge=1e-8):
     n = inst.n
     nw = inst.node_weights
     Q = np.zeros((2 * n, 2 * n))
-    Q[:n, :n] = 2.0 * np.diag(nw) + 2.0 * inst.graph.laplacian()
-    Q[n:, n:] = 2.0 * np.diag(nw) + 2.0 * ridge * np.eye(n)
-    Q[:n, n:] = -2.0 * np.diag(nw)
-    Q[n:, :n] = -2.0 * np.diag(nw)
-    a = np.concatenate([2.0 * nw * inst.a, -2.0 * nw * inst.a])
-    k0 = float(np.sum(nw * inst.a**2))
+    with np.errstate(over="ignore"):  # QuadraticForm rejects what overflows
+        Q[:n, :n] = 2.0 * np.diag(nw) + 2.0 * inst.graph.laplacian()
+        Q[n:, n:] = 2.0 * np.diag(nw) + 2.0 * ridge * np.eye(n)
+        Q[:n, n:] = -2.0 * np.diag(nw)
+        Q[n:, :n] = -2.0 * np.diag(nw)
+        a = np.concatenate([2.0 * nw * inst.a, -2.0 * nw * inst.a])
+        k0 = float(np.sum(nw * inst.a**2))
     quad = QuadraticForm(Q, a, k0)
     quad.require_stieltjes()
     M = slack_bound(inst)
@@ -498,6 +515,19 @@ def _num_from_json(v):
     return float(v)
 
 
+@contextmanager
+def _json_errors(what):
+    """Report a missing key or a malformed value in ``what`` JSON as an InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as e:
+        raise InputError(f"missing key {e.args[0]!r} in {what} JSON") from e
+    except (TypeError, ValueError) as e:
+        raise InputError(f"malformed value in {what} JSON: {e}") from e
+
+
 def _reject_unknown_keys(d, known, what):
     for k in d:
         if k not in known:
@@ -520,7 +550,7 @@ def instance_to_json_dict(inst):
 def instance_from_json_dict(d):
     known = {"mode", "n", "edges", "a", "node_weights", "c", "l", "u"}
     _reject_unknown_keys(d, known, "instance")
-    try:
+    with _json_errors("instance"):
         n = int(d["n"])
         graph = Graph(n, tuple((int(i), int(j), float(w)) for i, j, w in d.get("edges", [])))
         return ProblemInstance(
@@ -532,8 +562,6 @@ def instance_from_json_dict(d):
             u=np.array([_num_from_json(v) for v in d["u"]], dtype=float),
             mode=d["mode"],
         )
-    except KeyError as e:
-        raise InputError(f"missing key {e.args[0]!r} in instance JSON") from e
 
 
 def save_instance(inst, path):

@@ -46,17 +46,13 @@ def brute_force(problem, tie_tol=BRUTE_TIE_TOL):
         val = sol.value + float(c @ z)
         if best_z is None or val < best - tie_tol:
             best_z, best, best_x = z, val, sol.x
-    discarded = None
-    if problem.mode == "robust":
-        slack = problem.slack_vertices()
-        discarded = sorted(slack[k] for k in range(n) if k in slack and best_z[k] == 1)
     return SfmResult(
         z=best_z,
         value=float(best),
         x=best_x,
-        certificate="exhaustive",
+        certificate=0.0,
         engine="brute_force",
-        discarded=discarded,
+        discarded=problem.discarded(best_z),
     )
 
 
@@ -295,7 +291,9 @@ def _check_mnp_matches_exhaustive(problem, rng):
     ex = sfm.solve_full(problem, engine="exhaustive")
     mn = sfm.solve_full(problem, engine="mnp")
     gap = abs(ex.value - mn.value)
-    return gap <= 1e-6, None if gap <= 1e-6 else {"gap": gap, "exhaustive": ex.value, "mnp": mn.value}
+    ok = gap <= 1e-6 and mn.converged
+    detail = {"gap": gap, "exhaustive": ex.value, "mnp": mn.value, "mnp_certificate": mn.certificate}
+    return ok, None if ok else detail
 
 
 def _check_brute_matches_solver(problem, rng):

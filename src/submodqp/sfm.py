@@ -8,6 +8,7 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
   F, using the greedy subgradient as its linear-optimization oracle.  Each
   greedy call needs one full value chain, which the path tracer delivers in
   the cost of a single evaluation; that is what makes the method practical.
+  F(∅) costs it one evaluation, not a chain.
 
 :func:`solve_full` wires everything together for a compiled indicator
 problem: sign split, oracle construction, minimization, and recovery of the
@@ -38,12 +39,17 @@ _log = logging.getLogger(__name__)
 
 @dataclass
 class SfmResult:
-    """Outcome of one binary submodular minimization."""
+    """Outcome of one binary submodular minimization.
+
+    ``certificate`` is the duality gap, ``value`` minus a lower bound on
+    min F (0.0 for enumeration); ``converged`` means the gap certifies
+    ``value`` as the minimum to within :func:`gap_tolerance`.
+    """
 
     z: np.ndarray
     value: float
     x: np.ndarray | None
-    certificate: object
+    certificate: float
     engine: str
     converged: bool = True
     discarded: list | None = None
@@ -53,9 +59,7 @@ class SfmResult:
             "z": [int(v) for v in self.z],
             "x": None if self.x is None else [float(v) for v in self.x],
             "value": float(self.value),
-            "certificate": self.certificate
-            if isinstance(self.certificate, str)
-            else float(self.certificate),
+            "certificate": float(self.certificate),
             "engine": self.engine,
             "converged": bool(self.converged),
             "discarded": self.discarded,
@@ -173,10 +177,6 @@ def greedy_subgradient(oracle, zfrac):
     return w
 
 
-def _lex_better(incumbent, value, best, tol):
-    return incumbent is None or value < best - tol
-
-
 def minimize_exhaustive(oracle):
     """Enumerate every binary vector; ties resolve to the first in lex order."""
     m = oracle.m
@@ -186,13 +186,13 @@ def minimize_exhaustive(oracle):
     for bits in itertools.product((0, 1), repeat=m):
         z = np.array(bits, dtype=int)
         val = oracle.eval(z)
-        if _lex_better(best_z, val, best, BRUTE_TIE_TOL):
+        if val < best - BRUTE_TIE_TOL:
             best_z, best = z, val
     return SfmResult(
         z=best_z,
         value=float(best),
         x=oracle.recover_x(best_z),
-        certificate="exhaustive",
+        certificate=0.0,
         engine="exhaustive",
     )
 
@@ -215,37 +215,44 @@ def _rank_fractions(x):
     return zfrac
 
 
+def gap_tolerance(value, tol):
+    """Largest duality gap that certifies ``value`` as the minimum."""
+    return max(1e-6, 1e3 * tol) * (1.0 + abs(value))
+
+
 def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     """Wolfe's minimum-norm-point method over the base polytope of F.
 
     The greedy subgradient serves as the linear-optimization oracle (one
-    value chain per major cycle).  The final point is rounded by thresholding
-    at zero; coordinates within ``tol`` of zero are ambiguous and, when there
-    are at most ten of them, resolved exactly by evaluating both completions.
-    Hitting the iteration cap returns the best rounding found with
-    ``converged=False``.
+    value chain per major cycle).  The minimal minimizer of F is the level
+    set {x* < 0} of the min-norm point x* (Fujishige's theorem), and level
+    sets of an approximate x round well too (Chakrabarty, Jain & Kothari
+    2014).  The last chain ran along ascending x (the previous iterate's
+    when ``max_iter`` ends the loop), so it holds F on every level set: the
+    result is its shortest prefix within ``BRUTE_TIE_TOL`` of its minimum.
+    ``certificate`` is the duality gap value − F(∅) − Σ min(x_i, 0), and
+    ``converged`` means it is at most :func:`gap_tolerance`.
     """
     m = oracle.m
     if m == 0:
         raise InputError("empty ground set")
     if max_iter is None:
         max_iter = 20 * m + 100
-    f0 = float(oracle.chain(np.arange(m))[0])
+    f0 = oracle.eval(np.zeros(m, dtype=int))
 
-    x = greedy_subgradient(oracle, np.full(m, 0.5))
+    zfrac = np.full(m, 0.5)
+    x = q = greedy_subgradient(oracle, zfrac)
     S = x.reshape(1, -1)
     coeff = np.array([1.0])
-    converged = False
     eps_drop = 1e-11
 
     for _ in range(max_iter):
-        q = greedy_subgradient(oracle, _rank_fractions(x))
+        zfrac = _rank_fractions(x)
+        q = greedy_subgradient(oracle, zfrac)
         scale = 1.0 + float(np.max(np.abs(S))) ** 2 + float(q @ q)
         if x @ q >= x @ x - tol * scale:
-            converged = True
             break
         if np.any(np.all(np.abs(S - q) <= 1e-12 * scale, axis=1)):
-            converged = True
             break
         S = np.vstack([S, q])
         coeff = np.append(coeff, 0.0)
@@ -266,28 +273,20 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
             coeff /= coeff.sum()
             x = S.T @ coeff
 
-    thr = max(tol, 1e-12)
-    base = x < -thr
-    ambiguous = np.flatnonzero(np.abs(x) <= thr)
-    best_z, best = None, np.inf
-    if ambiguous.size > 10:
-        ambiguous = ambiguous[:0]  # too many ties: exclude them all
-    for bits in itertools.product((0, 1), repeat=ambiguous.size):
-        z = base.astype(int).copy()
-        z[ambiguous] = bits
-        val = oracle.eval(z)
-        if _lex_better(best_z, val, best, BRUTE_TIE_TOL):
-            best_z, best = z, val
-    lower_bound = f0 + float(np.minimum(x, 0.0).sum())
-    if best < lower_bound - max(1e-6, 1e3 * tol) * (1.0 + abs(best)):
-        converged = False  # certificate disagrees with the rounding
+    order = np.argsort(-zfrac, kind="stable")  # the last chain's order
+    prefix = f0 + np.concatenate([[0.0], np.cumsum(q[order])])
+    k = int(np.argmax(prefix <= prefix.min() + BRUTE_TIE_TOL))
+    z = np.zeros(m, dtype=int)
+    z[order[:k]] = 1
+    value = oracle.eval(z)
+    gap = value - (f0 + float(np.minimum(x, 0.0).sum()))
     return SfmResult(
-        z=best_z,
-        value=float(best),
-        x=oracle.recover_x(best_z),
-        certificate=float(np.linalg.norm(x)),
+        z=z,
+        value=float(value),
+        x=oracle.recover_x(z),
+        certificate=gap,
         engine="mnp",
-        converged=converged,
+        converged=abs(gap) <= gap_tolerance(value, tol),
     )
 
 
@@ -332,10 +331,6 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     if value > res.value + 1e-7 * (1.0 + abs(res.value)):
         raise NumericalError("split-corner repair changed the optimal value")
 
-    discarded = None
-    if problem.mode == "robust":
-        slack = problem.slack_vertices()
-        discarded = sorted(slack[k] for k in range(problem.n) if k in slack and z[k] == 1)
     return SfmResult(
         z=z,
         value=value,
@@ -343,5 +338,5 @@ def solve_full(problem, engine="mnp", tol=1e-9):
         certificate=res.certificate,
         engine=engine,
         converged=res.converged,
-        discarded=discarded,
+        discarded=problem.discarded(z),
     )

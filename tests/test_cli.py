@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import boxqp, cli, lattice, model
+from submodqp import boxqp, cli, lattice, model, sfm
 
 
 def _run(argv):
@@ -127,6 +128,32 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert _run(["solve", str(bad)]) == cli.EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "abc"), ("edges", [[0, 1]]), ("a", "xyz"), ("l", [None]), ("c", [math.inf, 1.0, 1.0]),
+])
+def test_malformed_json_values_are_input_errors(tmp_path, capsys, key, value):
+    inst, _ = model.generate("chain", (3,), seed=0)
+    d = model.instance_to_json_dict(inst)
+    d[key] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(d))
+    assert _run(["solve", str(path)]) == cli.EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_solve_exits_2_when_the_gap_does_not_certify(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    _run(["generate", "--dims", "6", "--seed", "1", "--cost", "0.8", "--output", str(path)])
+    mnp = sfm.minimize_mnp
+    monkeypatch.setattr(sfm, "minimize_mnp", lambda oracle, tol: mnp(oracle, tol=tol, max_iter=0))
+    out = tmp_path / "sol.json"
+    assert _run(["solve", str(path), "--output", str(out)]) == cli.EXIT_NUMERICAL
+    d = json.loads(out.read_text())
+    assert d["converged"] is False
+    assert d["certificate"] > sfm.gap_tolerance(d["value"], 1e-9)
+    assert "result not certified: duality gap" in capsys.readouterr().err
 
 
 def test_unknown_key_is_named(tmp_path, capsys):

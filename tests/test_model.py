@@ -156,6 +156,48 @@ def test_indicator_problem_rejects_nan(field):
         sq.IndicatorProblem(quad, **data)
 
 
+def test_indicator_problem_rejects_infinite_cost():
+    quad = sq.QuadraticForm([[2.0, -1.0], [-1.0, 2.0]], [1.0, 0.0])
+    with pytest.raises(InputError, match="infinite indicator cost"):
+        sq.IndicatorProblem(quad, [math.inf, 1.0], [0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("Q, a, k0", [
+    ([[math.inf, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0),
+    ([[1.0, 0.0], [0.0, 1.0]], [math.nan, 0.0], 0.0),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], math.inf),
+])
+def test_quadratic_form_rejects_non_finite_entries(Q, a, k0):
+    with pytest.raises(InputError, match="non-finite"):
+        sq.QuadraticForm(Q, a, k0)
+
+
+@pytest.mark.parametrize("mode", ["sparse", "robust"])
+@pytest.mark.parametrize("field, value", [
+    ("a", math.inf), ("a", -math.inf), ("a", 1e200), ("node_weights", math.inf),
+    ("c", math.inf), ("edge", math.inf), ("edge", math.nan),
+])
+def test_non_finite_model_data_is_an_input_error(mode, field, value):
+    # bounds alone may be infinite; a = 1e200 is finite but its square
+    # overflows in compilation, which must not leak a RuntimeWarning
+    data = {"a": [1.0, 0.5], "node_weights": [1.0, 1.0], "c": [0.5, 0.5],
+            "l": [-2.0, -2.0], "u": [2.0, 2.0]}
+    weight = value if field == "edge" else 1.0
+    if field != "edge":
+        data[field][0] = value
+    with pytest.raises(InputError):
+        inst = sq.ProblemInstance(sq.Graph(2, ((0, 1, weight),)), mode=mode, **data)
+        sq.compile_instance(inst)
+
+
+def test_discarded_lists_the_vertices_of_open_slacks():
+    inst, _ = model.generate("chain", (3,), seed=0, mode="robust")
+    z = np.array([1, 1, 1, 0, 1, 1])
+    assert sq.compile_instance(inst).discarded(z) == [1, 2]
+    sparse, _ = model.generate("chain", (3,), seed=0)
+    assert sq.compile_instance(sparse).discarded(z[:3]) is None
+
+
 def test_generate_fully_sparse_noiseless():
     inst, truth = model.generate("chain", (5,), signal_sparsity=1.0, noise_sd=0.0, seed=3)
     assert np.all(inst.a == 0.0)

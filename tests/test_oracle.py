@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import oracle
+from submodqp import oracle, sfm
 from submodqp.exceptions import InputError
 
 
@@ -120,6 +120,27 @@ def test_witness_replay_reproduces_failure():
 def test_witness_replay_rejects_unknown_check():
     with pytest.raises(InputError):
         sq.replay_witness({"check": "nope", "instance": {}})
+
+
+@pytest.mark.parametrize("key, value", [("Q", None), ("l", [None, 0.0, 0.0]), ("roles", [["signal"]])])
+def test_witness_replay_rejects_a_malformed_instance(key, value):
+    d = sq.InstanceSampler(n=3, seed=0).draw(0).to_json_dict()
+    if value is None:
+        del d[key]
+    else:
+        d[key] = value
+    with pytest.raises(InputError, match="indicator problem JSON"):
+        sq.replay_witness({"check": "stieltjes", "instance": d})
+
+
+def test_mnp_check_requires_a_certified_result(monkeypatch):
+    prob = sq.InstanceSampler(n=4, regime="mixed", seed=1).draw(0)
+    rng = np.random.default_rng(0)
+    assert oracle.CHECKS["mnp_matches_exhaustive"](prob, rng) == (True, None)
+    mnp = sfm.minimize_mnp
+    monkeypatch.setattr(sfm, "minimize_mnp", lambda orc, tol: mnp(orc, tol=tol, max_iter=0))
+    ok, detail = oracle.CHECKS["mnp_matches_exhaustive"](prob, rng)
+    assert not ok and detail["mnp_certificate"] > 1e-6
 
 
 def test_report_serialization():

@@ -57,7 +57,7 @@ def test_minimize_exhaustive_corner_instance(corner_oracle):
     res = sq.minimize_exhaustive(corner_oracle)
     assert np.array_equal(res.z, [1, 0])
     assert res.value == pytest.approx(-0.15, abs=1e-12)
-    assert res.certificate == "exhaustive"
+    assert res.certificate == 0.0
 
 
 def test_minimize_exhaustive_huge_costs():
@@ -87,6 +87,57 @@ def test_minimize_mnp_matches_exhaustive(corner_oracle):
     assert res.converged
     assert res.value == pytest.approx(-0.15, abs=1e-9)
     assert np.array_equal(res.z, [1, 0])
+
+
+def test_minimize_mnp_certificate_is_the_duality_gap(corner_oracle):
+    res = sq.minimize_mnp(corner_oracle)
+    assert res.certificate == pytest.approx(0.0, abs=1e-12)
+    assert res.to_json_dict()["certificate"] == res.certificate
+
+
+class FlatOracle(sq.FunctionOracle):
+    """F = 0 with chains that cost no evaluation; counts evaluations."""
+
+    def __init__(self, m):
+        super().__init__(lambda z: 0.0, m)
+        self.evals = 0
+
+    def eval(self, zbin):
+        self.evals += 1
+        return super().eval(zbin)
+
+    def chain(self, order):
+        return np.zeros(self.m + 1)
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_minimize_mnp_rounds_ties_from_the_chain(m):
+    # every coordinate ties at x = 0: the rounding is the empty prefix,
+    # valued by one evaluation beside F(∅), not an enumeration of the ties
+    oracle = FlatOracle(m)
+    res = sq.minimize_mnp(oracle)
+    assert oracle.evals == 2
+    assert np.array_equal(res.z, np.zeros(m, dtype=int))
+    assert res.certificate == 0.0
+    assert res.converged
+
+
+def test_minimize_mnp_converged_means_certified():
+    # a capped run is converged exactly when its duality gap certifies it:
+    # one cycle already certifies most of these instances, none cycles none
+    tol = 1e-9
+    seen = set()
+    for max_iter in (0, 1):
+        for seed in range(6):
+            prob = sq.InstanceSampler(n=8, regime="mixed", seed=seed).draw(0)
+            oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+            res = sq.minimize_mnp(oracle, tol=tol, max_iter=max_iter)
+            bound = max(1e-6, 1e3 * tol) * (1.0 + abs(res.value))
+            assert res.converged == (abs(res.certificate) <= bound)
+            assert res.certificate >= -bound  # the bound never exceeds a value of F
+            assert res.value == oracle.eval(res.z)
+            seen.add((max_iter, bool(res.converged)))
+    assert seen == {(0, False), (1, False), (1, True)}
 
 
 def test_minimize_mnp_modular():
