@@ -71,15 +71,19 @@ class SignSplitMap:
         return self.var.shape[0]
 
     def _open_bounds(self, zbin):
-        """Per variable: whether ``zbin`` opens its lower and its upper bound."""
+        """Per variable: whether ``zbin`` opens its lower and its upper bound.
+
+        ``zbin`` may stack assignments on leading axes, with the coordinates
+        on the last; the results stack the same way.
+        """
         zbin = np.asarray(zbin)
         m = self.binary_dim
-        if zbin.shape != (m,):
+        if zbin.ndim == 0 or zbin.shape[-1] != m:
             raise InputError(f"expected binary vector of length {m}")
-        is_open = np.empty(m + 1, dtype=bool)
-        np.equal(zbin, self.plus, out=is_open[:m])
-        is_open[m] = True
-        return is_open[self.lo_bit], is_open[self.up_bit]
+        is_open = np.empty(zbin.shape[:-1] + (m + 1,), dtype=bool)
+        np.equal(zbin, self.plus, out=is_open[..., :m])
+        is_open[..., m] = True
+        return is_open[..., self.lo_bit], is_open[..., self.up_bit]
 
     def stage_bounds(self, order, lo, up):
         """Per stage of a chain that sets the coordinates in ``order`` one at
@@ -198,7 +202,8 @@ def bounds_for_binary(smap, zbin, lo, up):
 
     A bound is l_i or u_i where the table opens it and 0 where it is closed
     (the usual 0*inf = 0 convention for infinite bounds).  Straddling boxes
-    are never empty since l < 0 < u.
+    are never empty since l < 0 < u.  A stack of assignments (coordinates on
+    the last axis) gives the stack of their boxes in one gather.
     """
     lo_open, up_open = smap._open_bounds(zbin)
     return (

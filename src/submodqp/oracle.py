@@ -31,7 +31,10 @@ def brute_force(problem, tie_tol=BRUTE_TIE_TOL):
 
     Each assignment fixes the box to [l*z, u*z] and is solved by the box-QP
     oracle; ties within ``tie_tol`` resolve to the lexicographically smallest
-    vector.  Guarded at n <= 14 variables.
+    vector.  Guarded at n <= 14 variables.  It deliberately stays on the
+    scalar :func:`boxqp.solve`, one call per assignment: the exhaustive
+    engine evaluates its cube with the stacked :func:`boxqp.solve_many`, so
+    the judge checks that engine with an independent implementation.
     """
     n = problem.n
     if n > BRUTE_GUARD:

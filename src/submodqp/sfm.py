@@ -3,7 +3,12 @@
 Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
 
 * ``exhaustive`` enumerates every binary vector (small dimensions only) and is
-  the reference for correctness;
+  the reference for correctness.  It walks the codes 0 ... 2^m - 1 in
+  lexicographic order, ``EXHAUSTIVE_CHUNK`` at a time, and evaluates each
+  chunk with one :meth:`SubmodularOracle.eval_many` call: for an indicator
+  problem, one stacked box-QP solve (:func:`boxqp.solve_many`).  A tie
+  keeps the first vector found: a later one wins only when it is lower by
+  more than ``BRUTE_TIE_TOL``, the rule of a one-by-one scan;
 * ``mnp`` runs Wolfe's minimum-norm-point algorithm over the base polytope of
   F, using the greedy subgradient as its linear-optimization oracle.  Each
   greedy call needs one full value chain, which the path tracer delivers in
@@ -20,7 +25,6 @@ the ground set.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +36,7 @@ from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
 
 EXHAUSTIVE_GUARD = 25
+EXHAUSTIVE_CHUNK = 1 << 10  # codes per eval_many call of minimize_exhaustive
 BRUTE_TIE_TOL = 1e-9
 
 _log = logging.getLogger(__name__)
@@ -69,15 +74,19 @@ class SfmResult:
 class SubmodularOracle:
     """Evaluation contract for a submodular set function F on {0,1}^m.
 
-    Subclasses implement :meth:`eval`.  :meth:`chain` returns the m+1 values
-    of F along the prefixes of a permutation; the default runs m+1 single
-    evaluations, fast implementations override it.
+    Subclasses implement :meth:`eval`.  :meth:`eval_many` evaluates the rows
+    of a stack and :meth:`chain` returns the m+1 values of F along the
+    prefixes of a permutation; the defaults make single evaluations, fast
+    implementations override them.
     """
 
     m = 0
 
     def eval(self, zbin):
         raise NotImplementedError
+
+    def eval_many(self, zbins):
+        return np.array([self.eval(z) for z in zbins], dtype=float)
 
     def chain(self, order):
         return self.chain_naive(order)
@@ -143,6 +152,13 @@ class IndicatorOracle(SubmodularOracle):
         v = boxqp.value_function(self.quad, self.lo, self.up, self.smap, zbin)
         return v + self.bincost(zbin)
 
+    def eval_many(self, zbins):
+        """F on each row of ``zbins``, by one stacked box-QP solve."""
+        zbins = np.asarray(zbins)
+        blo, bup = bounds_for_binary(self.smap, zbins, self.lo, self.up)
+        v = boxqp.solve_many(self.quad, blo, bup).value
+        return v + (zbins @ self.bincost.linear + self.bincost.constant)
+
     def chain(self, order):
         vc = self.value_chain(order)
         costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[list(order)])])
@@ -178,16 +194,28 @@ def greedy_subgradient(oracle, zfrac):
 
 
 def minimize_exhaustive(oracle):
-    """Enumerate every binary vector; ties resolve to the first in lex order."""
+    """Enumerate every binary vector; ties resolve to the first in lex order.
+
+    The codes 0 ... 2^m - 1 are read with the first coordinate as the most
+    significant bit, which is lexicographic order, and evaluated
+    ``EXHAUSTIVE_CHUNK`` at a time by :meth:`SubmodularOracle.eval_many`.
+    The scan then keeps one-by-one semantics across chunks: a vector
+    replaces the incumbent only when its value is below the incumbent's by
+    more than ``BRUTE_TIE_TOL``.  (This is not the first vector within
+    ``BRUTE_TIE_TOL`` of the minimum: a chain of near-ties can walk further.)
+    """
     m = oracle.m
     if m > EXHAUSTIVE_GUARD:
         raise InputError(f"exhaustive enumeration guarded at m <= {EXHAUSTIVE_GUARD}, got {m}")
-    best_z, best = None, np.inf
-    for bits in itertools.product((0, 1), repeat=m):
-        z = np.array(bits, dtype=int)
-        val = oracle.eval(z)
-        if val < best - BRUTE_TIE_TOL:
-            best_z, best = z, val
+    shifts = np.arange(m - 1, -1, -1)
+    best_code, best = None, np.inf
+    for start in range(0, 1 << m, EXHAUSTIVE_CHUNK):
+        codes = np.arange(start, min(start + EXHAUSTIVE_CHUNK, 1 << m))
+        values = oracle.eval_many((codes[:, None] >> shifts) & 1)
+        for code, val in zip(codes.tolist(), values.tolist()):
+            if val < best - BRUTE_TIE_TOL:
+                best_code, best = code, val
+    best_z = None if best_code is None else (best_code >> shifts) & 1
     return SfmResult(
         z=best_z,
         value=float(best),

@@ -173,3 +173,95 @@ def test_solve_rejects_bounds_that_leave_no_box(small_quad, inf):
     # l = u = -inf used to come back as x = -inf with value NaN
     with pytest.raises(InputError, match="no finite point"):
         boxqp.solve(small_quad, np.full(2, inf), np.full(2, inf))
+
+
+def _row_stack(prob, rng, rows=40):
+    """Boxes for solve_many: split assignments, plus zero-width and infinite rows."""
+    smap, _ = lattice.split(prob.lo, prob.up)
+    z = rng.integers(0, 2, size=(rows, smap.binary_dim))
+    lo, up = lattice.bounds_for_binary(smap, z, prob.lo, prob.up)
+    mid = 0.5 * (prob.lo + prob.up)
+    pinned = rng.random(prob.n) < 0.5
+    extra_lo = np.array([np.where(pinned, mid, prob.lo), mid,
+                         np.full(prob.n, -np.inf), np.where(pinned, -np.inf, prob.lo)])
+    extra_up = np.array([np.where(pinned, mid, prob.up), mid,
+                         np.full(prob.n, np.inf), np.where(pinned, prob.up, np.inf)])
+    return np.vstack([lo, extra_lo]), np.vstack([up, extra_up])
+
+
+@pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])
+def test_solve_many_matches_solve_row_by_row(regime):
+    rng = np.random.default_rng(9)
+    for seed in range(8):
+        prob = sq.InstanceSampler(n=3 + seed, regime=regime, seed=40 + seed).draw(0)
+        lo, up = _row_stack(prob, rng)
+        many = boxqp.solve_many(prob.quad, lo, up)
+        assert many.x.shape == lo.shape and many.value.shape == (lo.shape[0],)
+        tol = boxqp.KKT_TOL_FACTOR * (1.0 + float(np.abs(prob.quad.a).max()))
+        assert np.all(many.kkt_residual <= tol)
+        for r in range(lo.shape[0]):
+            one = boxqp.solve(prob.quad, lo[r], up[r])
+            assert np.all(np.abs(many.x[r] - one.x) <= 1e-10 * (1.0 + np.abs(one.x)))
+            assert abs(many.value[r] - one.value) <= 1e-12 * (1.0 + abs(one.value))
+
+
+def test_solve_many_splits_large_stacks_into_blocks(small_quad):
+    rows = boxqp.STACK_ENTRIES // small_quad.n**2 + 3  # one full block and a short one
+    lo = np.zeros((rows, 2))
+    up = np.column_stack([np.linspace(0.0, 1.0, rows), np.full(rows, 10.0)])
+    many = boxqp.solve_many(small_quad, lo, up)
+    assert many.x.shape == (rows, 2)
+    for r in (0, rows // 2, rows - 1):
+        assert np.allclose(many.x[r], boxqp.solve(small_quad, lo[r], up[r]).x, atol=1e-14)
+    assert boxqp.solve_many(small_quad, np.zeros((0, 2)), np.zeros((0, 2))).x.shape == (0, 2)
+
+
+def test_solve_many_rejects_an_empty_box(small_quad):
+    lo = np.zeros((3, 2))
+    up = np.ones((3, 2))
+    up[2, 1] = -0.5
+    with pytest.raises(InputError, match="row 2"):
+        boxqp.solve_many(small_quad, lo, up)
+
+
+@pytest.mark.parametrize("inf", [np.inf, -np.inf])
+def test_solve_many_rejects_bounds_that_leave_no_box(small_quad, inf):
+    lo, up = np.zeros((2, 2)), np.ones((2, 2))
+    lo[1], up[1] = inf, inf
+    with pytest.raises(InputError, match="row 1.*no finite point"):
+        boxqp.solve_many(small_quad, lo, up)
+
+
+def test_solve_many_raises_at_the_iteration_cap(small_quad):
+    # from the clipped start (2/3, 0) the free first coordinate still needs
+    # one Newton step, so one iteration is not enough, as in solve
+    lo, up = np.zeros(2), np.array([10.0, 0.0])
+    with pytest.raises(NumericalError, match="iteration cap"):
+        boxqp.solve(small_quad, lo, up, max_iter=1)
+    with pytest.raises(NumericalError, match="row 1: projected Newton iteration cap 1"):
+        boxqp.solve_many(small_quad, np.array([lo, lo]), np.array([[10.0, 10.0], up]), max_iter=1)
+    assert boxqp.solve_many(small_quad, lo[None], up[None], max_iter=2).iterations.tolist() == [2]
+
+
+def test_solve_many_turns_a_failed_block_solve_into_a_numerical_error(small_quad, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalError, match="Singular matrix"):
+        boxqp.solve_many(small_quad, np.zeros((1, 2)), np.array([[10.0, 0.0]]))
+
+
+def test_kkt_violation_of_a_stack_is_the_violation_of_each_row():
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 1e-13, 0.5, np.inf, -np.inf])
+    g, x = rng.normal(size=(2, 50, 4))
+    lo, up = np.sort(rng.choice(values, size=(2, 50, 4)), axis=0)
+    on_bound = np.nan_to_num(np.clip(x, lo, up), posinf=3.0, neginf=-3.0)
+    x = np.where(rng.random((50, 4)) < 0.5, on_bound, x)
+    g[7, 1] = np.nan
+    stacked = boxqp._kkt_violation(g, lo, up, x)
+    assert stacked.shape == (50,)
+    single = [boxqp._kkt_violation(g[r], lo[r], up[r], x[r]) for r in range(50)]
+    assert np.array_equal(stacked, single, equal_nan=True)
+    assert np.isnan(stacked[7]) and not np.isnan(np.delete(stacked, 7)).any()

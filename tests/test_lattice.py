@@ -347,9 +347,13 @@ def test_bound_table_matches_the_four_box_formulas():
         smap, _ = lattice.split(lo, up, always_open=mask)
         layout, m = _reference_layout(lo, up, mask)
         assert smap.binary_dim == m
-        for z in _all_binary(m):
+        # a stack of assignments gathers every box at once
+        zs = np.array(_all_binary(m)).reshape(2**m, m)
+        blo_all, bup_all = lattice.bounds_for_binary(smap, zs, lo, up)
+        for z, blo_row, bup_row in zip(zs, blo_all, bup_all):
             blo, bup = lattice.bounds_for_binary(smap, z, lo, up)
             assert list(zip(blo.tolist(), bup.tolist())) == _reference_box(layout, z, lo, up)
+            assert np.array_equal(blo_row, blo) and np.array_equal(bup_row, bup)
             ref = _reference_forward(layout, z)
             if ref is None:
                 with pytest.raises(InputError):

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -80,6 +81,73 @@ def test_minimize_exhaustive_guard():
     oracle = sq.FunctionOracle(lambda z: 0.0, 26)
     with pytest.raises(InputError):
         sq.minimize_exhaustive(oracle)
+
+
+def _scan_one_by_one(oracle):
+    """The reference enumeration: one evaluation per vector, in lex order."""
+    best_z, best = None, np.inf
+    for bits in itertools.product((0, 1), repeat=oracle.m):
+        z = np.array(bits, dtype=int)
+        val = oracle.eval(z)
+        if val < best - sfm.BRUTE_TIE_TOL:
+            best_z, best = z, val
+    return best_z, best
+
+
+def _exhaustive_oracles():
+    # a robust chain whose 2^12 codes span four chunks
+    inst, _ = sq.generate("chain", (6,), signal_sparsity=0.0, outlier_fraction=0.2,
+                          noise_sd=0.25, seed=3, mode="robust", cost=4.0)
+    problem = sq.compile_instance(inst)
+    always_open = (problem.costs == 0) & (problem.lo <= 0) & (problem.up >= 0)
+    yield sq.IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, always_open)
+    for seed in range(6):
+        prob = sq.InstanceSampler(n=5, regime=("nonnegative", "mixed", "negative")[seed % 3],
+                                  seed=970 + seed).draw(0)
+        yield sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    # m = 0: every variable always open
+    yield sq.IndicatorOracle(prob.quad, np.minimum(prob.lo, 0.0), np.maximum(prob.up, 0.0),
+                             np.zeros(prob.n), always_open=np.ones(prob.n, dtype=bool))
+
+
+def test_minimize_exhaustive_matches_a_one_by_one_scan():
+    ms = []
+    for oracle in _exhaustive_oracles():
+        ms.append(oracle.m)
+        res = sq.minimize_exhaustive(oracle)
+        z, value = _scan_one_by_one(oracle)
+        assert res.z.dtype == z.dtype and np.array_equal(res.z, z)
+        assert abs(res.value - value) <= 1e-12 * (1.0 + abs(value))
+        assert np.array_equal(res.x, oracle.recover_x(z))
+    assert 2 ** ms[0] >= 4 * sfm.EXHAUSTIVE_CHUNK and ms[-1] == 0
+
+
+def test_indicator_oracle_eval_many_matches_eval():
+    prob = sq.InstanceSampler(n=6, regime="mixed", seed=33).draw(0)
+    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    zs = np.random.default_rng(1).integers(0, 2, size=(30, oracle.m))
+    got = oracle.eval_many(zs)
+    want = np.array([oracle.eval(z) for z in zs])
+    assert got.shape == (30,)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def test_minimize_exhaustive_ties_follow_the_scan_across_chunks():
+    # near-ties around the first chunk boundary: the scan keeps code k - 1
+    # against code k (0.6 tol lower), moves to code k + 1 (1.2 tol lower) and
+    # keeps it against code k + 2 (1.5 tol lower).  The argmin would be
+    # k + 2, and the first code within tol of the minimum k.
+    k = sfm.EXHAUSTIVE_CHUNK
+    m = k.bit_length()
+    tol = sfm.BRUTE_TIE_TOL
+    levels = {k - 1: -1.0, k: -1.0 - 0.6 * tol, k + 1: -1.0 - 1.2 * tol, k + 2: -1.0 - 1.5 * tol}
+
+    def fun(z):
+        return levels.get(int("".join(map(str, z)), 2), 0.0)
+
+    res = sq.minimize_exhaustive(sq.FunctionOracle(fun, m))
+    assert int("".join(map(str, res.z)), 2) == k + 1
+    assert res.value == levels[k + 1]
 
 
 def test_minimize_mnp_matches_exhaustive(corner_oracle):
