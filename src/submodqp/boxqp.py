@@ -299,40 +299,6 @@ def _newton_step(quad, x, lo, up, value, known, rows, g, d, offset):
     known[rows] = True
 
 
-def finite_box(quad, lo, up):
-    """Bounds with every infinite one replaced by a finite bound that never binds.
-
-    Finite input comes back unchanged, and nothing is solved.  A lower
-    bound of +inf or an upper bound of -inf reaches :func:`solve`, which
-    raises :class:`InputError`.  Otherwise two box QPs are solved: ``top`` over
-    [max(l, 0), max(u, 0)] and ``bot`` over [min(l, 0), min(u, 0)].  Each
-    infinite upper bound becomes ``top + pad`` and each infinite lower bound
-    ``bot - pad``, with ``pad = 1 + |top| + |bot|``.
-
-    Why no indicator box can tell the difference: for Stieltjes Q the
-    objective is submodular, so the box-QP minimizer is nondecreasing in both
-    bounds (Topkis 1978, *Minimizing a submodular function on a lattice*).
-    Every box an assignment selects, [l z, u z] with or without the sign
-    split, takes each lower bound from {l_i, 0} and each upper bound from
-    {u_i, 0}, so it lies componentwise between the two boxes above; its
-    minimizer therefore lies in [bot, top], strictly inside the clamped
-    bounds.  That minimizer is feasible for the clamped box and optimal over
-    the larger one, hence the clamped box's minimizer too.  A traced chain
-    moves each stage's point monotonically from one such minimizer up to the
-    next, so every point on the path lies in [bot, top] as well and the
-    clamped bounds never become active.
-    """
-    lo = np.asarray(lo, dtype=float)
-    up = np.asarray(up, dtype=float)
-    lo_inf, up_inf = ~np.isfinite(lo), ~np.isfinite(up)
-    if not (lo_inf.any() or up_inf.any()):
-        return lo, up
-    top = solve(quad, np.maximum(lo, 0.0), np.maximum(up, 0.0)).x
-    bot = solve(quad, np.minimum(lo, 0.0), np.minimum(up, 0.0)).x
-    pad = 1.0 + np.abs(top) + np.abs(bot)
-    return np.where(lo_inf, bot - pad, lo), np.where(up_inf, top + pad, up)
-
-
 def value_function(quad, lo, up, smap, zbin):
     """v(z): optimal objective under the indicator assignment zbin."""
     blo, bup = bounds_for_binary(smap, zbin, lo, up)

@@ -33,9 +33,15 @@ lower triangle.  Each operation is a handful of whole-array calls:
   The update only adds a positive semidefinite term, so it cannot fail;
   it costs O(r^2).
 
+The index set lives in a preallocated integer array of length n, in
+insertion order: its first k entries are the set, and ``insert`` and
+``remove`` write it in place (``remove`` shifts the entries after p down by
+one).  :attr:`UpdatableCholesky.indices` is a view of those k entries, so a
+caller indexes right-hand sides and gathers with it at no copy; the view
+stays valid until the next ``insert`` or ``remove``.
+
 A LAPACK error or a nonpositive pivot while inserting raises
-:class:`NumericalError`.  Indices are stored in insertion order; callers
-index right-hand sides with :attr:`UpdatableCholesky.indices`.
+:class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -63,21 +69,20 @@ class UpdatableCholesky:
         self.Q = Q
         n = Q.shape[0]
         self._L = np.zeros((n, n), order="F")
-        self._idx = [int(i) for i in indices]
-        m = len(self._idx)
+        self._idx = np.empty(n, dtype=np.intp)
+        m = len(indices)
+        self.size = m
         if m:
-            c, info = dpotrf(Q[np.ix_(self._idx, self._idx)], lower=1)
+            self._idx[:m] = indices
+            c, info = dpotrf(Q[np.ix_(self._idx[:m], self._idx[:m])], lower=1)
             if info != 0:
                 raise NumericalError(f"initial index set is not positive definite (info={info})")
             self._L[:m, :m] = c
 
     @property
     def indices(self):
-        return self._idx
-
-    @property
-    def size(self):
-        return len(self._idx)
+        """The index set in factor order, as a view (see the module docstring)."""
+        return self._idx[: self.size]
 
     def L(self):
         m = self.size
@@ -85,34 +90,37 @@ class UpdatableCholesky:
 
     def insert(self, j):
         m = self.size
-        w = _trsolve(self._L[:, :m], self.Q[self._idx, j])
+        w = _trsolve(self._L[:, :m], self.Q[self._idx[:m], j])
         s = self.Q[j, j] - w @ w
         if s <= 0:
             raise NumericalError(f"losing positive definiteness inserting index {j}")
         self._L[m, :m] = w
         self._L[m, m] = np.sqrt(s)
-        self._idx.append(j)
+        self._idx[m] = j
+        self.size = m + 1
 
     def remove(self, j):
-        p = self._idx.index(j)
         m = self.size
+        idx = self._idx
+        p = int((idx[:m] == j).argmax())
+        if idx[p] != j:
+            raise ValueError(f"index {j} is not in the factor")
         L = self._L
         if p + 1 < m:
             v = L[p + 1 : m, p]
             L22 = L[p + 1 : m, p + 1 : m]
             q = _trsolve(L22, v)
-            t = np.cumsum(q * q)
+            t = (q * q).cumsum()
             t += 1.0
-            t_prev = np.empty_like(t)
-            t_prev[0] = 1.0
-            t_prev[1:] = t[:-1]
-            W = v[:, None] - np.cumsum(L22 * q, axis=1)
+            t_prev = np.concatenate(([1.0], t[:-1]))
+            W = v[:, None] - (L22 * q).cumsum(axis=1)
             W *= q / np.sqrt(t * t_prev)
             W += L22 * np.sqrt(t / t_prev)
             L[p : m - 1, :p] = L[p + 1 : m, :p]
             L[p : m - 1, p : m - 1] = W
+            idx[p : m - 1] = idx[p + 1 : m]
         L[m - 1, :m] = 0.0
-        self._idx.pop(p)
+        self.size = m - 1
 
     def solve(self, b):
         """Solve Q[idx, idx] y = b with b ordered like :attr:`indices`.
@@ -123,4 +131,9 @@ class UpdatableCholesky:
         if m == 0:
             return np.zeros(np.shape(b))
         Lm = self._L[:, :m]
-        return _trsolve(Lm, _trsolve(Lm, b), trans=1)
+        x, info = dtrtrs(Lm, b, lower=1)
+        if info == 0:
+            x, info = dtrtrs(Lm, x, lower=1, trans=1)
+        if info != 0:
+            raise NumericalError(f"LAPACK dtrtrs failed (info={info})")
+        return x

@@ -157,7 +157,9 @@ def split(lo, up, costs=None, always_open=None):
     Boundary cases take one z+ bit whenever 0 <= lo (including lo = u = 0),
     and one z- bit when up <= 0 < -lo; a variable is split only when
     l < 0 < u.  Variables marked in the boolean mask ``always_open`` get no
-    coordinate, and their cost, paid at z = 1, joins the constant.
+    coordinate, and their cost, paid at z = 1, joins the constant.  Bounds
+    may be infinite, but a lower bound of +inf or an upper bound of -inf
+    admits no point and raises :class:`InputError`.
     """
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
@@ -174,6 +176,8 @@ def split(lo, up, costs=None, always_open=None):
         raise InputError(f"always_open must be a boolean mask of {n} variables")
     if (lo > up).any():
         raise InputError("lo > up")
+    if (lo == np.inf).any() or (up == -np.inf).any():
+        raise InputError("a lower bound of +inf or an upper bound of -inf admits no finite point")
 
     nonneg = 0.0 <= lo
     minus = ~always_open & ~nonneg & (up <= 0.0)

@@ -149,6 +149,9 @@ class QuadraticForm:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "k0", k0)
+        neg_a = -a  # for value(); negation is exact
+        neg_a.flags.writeable = False
+        object.__setattr__(self, "_neg_a", neg_a)
 
     @property
     def n(self):
@@ -156,7 +159,7 @@ class QuadraticForm:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(-self.a @ x + 0.5 * x @ (self.Q @ x) + self.k0)
+        return float(self._neg_a @ x + 0.5 * x @ (self.Q @ x) + self.k0)
 
     def grad(self, x):
         return self.Q @ np.asarray(x, dtype=float) - self.a

@@ -24,8 +24,13 @@ y, with the zero-padded direction (giving the gradient's rate of change for
 every coordinate at once), and with y itself for the gradient
 ``g = Q y - a``, which serves both the stationarity root and the ratio test
 of the lower-bound variables.  A segment therefore costs O(|R|^2 + n^2)
-arithmetic in a constant number of numpy/LAPACK calls, plus the O(|R|^2)
-factor update at its breakpoint.
+arithmetic, plus the O(|R|^2) factor update at its breakpoint.  Nothing
+else is rebuilt per segment: R is a view of the factor's index array, and
+the free and ratio-test masks are built once per :func:`trace_path` call
+and flip one entry per pivot.  What is left is a few dozen small numpy
+calls around the two ``dtrtrs`` calls and the three matrix-vector
+products; at n of a few dozen to a hundred they still cost more than that
+arithmetic does.
 
 One driver, :func:`chain_general`, traces every chain over the sign-split
 coordinates: stage 0 is the box with every coordinate off (the zero box when
@@ -33,9 +38,11 @@ l >= 0, one indicator per variable and at most 2n breakpoints; variables
 with l < 0 may start negative, at most 4n breakpoints; always-open
 variables keep [l, u]), and each stage switches one coordinate on.
 :func:`chain_nonnegative` is its entry point for l >= 0, indexed by
-variable.  Bounds must be finite; :func:`submodqp.boxqp.finite_box` replaces
-infinite ones by bounds no traced point reaches.  :func:`lovasz` evaluates
-the piecewise linear extension from a computed chain.
+variable.  Infinite bounds are traced as given: an infinite bound is never
+a breakpoint, because its ratio-test gap is infinite, and every stage
+target min(max(l_j, root), u_j) is finite, because the stationarity root
+is.  :func:`lovasz` evaluates the piecewise linear extension from a
+computed chain.
 """
 
 from __future__ import annotations
@@ -116,6 +123,8 @@ class PathState:
     Holds the current point ``y``, the per-variable effective bounds, the
     active-set statuses, the maintained factor over the free set and the
     parametric coordinate (``param``) with its current value ``x_param``.
+    The factor's index set is always the set of free statuses.  ``free``
+    and ``eligible`` are the masks of the last :func:`trace_path` call.
     """
 
     def __init__(self, quad, lo, up, y, status, chol, param, orig_lo, orig_up):
@@ -129,6 +138,7 @@ class PathState:
         self.orig_lo = orig_lo
         self.orig_up = orig_up
         self.stage = 0
+        self.free = self.eligible = None
         self.breakpoints = []
         self.points = []
 
@@ -225,31 +235,38 @@ def trace_path(state, to=None):
     the current one).  Pivots are processed one at a time, smallest variable
     index first on ties; each is logged with its event type.  A backwards
     target beyond the 1e-12 float guard means the state is corrupted.
+
+    While it runs, ``state.free`` marks the free variables and
+    ``state.eligible`` the variables the ratio test watches: free ones, and
+    lower-bound ones whose box lets them leave.  Both are built on entry
+    and change by one entry per pivot.
     """
     j = state.param
     if j is None:
         raise InputError("no parametric coordinate set")
     quad = state.quad
+    n = quad.n
     Q, a = quad.Q, quad.a
-    y, lo, up, status = state.y, state.lo, state.up, state.status
+    y, lo, up, status, chol = state.y, state.lo, state.up, state.status, state.chol
     x0 = float(y[j])
 
     Q_j = Q[:, j]
-    abs_Q_j = np.abs(Q_j)
-    can_leave = lo < up
-    for _ in range(_PIVOTS_PER_VARIABLE * quad.n + _PIVOTS_SPARE + 1):
-        R = np.array(state.chol.indices, dtype=int)
-        free = status == _FREE
-        at_lower = status == _LO
-        d_full = np.zeros(quad.n)
+    free = state.free = status == _FREE
+    eligible = state.eligible = free | ((status == _LO) & (lo < up))
+    for _ in range(_PIVOTS_PER_VARIABLE * n + _PIVOTS_SPARE + 1):
+        R = chol.indices  # the free variables, in factor order
+        d_full = np.zeros(n)
         if R.size:
             # one solve with Q_RR for both columns: the offset h and the
-            # direction d of y_R(x) = h - d x
-            y_bound = np.where(at_lower | (status == _HI), y, 0.0)
+            # direction d of y_R(x) = h - d x; y_bound is y off R and j
+            y_bound = y.copy()
+            y_bound[R] = 0.0
+            y_bound[j] = 0.0
             B = np.empty((R.size, 2), order="F")
             B[:, 0] = a[R] - (Q @ y_bound)[R]
             B[:, 1] = Q_j[R]
-            h, d = state.chol.solve(B).T
+            hd = chol.solve(B)
+            h, d = hd[:, 0], hd[:, 1]
             d_full[R] = d
             y[R] = h - d * x0
         # d(grad)/dx along the segment; its j entry is the Schur complement
@@ -259,19 +276,20 @@ def trace_path(state, to=None):
         if slope_j <= 0:
             raise NumericalError("nonpositive Schur complement on parametric coordinate")
         g = Q @ y - a
-        g_j = float(g[j])
         if to is None:
-            xbar = x0 - g_j / slope_j
+            xbar = x0 - float(g[j]) / slope_j
             target = min(max(lo[j], xbar), up[j])
         else:
             target = float(to)
         # float noise in g_j is amplified by 1/slope_j (tiny Schur complements
         # happen, e.g. through the robust ridge), so the monotonicity guard
-        # scales with the local conditioning
-        g_scale = abs(a[j]) + float(abs_Q_j @ np.abs(y)) + 1.0
-        retreat_tol = _RETREAT_TOL + _EPS_256 * g_scale / slope_j
-        if target < x0 - retreat_tol:
-            raise NumericalError(f"path target retreats from {x0} to {target}")
+        # scales with the local conditioning; its tolerance is never below
+        # _RETREAT_TOL, so it needs computing only past that
+        if target < x0 - _RETREAT_TOL:
+            g_scale = abs(a[j]) + float(np.abs(Q_j) @ np.abs(y)) + 1.0
+            retreat_tol = _RETREAT_TOL + _EPS_256 * g_scale / slope_j
+            if target < x0 - retreat_tol:
+                raise NumericalError(f"path target retreats from {x0} to {target}")
         target = max(target, x0)
 
         # ratio tests, each breakpoint at x0 + gap / rate: free variables
@@ -279,12 +297,12 @@ def trace_path(state, to=None):
         # variables whose gradient is driven to 0 (gap g, rate -slope).
         # Rates too small to get there within twice the remaining span are
         # screened out before dividing: such breakpoints lie beyond the
-        # target anyway, and tiny rates would overflow the division.
+        # target anyway, and tiny rates would overflow the division.  An
+        # infinite upper bound has an infinite gap, so it is never reached.
         gap = np.where(free, up - y, g)
-        rate = np.where(free, -d_full, -slope)
+        rate = -np.where(free, d_full, slope)
         reach = 2.0 * (target - x0) + 1.0
-        cand = (free | (at_lower & can_leave)) & (rate > 0) & (gap <= rate * reach)
-        ii = cand.nonzero()[0]
+        ii = (eligible & (rate > 0) & (gap <= rate * reach)).nonzero()[0]
         rstar = np.inf
         istar = -1
         if ii.size:
@@ -299,10 +317,11 @@ def trace_path(state, to=None):
             if R.size:
                 y[R] = h - d * x0
             y[j] = x0
-            if status[istar] == _FREE:
+            if free[istar]:
                 y[istar] = up[istar]
                 status[istar] = _HI
-                state.chol.remove(istar)
+                free[istar] = eligible[istar] = False
+                chol.remove(istar)
                 event = (
                     EVENT_HIT_ZERO
                     if up[istar] == 0.0 and state.orig_up[istar] > 0.0
@@ -310,7 +329,8 @@ def trace_path(state, to=None):
                 )
             else:
                 status[istar] = _FREE
-                state.chol.insert(istar)
+                free[istar] = True  # still eligible, now as a free variable
+                chol.insert(istar)
                 event = (
                     EVENT_LEAVE_ZERO
                     if lo[istar] == 0.0 and state.orig_lo[istar] < 0.0
@@ -385,8 +405,6 @@ def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
     quad.require_stieltjes()
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-        raise InputError("chain_general needs finite bounds; clamp them first (boxqp.finite_box)")
     if smap is None:
         smap, _ = split(lo, up)
     order = _check_order(order, smap.binary_dim)

@@ -124,19 +124,21 @@ class IndicatorOracle(SubmodularOracle):
     """F(z) = v(z) + binary cost for a compiled indicator problem.
 
     ``v`` is evaluated by the box-QP oracle and every chain is traced by
-    :func:`pathtrace.chain_general`.  Infinite bounds are replaced once, by
-    :func:`boxqp.finite_box`, with finite ones that no indicator box or
-    traced point reaches, so v is unchanged.  The ground set is the oracle's
-    own sign split (``smap``, with binary cost ``bincost``): variables in the
-    boolean mask ``always_open`` get no coordinate and keep their box
-    [l, u] under every assignment.  Without the mask every variable has one
-    or two coordinates.
+    :func:`pathtrace.chain_general`, both on the bounds as given, infinite
+    ones included: no box-QP minimizer or traced point reaches an infinite
+    bound.  A lower bound of +inf or an upper bound of -inf admits no point
+    and raises :class:`InputError` here, in the sign split.  The ground set
+    is the oracle's own sign split (``smap``, with binary cost
+    ``bincost``): variables in the boolean mask ``always_open`` get no
+    coordinate and keep their box [l, u] under every assignment.  Without
+    the mask every variable has one or two coordinates.
     """
 
     def __init__(self, quad, lo, up, costs=None, always_open=None):
         quad.require_stieltjes()
         self.quad = quad
-        self.lo, self.up = boxqp.finite_box(quad, lo, up)
+        self.lo = np.asarray(lo, dtype=float)
+        self.up = np.asarray(up, dtype=float)
         self.smap, self.bincost = split(self.lo, self.up, costs, always_open)
         self.m = self.smap.binary_dim
 
@@ -161,7 +163,7 @@ class IndicatorOracle(SubmodularOracle):
 
     def chain(self, order):
         vc = self.value_chain(order)
-        costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[list(order)])])
+        costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[np.asarray(order)])])
         return vc.values + costs + self.bincost.constant
 
     def value_chain(self, order):
@@ -228,8 +230,12 @@ def minimize_exhaustive(oracle):
 def _affine_minimizer(S):
     """Minimum-norm point of the affine hull of the rows of S (plus coeffs)."""
     k = S.shape[0]
-    M = np.block([[np.zeros((1, 1)), np.ones((1, k))], [np.ones((k, 1)), S @ S.T]])
-    rhs = np.concatenate([[1.0], np.zeros(k)])
+    M = np.empty((k + 1, k + 1))
+    M[0, 0] = 0.0
+    M[0, 1:] = M[1:, 0] = 1.0
+    M[1:, 1:] = S @ S.T
+    rhs = np.zeros(k + 1)
+    rhs[0] = 1.0
     coeff = np.linalg.solve(M, rhs)[1:]
     return coeff, S.T @ coeff
 
@@ -244,8 +250,13 @@ def _rank_fractions(x):
 
 
 def gap_tolerance(value, tol):
-    """Largest duality gap that certifies ``value`` as the minimum."""
-    return max(1e-6, 1e3 * tol) * (1.0 + abs(value))
+    """Largest duality gap that certifies ``value`` as the minimum.
+
+    It is ``tol`` relative to 1 + |value|, but never below
+    ``BRUTE_TIE_TOL``, the noise floor at which enumeration already treats
+    two values as tied.
+    """
+    return max(BRUTE_TIE_TOL, tol) * (1.0 + abs(value))
 
 
 def minimize_mnp(oracle, tol=1e-9, max_iter=None):

@@ -125,31 +125,6 @@ def test_value_function_all_off_is_constant_term():
     assert v0 == pytest.approx(3.5, abs=1e-12)
 
 
-def test_finite_box_leaves_finite_bounds_alone(small_quad, monkeypatch):
-    lo, up = np.array([-1.0, 0.0]), np.array([2.0, 3.0])
-    monkeypatch.setattr(boxqp, "solve", None)  # finite input solves nothing
-    got_lo, got_up = boxqp.finite_box(small_quad, lo, up)
-    assert got_lo is lo and got_up is up
-
-
-def test_finite_box_clamps_only_infinite_bounds(small_quad):
-    lo, up = np.array([-np.inf, 0.0]), np.array([np.inf, np.inf])
-    got_lo, got_up = boxqp.finite_box(small_quad, lo, up)
-    assert np.all(np.isfinite(got_lo)) and np.all(np.isfinite(got_up))
-    assert got_lo[0] < 0.0 and got_lo[1] == 0.0 and np.all(got_up > 0.0)
-    # the clamped bounds do not bind on the unconstrained minimizer
-    assert np.array_equal(
-        boxqp.solve(small_quad, got_lo, got_up).x, boxqp.solve(small_quad, lo, up).x
-    )
-
-
-@pytest.mark.parametrize("bound", [(np.inf, np.inf), (-np.inf, -np.inf)])
-def test_finite_box_rejects_bounds_that_leave_no_box(small_quad, bound):
-    lo, up = np.array([bound[0], 0.0]), np.array([bound[1], 1.0])
-    with pytest.raises(InputError, match="no finite point"):
-        boxqp.finite_box(small_quad, lo, up)
-
-
 def test_kkt_residual_propagates_nan(small_quad):
     x = np.array([np.nan, 0.5])
     assert np.isnan(boxqp.kkt_residual(small_quad, np.zeros(2), np.ones(2), x))

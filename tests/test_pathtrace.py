@@ -6,7 +6,7 @@ import pytest
 
 import submodqp as sq
 from submodqp import boxqp, lattice, pathtrace
-from submodqp.exceptions import InputError
+from submodqp.exceptions import InputError, NumericalError
 from submodqp.pathtrace import PathState, chain_general, chain_nonnegative, lovasz, trace_path
 
 
@@ -62,6 +62,15 @@ def test_trace_empty_interval_is_identity(small_quad):
     assert st.breakpoints == []
 
 
+def test_backward_target_beyond_the_float_guard_raises(small_quad):
+    st = _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1)
+    with pytest.raises(NumericalError, match="retreats"):
+        trace_path(st, to=st.x_param - 1.0)
+    # a backward step within the guard is float noise: the trace stays put
+    trace_path(st, to=-1e-13)
+    assert st.x_param == 0.0
+
+
 def test_corrupted_state_rejected(small_quad):
     # interior coordinate with nonzero gradient fails the entry audit
     with pytest.raises(InputError, match="corrupted"):
@@ -87,8 +96,8 @@ def test_chain_scalar():
 
 
 def test_chain_rejects_bad_inputs(small_quad):
-    with pytest.raises(InputError, match="clamp"):
-        chain_nonnegative(small_quad, np.zeros(2), np.array([np.inf, 1.0]))
+    with pytest.raises(InputError, match="no finite point"):
+        chain_nonnegative(small_quad, np.array([np.inf, 0.0]), np.array([np.inf, 1.0]))
     with pytest.raises(InputError):
         chain_nonnegative(small_quad, np.array([-0.5, 0.0]), np.ones(2))
     with pytest.raises(InputError):
@@ -231,6 +240,61 @@ def test_upper_bound_condition_persists_after_entering():
         for i, level in entered.items():
             if final[i] <= level + 1e-12:  # still at that bound
                 assert g[i] <= 1e-8
+
+
+def _check_maintained_state(state, tracing):
+    """The factor's indices are the free statuses; mid-trace, the masks
+    trace_path maintains equal the ones built from the statuses."""
+    free = state.status == pathtrace._FREE
+    R = state.chol.indices
+    assert sorted(R.tolist()) == np.flatnonzero(free).tolist()
+    L = state.chol.L()
+    assert np.allclose(L @ L.T, state.quad.Q[np.ix_(R, R)], atol=1e-9)
+    if tracing:
+        eligible = free | ((state.status == pathtrace._LO) & (state.lo < state.up))
+        assert np.array_equal(state.free, free)
+        assert np.array_equal(state.eligible, eligible)
+
+
+def test_maintained_indices_and_masks_match_the_statuses(monkeypatch):
+    seen = collections.Counter()
+
+    class PivotLog(list):
+        # trace_path logs every pivot here, right after making it
+        def __init__(self, state):
+            super().__init__(state.breakpoints)
+            self.state = state
+
+        def append(self, bp):
+            super().append(bp)
+            _check_maintained_state(self.state, tracing=True)
+            seen[bp.event] += 1
+
+    def checked_trace(state, to=None):
+        if not isinstance(state.breakpoints, PivotLog):
+            state.breakpoints = PivotLog(state)
+        out = trace_path(state, to)
+        _check_maintained_state(state, tracing=True)
+        return out
+
+    def checked_end_stage(state):
+        end_stage(state)
+        _check_maintained_state(state, tracing=False)
+        seen["stages"] += 1
+
+    end_stage = PathState.end_stage
+    monkeypatch.setattr(pathtrace, "trace_path", checked_trace)
+    monkeypatch.setattr(PathState, "end_stage", checked_end_stage)
+    for regime in ("nonnegative", "mixed", "negative"):
+        for seed in range(6):
+            prob = sq.InstanceSampler(n=16, regime=regime, seed=700 + seed).draw(0)
+            rng = np.random.default_rng(seed)
+            mask = (rng.random(prob.n) < 0.3) & (prob.lo <= 0.0) & (prob.up >= 0.0)
+            smap, _ = lattice.split(prob.lo, prob.up, always_open=mask)
+            chain_general(prob.quad, prob.lo, prob.up, smap, rng.permutation(smap.binary_dim))
+    events = (pathtrace.EVENT_LEAVE_LOWER, pathtrace.EVENT_HIT_UPPER,
+              pathtrace.EVENT_LEAVE_ZERO, pathtrace.EVENT_HIT_ZERO)
+    assert all(seen[e] for e in events) and seen["stages"] > 100
 
 
 def test_lovasz_examples(small_quad):

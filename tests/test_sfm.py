@@ -200,12 +200,33 @@ def test_minimize_mnp_converged_means_certified():
             prob = sq.InstanceSampler(n=8, regime="mixed", seed=seed).draw(0)
             oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
             res = sq.minimize_mnp(oracle, tol=tol, max_iter=max_iter)
-            bound = max(1e-6, 1e3 * tol) * (1.0 + abs(res.value))
+            bound = sfm.gap_tolerance(res.value, tol)
             assert res.converged == (abs(res.certificate) <= bound)
             assert res.certificate >= -bound  # the bound never exceeds a value of F
             assert res.value == oracle.eval(res.z)
             seen.add((max_iter, bool(res.converged)))
     assert seen == {(0, False), (1, False), (1, True)}
+
+
+def test_gap_tolerance_follows_tol_down_to_the_tie_noise():
+    assert sfm.gap_tolerance(-3.0, 1e-6) == 1e-6 * 4.0
+    assert sfm.gap_tolerance(-3.0, 1e-12) == sfm.BRUTE_TIE_TOL * 4.0
+
+
+def test_minimize_mnp_capped_gap_above_tol_is_not_converged():
+    # one cycle at tol=1e-6 leaves a duality gap of about 4.6e-5 on this
+    # draw: a looser tolerance (1e3 * tol, relative) would certify it, but
+    # the value is not known to tol
+    prob = sq.InstanceSampler(n=6, regime="mixed", seed=38).draw(0)
+    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    tol = 1e-6
+    res = sq.minimize_mnp(oracle, tol=tol, max_iter=1)
+    scale = 1.0 + abs(res.value)
+    assert tol * scale < res.certificate <= 1e3 * tol * scale
+    assert not res.converged
+    # the capped run already holds the minimizer; only a full run proves it
+    full = sq.minimize_mnp(oracle, tol=tol)
+    assert full.converged and full.value == res.value
 
 
 def test_minimize_mnp_modular():
@@ -253,29 +274,63 @@ def test_oracle_traces_infinite_bounds(monkeypatch):
     assert np.max(np.abs(values - _naive_chain(quad, lo, up, np.zeros(2), np.arange(2)))) <= 1e-8
 
 
+def _infinite_bound_draw(regime, seed, always_open):
+    """A draw with a random half of its bounds made infinite.
+
+    Only bounds that can go infinite without changing a variable's sign
+    regime do.  With ``always_open``, a random half of the variables whose
+    box holds 0 cost nothing, so :func:`sfm.solve_full` gives them no
+    coordinate.
+    """
+    prob = sq.InstanceSampler(n=6, regime=regime, seed=500 + seed).draw(0)
+    rng = np.random.default_rng(seed)
+    up_inf = (prob.up > 0) & (rng.random(prob.n) < 0.5)
+    lo_inf = (prob.lo < 0) & (rng.random(prob.n) < 0.5)
+    if not (up_inf.any() or lo_inf.any()):
+        (up_inf if regime == "nonnegative" else lo_inf)[0] = True
+    lo = np.where(lo_inf, -np.inf, prob.lo)
+    up = np.where(up_inf, np.inf, prob.up)
+    costs = prob.costs.copy()
+    if always_open:
+        costs[(lo <= 0.0) & (up >= 0.0) & (rng.random(prob.n) < 0.5)] = 0.0
+    return sq.IndicatorProblem(prob.quad, costs, lo, up)
+
+
 @pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])
 def test_infinite_bounds_are_traced_exactly(regime, monkeypatch):
     monkeypatch.setattr(sfm.IndicatorOracle, "chain_naive", None)  # no fallback
-    for seed in range(4):
-        prob = sq.InstanceSampler(n=6, regime=regime, seed=500 + seed).draw(0)
-        rng = np.random.default_rng(seed)
-        # open a random half of the bounds that can go infinite without
-        # changing a variable's sign regime
-        up_inf = (prob.up > 0) & (rng.random(prob.n) < 0.5)
-        lo_inf = (prob.lo < 0) & (rng.random(prob.n) < 0.5)
-        if not (up_inf.any() or lo_inf.any()):
-            (up_inf if regime == "nonnegative" else lo_inf)[0] = True
-        lo = np.where(lo_inf, -np.inf, prob.lo)
-        up = np.where(up_inf, np.inf, prob.up)
-        problem = sq.IndicatorProblem(prob.quad, prob.costs, lo, up)
-        oracle = sq.IndicatorOracle(problem.quad, lo, up, problem.costs)
-        order = rng.permutation(oracle.m)
-        naive = _naive_chain(problem.quad, lo, up, problem.costs, order)
-        assert np.max(np.abs(oracle.chain(order) - naive)) <= 1e-8
+    opened = 0
+    for seed, always_open in itertools.product(range(4), (False, True)):
+        problem = _infinite_bound_draw(regime, seed, always_open)
+        lo, up = problem.lo, problem.up
+        mask = (problem.costs == 0.0) & (lo <= 0.0) & (up >= 0.0)
+        assert always_open or not mask.any()
+        opened += int(mask.sum())
+        oracle = sq.IndicatorOracle(problem.quad, lo, up, problem.costs, mask)
+        order = np.random.default_rng(seed).permutation(oracle.m)
+        chain = oracle.value_chain(order)
+        z = np.zeros(oracle.m, dtype=int)
+        for k in range(oracle.m + 1):
+            if k:
+                z[order[k - 1]] = 1
+            ref = boxqp.value_function(problem.quad, lo, up, oracle.smap, z)
+            assert abs(chain.values[k] - ref) <= 1e-8 * (1.0 + abs(ref))
         ref = sq.brute_force(problem)
-        for engine in ("exhaustive", "mnp"):
-            res = sq.solve_full(problem, engine=engine)
-            assert res.value == pytest.approx(ref.value, abs=1e-6)
+        ex = sq.solve_full(problem, engine="exhaustive")
+        mn = sq.solve_full(problem, engine="mnp")
+        assert ex.value == pytest.approx(ref.value, abs=1e-6)
+        assert mn.converged
+        assert abs(mn.value - ex.value) <= 1e-9 * (1.0 + abs(ex.value))
+    assert opened > 0
+
+
+@pytest.mark.parametrize("bound", [(np.inf, np.inf), (-np.inf, -np.inf)])
+def test_indicator_oracle_rejects_bounds_that_leave_no_box(bound, monkeypatch):
+    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
+    lo, up = np.array([bound[0], 0.0]), np.array([bound[1], 1.0])
+    monkeypatch.setattr(boxqp, "solve", None)  # rejected before any solve
+    with pytest.raises(InputError, match="no finite point"):
+        sq.IndicatorOracle(quad, lo, up)
 
 
 def test_solve_full_robust_two_chain():
