@@ -16,7 +16,7 @@ def main():
         "grid2d", (5, 5), signal_sparsity=0.0, outlier_fraction=0.12,
         noise_sd=0.2, seed=3, mode="robust", cost=3.0,
     )
-    problem = sq.compile_robust(inst, ridge=1e-8)
+    problem = sq.compile_robust(inst)
     result = sq.solve_full(problem, engine="mnp", tol=1e-7)
 
     planted = sorted(truth["outliers"])

@@ -14,6 +14,10 @@ Both modes compile to the same canonical form: minimize
 ``z`` binary, where ``Q`` is a Stieltjes matrix (positive definite with
 nonpositive off-diagonal entries).  That structure makes the continuous value
 function submodular in ``z``, which the solver modules exploit.
+
+Robust mode adds the ridge ``RIDGE * sum_i w_i^2`` for strict convexity.  It
+is a constant: any small positive value serves, and a fixed one keeps every
+compiled problem, and so every answer, a function of the instance alone.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .exceptions import InputError, NumericalError
 
 MODES = ("sparse", "robust")
+
+RIDGE = 1e-8  # weight of the robust-mode slack ridge (see compile_robust)
 
 # role tags for the continuous variables of a compiled problem
 ROLE_SIGNAL = "signal"
@@ -82,39 +88,21 @@ class Graph:
         return L
 
 
+def grid_graph(dims, weight=1.0):
+    """Grid of prod(dims) vertices numbered in row-major order, with equal
+    edge weights; each vertex lists its edge along axis 0, then axis 1, ..."""
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    edges = tuple(
+        (v, v + stride, weight)
+        for v, idx in enumerate(np.ndindex(*dims))
+        for i, d, stride in zip(idx, dims, strides)
+        if i + 1 < d
+    )
+    return Graph(math.prod(dims), edges)
+
+
 def chain_graph(n, weight=1.0):
-    return Graph(n, tuple((i, i + 1, weight) for i in range(n - 1)))
-
-
-def grid_graph_2d(rows, cols, weight=1.0):
-    def vid(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1), weight))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c), weight))
-    return Graph(rows * cols, tuple(edges))
-
-
-def grid_graph_3d(nx, ny, nz, weight=1.0):
-    def vid(x, y, z):
-        return (x * ny + y) * nz + z
-
-    edges = []
-    for x in range(nx):
-        for y in range(ny):
-            for z in range(nz):
-                if x + 1 < nx:
-                    edges.append((vid(x, y, z), vid(x + 1, y, z), weight))
-                if y + 1 < ny:
-                    edges.append((vid(x, y, z), vid(x, y + 1, z), weight))
-                if z + 1 < nz:
-                    edges.append((vid(x, y, z), vid(x, y, z + 1), weight))
-    return Graph(nx * ny * nz, tuple(edges))
+    return grid_graph((n,), weight)
 
 
 @dataclass(frozen=True)
@@ -370,27 +358,26 @@ def slack_bound(inst):
     return 2.0 * (float(np.abs(inst.a).max(initial=0.0)) + (max(finite) if finite else 0.0)) + 1.0
 
 
-def compile_robust(inst, ridge=1e-8):
+def compile_robust(inst):
     """Compile a robust-mode instance: variables (x_1..x_n, w_1..w_n).
 
     Objective: sum_i nw_i (x_i - w_i - a_i)^2 + sum_ij w_ij (x_i - x_j)^2
-    + ridge * sum_i w_i^2.  The ridge restores strict convexity (the plain
-    reformulation is singular along x_i = w_i directions) with negligible bias;
-    it must be positive.  The x variables get indicators of cost 0 with the
-    user bounds; when those bounds contain 0 the sign split leaves them
-    always open, so only the w variables, which carry the discard costs and
+    + RIDGE * sum_i w_i^2.  The ridge restores strict convexity (the plain
+    reformulation is singular along x_i = w_i directions) with negligible
+    bias; any small positive value does that, so it is a constant, not an
+    argument.  The x variables get indicators of cost 0 with the user
+    bounds; when those bounds contain 0 the sign split leaves them always
+    open, so only the w variables, which carry the discard costs and
     a box [-M, M], reach the binary minimization.
     """
     if inst.mode != "robust":
         raise InputError(f"compile_robust requires mode='robust', got {inst.mode!r}")
-    if not ridge > 0:
-        raise InputError("ridge must be positive")
     n = inst.n
     nw = inst.node_weights
     Q = np.zeros((2 * n, 2 * n))
     with np.errstate(over="ignore"):  # QuadraticForm rejects what overflows
         Q[:n, :n] = 2.0 * np.diag(nw) + 2.0 * inst.graph.laplacian()
-        Q[n:, n:] = 2.0 * np.diag(nw) + 2.0 * ridge * np.eye(n)
+        Q[n:, n:] = 2.0 * np.diag(nw) + 2.0 * RIDGE * np.eye(n)
         Q[:n, n:] = -2.0 * np.diag(nw)
         Q[n:, :n] = -2.0 * np.diag(nw)
         a = np.concatenate([2.0 * nw * inst.a, -2.0 * nw * inst.a])
@@ -405,11 +392,12 @@ def compile_robust(inst, ridge=1e-8):
     return IndicatorProblem(quad, costs, lo, up, roles, mode="robust")
 
 
-def compile_instance(inst, ridge=1e-8):
-    return compile_sparse(inst) if inst.mode == "sparse" else compile_robust(inst, ridge)
+def compile_instance(inst):
+    return compile_sparse(inst) if inst.mode == "sparse" else compile_robust(inst)
 
 
-TOPOLOGIES = ("chain", "grid2d", "grid3d")
+TOPOLOGIES = {"chain": 1, "grid2d": 2, "grid3d": 3}  # name -> grid dimensions
+OUTLIER_SCALE = 10.0  # size of the shift of an outlier's observation
 
 
 def generate(
@@ -422,39 +410,27 @@ def generate(
     mode="sparse",
     cost=1.0,
     edge_weight=1.0,
-    outlier_scale=10.0,
     bounds=None,
 ):
     """Generate a synthetic instance with a planted ground truth.
 
     ``signal_sparsity`` is the fraction of vertices whose true value is zero
     (exact count, rounded).  ``outlier_fraction`` picks round(frac*n) vertices
-    whose observation is shifted by ``outlier_scale`` times a random sign.
+    whose observation is shifted by ``OUTLIER_SCALE`` times a random sign.
     Deterministic in the seed.  Returns ``(instance, truth)`` where truth
     records the planted signal and outlier set.
     """
     if topology not in TOPOLOGIES:
         raise InputError(f"unknown topology {topology!r}")
-    if isinstance(dims, int):
-        dims = (dims,)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
     if any(d <= 0 for d in dims):
         raise InputError("dims must be positive")
     if not (0.0 <= signal_sparsity <= 1.0 and 0.0 <= outlier_fraction <= 1.0):
         raise InputError("fractions must lie in [0, 1]")
 
-    if topology == "chain":
-        if len(dims) != 1:
-            raise InputError("chain takes one dimension")
-        graph = chain_graph(dims[0], edge_weight)
-    elif topology == "grid2d":
-        if len(dims) != 2:
-            raise InputError("grid2d takes two dimensions")
-        graph = grid_graph_2d(*dims, weight=edge_weight)
-    else:
-        if len(dims) != 3:
-            raise InputError("grid3d takes three dimensions")
-        graph = grid_graph_3d(*dims, weight=edge_weight)
+    if len(dims) != TOPOLOGIES[topology]:
+        raise InputError(f"{topology} takes {TOPOLOGIES[topology]} dimensions, got {len(dims)}")
+    graph = grid_graph(dims, edge_weight)
 
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
@@ -469,7 +445,7 @@ def generate(
     n_out = int(round(outlier_fraction * n))
     outliers = np.sort(rng.choice(n, size=n_out, replace=False)) if n_out else np.array([], dtype=int)
     if n_out:
-        a[outliers] += outlier_scale * rng.choice([-1.0, 1.0], size=n_out)
+        a[outliers] += OUTLIER_SCALE * rng.choice([-1.0, 1.0], size=n_out)
 
     if bounds is None:
         b = 4.0 * (1.0 + float(np.abs(a).max(initial=0.0)))

@@ -1,11 +1,13 @@
 """Independent verification: brute-force enumeration and a property harness.
 
 :func:`brute_force` solves small indicator problems by enumerating every
-original binary assignment and box-QP-solving each; it shares no code path
-with the chain/SFM machinery beyond the box oracle, so agreement is a real
-cross-check.  :func:`run_property_suite` samples random Stieltjes instances
-and executes the package-wide invariants on them, reporting the first failing
-witness per check as a replayable JSON payload (see :func:`replay_witness`).
+original binary assignment and box-QP-solving each, and :func:`chain_dp`
+solves sparse problems with a tridiagonal Q (chain graphs) of any size by a
+segment recursion; neither shares a code path with the chain/SFM machinery
+beyond the box oracle, so agreement is a real cross-check.
+:func:`run_property_suite` samples random Stieltjes instances and executes
+the package-wide invariants on them, reporting the first failing witness per
+check as a replayable JSON payload (see :func:`replay_witness`).
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ BRUTE_GUARD = 14
 REGIMES = ("nonnegative", "mixed", "negative")
 
 
-def brute_force(problem, tie_tol=BRUTE_TIE_TOL):
+def brute_force(problem):
     """Exact optimum by enumerating all 2^n original indicator vectors.
 
     Each assignment fixes the box to [l*z, u*z] and is solved by the box-QP
-    oracle; ties within ``tie_tol`` resolve to the lexicographically smallest
-    vector.  Guarded at n <= 14 variables.  It deliberately stays on the
-    scalar :func:`boxqp.solve`, one call per assignment: the exhaustive
+    oracle; ties within ``BRUTE_TIE_TOL`` resolve to the lexicographically
+    smallest vector.  Guarded at n <= 14 variables.  It deliberately stays on
+    the scalar :func:`boxqp.solve`, one call per assignment: the exhaustive
     engine evaluates its cube with the stacked :func:`boxqp.solve_many`, so
     the judge checks that engine with an independent implementation.
     """
@@ -47,7 +49,7 @@ def brute_force(problem, tie_tol=BRUTE_TIE_TOL):
         bup = np.where(z == 1, up, 0.0)
         sol = boxqp.solve(problem.quad, blo, bup)
         val = sol.value + float(c @ z)
-        if best_z is None or val < best - tie_tol:
+        if best_z is None or val < best - BRUTE_TIE_TOL:
             best_z, best, best_x = z, val, sol.x
     return SfmResult(
         z=best_z,
@@ -56,6 +58,51 @@ def brute_force(problem, tie_tol=BRUTE_TIE_TOL):
         certificate=0.0,
         engine="brute_force",
         discarded=problem.discarded(best_z),
+    )
+
+
+def chain_dp(problem):
+    """Exact optimum of a sparse problem with a tridiagonal Q, by segment DP.
+
+    A closed variable (x_i = 0) cuts a tridiagonal Q in two, so the objective
+    is k0 plus, over each maximal run of open variables, the run's box-QP
+    value on [l, u] and its costs.  ``best[k]`` is the optimum over the
+    variables before k - 1 with variable k - 1 closed (k = 0 and k = n + 1
+    are sentinels); it is the least ``best[i] + run(i..k-2)`` over the
+    previous closed position.  That is O(n^2) scalar :func:`boxqp.solve`
+    calls on diagonal blocks, so, like :func:`brute_force`, the judge shares
+    only the box oracle with the solver, at any n.  Every bound regime works
+    as is: a straddling variable is simply open in the original z.
+    """
+    Q, a, lo, up = problem.quad.Q, problem.quad.a, problem.lo, problem.up
+    if problem.mode != "sparse" or np.any(np.triu(Q, 2)):
+        raise InputError("chain_dp needs a sparse-mode problem with a tridiagonal Q")
+    n = problem.n
+    best = np.full(n + 2, np.inf)
+    best[0] = 0.0
+    choice = [None] * (n + 2)  # (previous closed position, run minimizer)
+    for k in range(1, n + 2):
+        for i in range(k):
+            run = slice(i, k - 1)
+            val, x_run = best[i], np.zeros(0)
+            if i < k - 1:
+                sol = boxqp.solve(QuadraticForm(Q[run, run], a[run]), lo[run], up[run])
+                val, x_run = val + sol.value + float(problem.costs[run].sum()), sol.x
+            if val < best[k]:
+                best[k], choice[k] = val, (i, x_run)
+    z, x = np.zeros(n, dtype=int), np.zeros(n)
+    k = n + 1
+    while k:
+        i, x_run = choice[k]
+        z[i : k - 1], x[i : k - 1] = 1, x_run
+        k = i
+    return SfmResult(
+        z=z,
+        value=float(best[n + 1] + problem.quad.k0),
+        x=x,
+        certificate=0.0,
+        engine="chain_dp",
+        discarded=problem.discarded(z),
     )
 
 
@@ -359,11 +406,8 @@ CHECKS = {
     "segment_affinity": _check_segment_affine,
 }
 
-# checks that only make sense once the matrix structure is certified
-_GATED_BY_STIELTJES = [k for k in CHECKS if k != "stieltjes"]
 
-
-def run_property_suite(sampler, trials, checks=None):
+def run_property_suite(sampler, trials):
     """Run every registered invariant on ``trials`` sampled instances.
 
     Failures never raise: each produces a replayable witness (instance JSON
@@ -373,17 +417,13 @@ def run_property_suite(sampler, trials, checks=None):
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
-    names = list(CHECKS) if checks is None else list(checks)
-    report = PropertyReport(trials=trials, checks={n: CheckOutcome(n) for n in names})
+    report = PropertyReport(trials=trials, checks={n: CheckOutcome(n) for n in CHECKS})
     seed = int(getattr(sampler, "seed", 0))
     for t in range(trials):
         problem = sampler.draw(t)
         rng = np.random.default_rng([seed, t, 7])
-        gate_ok = True
-        for name in names:
-            if name != "stieltjes" and not gate_ok:
-                continue
-            ok, detail = CHECKS[name](problem, rng)
+        for name, check in CHECKS.items():
+            ok, detail = check(problem, rng)
             if ok:
                 report.checks[name].passes += 1
             else:
@@ -391,7 +431,7 @@ def run_property_suite(sampler, trials, checks=None):
                     _witness(problem, check=name, trial=t, seed=seed, detail=detail)
                 )
                 if name == "stieltjes":
-                    gate_ok = False
+                    break  # it runs first; the other checks presuppose it
     return report
 
 

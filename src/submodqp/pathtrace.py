@@ -152,8 +152,9 @@ class PathState:
 
         Variables sitting exactly on a bound go to the bound sets (never to
         the free set), matching the oracle's degenerate-KKT convention.  With
-        ``audit`` the entry KKT system is checked and a corrupted state is
-        rejected.
+        ``audit`` the entry point is checked with :func:`boxqp.kkt_residual`
+        over the non-parametric coordinates, and a corrupted (or NaN) state
+        is rejected.
         """
         quad.require_stieltjes()
         n = quad.n
@@ -178,29 +179,14 @@ class PathState:
             up.copy() if orig_up is None else np.asarray(orig_up, dtype=float),
         )
         if audit:
-            res = state.kkt_residual()
+            # pinning the parametric coordinate's box at its value exempts
+            # it from the gradient conditions
+            pinned = status == _PARAM
+            res = boxqp.kkt_residual(quad, np.where(pinned, y, lo), np.where(pinned, y, up), y)
             tol = 1e-8 * (1.0 + float(np.abs(quad.a).max(initial=0.0)))
-            if res > tol:
+            if not res <= tol:
                 raise InputError(f"corrupted path state: KKT residual {res:.3e}")
         return state
-
-    def kkt_residual(self):
-        """Max KKT violation over the non-parametric coordinates."""
-        g = self.quad.grad(self.y)
-        res = 0.0
-        for i in range(self.quad.n):
-            if self.status[i] == _PARAM:
-                continue
-            res = max(res, self.lo[i] - self.y[i], self.y[i] - self.up[i])
-            if self.lo[i] == self.up[i]:
-                continue
-            if self.status[i] == _LO:
-                res = max(res, -g[i])
-            elif self.status[i] == _HI:
-                res = max(res, g[i])
-            else:
-                res = max(res, abs(g[i]))
-        return float(res)
 
     # -- stage plumbing -----------------------------------------------------
 

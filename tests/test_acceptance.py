@@ -63,7 +63,7 @@ def test_criterion_1_exactness_vs_oracle():
     for idx in range(200):
         mode = ("sparse", "sparse", "robust")[idx % 3]
         regime = ("nonnegative", "mixed", "negative")[(idx // 3) % 3]
-        problem = sq.compile_instance(_model_instance(mode, regime, idx), ridge=1e-8)
+        problem = sq.compile_instance(_model_instance(mode, regime, idx))
         bf = sq.brute_force(problem)
         ex = sq.solve_full(problem, engine="exhaustive")
         mn = sq.solve_full(problem, engine="mnp")
@@ -216,7 +216,7 @@ def test_criterion_8_robust_recovery(tmp_path):
             "chain", (30,), signal_sparsity=0.0, outlier_fraction=0.1,
             noise_sd=0.25, seed=9000 + seed, mode="robust", cost=4.0,
         )
-        problem = sq.compile_instance(inst, ridge=1e-8)
+        problem = sq.compile_instance(inst)
         res = sq.solve_full(problem, engine="mnp", tol=1e-6)
         planted = set(truth["outliers"])
         if planted.issubset(set(res.discarded)):

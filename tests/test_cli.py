@@ -92,6 +92,16 @@ def test_eval_rejects_bad_z(tmp_path):
     assert _run(["eval", str(path), "--z", "0,2,1"]) == cli.EXIT_INPUT
 
 
+def test_ridge_is_not_an_option(tmp_path, capsys):
+    # robust mode compiles with the fixed model.RIDGE
+    inst, _ = model.generate("chain", (3,), mode="robust", seed=0)
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    for argv in (["solve"], ["eval", "--z", "0,0,0,0,0,0"], ["trace"]):
+        assert _run([*argv, str(path), "--ridge", "1e-8"]) == cli.EXIT_INPUT
+    assert "--ridge" in capsys.readouterr().err
+
+
 def test_trace_writes_value_chain(tmp_path):
     inst, _ = model.generate("chain", (4,), seed=2)
     path = tmp_path / "inst.json"

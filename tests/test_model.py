@@ -58,12 +58,12 @@ def test_compiled_q_is_stieltjes():
         assert off.max() <= 0.0  # second-order submodularity
 
 
-def _robust_two_chain(ridge=1e-8):
+def _robust_two_chain():
     inst = sq.ProblemInstance(
         sq.chain_graph(2, weight=1.0), a=[0, 10], node_weights=[1, 1],
         c=[1, 1], l=[-100, -100], u=[100, 100], mode="robust",
     )
-    return inst, sq.compile_robust(inst, ridge=ridge)
+    return inst, sq.compile_robust(inst)
 
 
 def test_compile_robust_structure():
@@ -104,7 +104,7 @@ def test_robust_free_discard_single_vertex():
     inst = sq.ProblemInstance(
         sq.Graph(1), a=[7], node_weights=[1], c=[0], l=[-50], u=[50], mode="robust"
     )
-    p = sq.compile_robust(inst, ridge=1e-8)
+    p = sq.compile_robust(inst)
     res = sq.brute_force(p)
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
@@ -113,18 +113,10 @@ def test_robust_clean_observation_kept():
     inst = sq.ProblemInstance(
         sq.Graph(1), a=[7], node_weights=[1], c=[100], l=[-50], u=[50], mode="robust"
     )
-    res = sq.solve_full(sq.compile_robust(inst, ridge=1e-8), engine="exhaustive")
+    res = sq.solve_full(sq.compile_robust(inst), engine="exhaustive")
     assert res.value == pytest.approx(0.0, abs=1e-9)
     assert res.discarded == []
     assert res.x[0] == pytest.approx(7.0, abs=1e-8)
-
-
-def test_compile_robust_rejects_bad_ridge():
-    inst, _ = _robust_two_chain()
-    with pytest.raises(InputError):
-        sq.compile_robust(inst, ridge=0.0)
-    with pytest.raises(InputError):
-        sq.compile_robust(inst, ridge=-1e-3)
 
 
 def test_instance_validation_errors():
@@ -207,6 +199,21 @@ def test_generate_fully_sparse_noiseless():
 def test_generate_grid_edge_count():
     inst, _ = model.generate("grid2d", (3, 3), seed=0)
     assert len(inst.graph.edges) == 12
+
+
+def test_grid_graph_lists_row_major_vertices_in_axis_order():
+    # vertex (r, c) of a 2x3 grid is 3r + c; each vertex lists its axis-0
+    # neighbour before its axis-1 neighbour
+    g = model.grid_graph((2, 3), 0.5)
+    assert g.num_vertices == 6
+    assert g.edges == (
+        (0, 3, 0.5), (0, 1, 0.5), (1, 4, 0.5), (1, 2, 0.5), (2, 5, 0.5), (3, 4, 0.5), (4, 5, 0.5),
+    )
+    assert model.chain_graph(4).edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
+    assert model.chain_graph(1).edges == ()
+    cube = model.grid_graph((2, 3, 4))
+    assert len(cube.edges) == 1 * 3 * 4 + 2 * 2 * 4 + 2 * 3 * 3
+    assert cube.edges[:3] == ((0, 12, 1.0), (0, 4, 1.0), (0, 1, 1.0))
 
 
 def test_generate_outlier_count_and_determinism():

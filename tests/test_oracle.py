@@ -149,3 +149,55 @@ def test_report_serialization():
     assert d["ok"] is True
     assert d["trials"] == 2
     assert set(d["checks"]) == set(oracle.CHECKS)
+
+
+# binding bounds in each regime: nonnegative, straddling, negative
+_DP_BOUNDS = ((0.0, 1.0), (-3.0, 0.5), (-4.0, -0.5))
+
+
+def _dp_chain(n, bounds, seed, flip=False):
+    inst, _ = sq.generate("chain", n, signal_sparsity=0.6, cost=0.4, bounds=bounds, seed=seed)
+    if flip:  # a negative signal, so that the negative regime opens variables
+        inst = sq.ProblemInstance(inst.graph, -inst.a, inst.node_weights, inst.c, inst.l, inst.u)
+    return sq.compile_instance(inst)
+
+
+@pytest.mark.parametrize("bounds", _DP_BOUNDS)
+def test_chain_dp_matches_brute_force(bounds):
+    for seed, flip in ((0, False), (1, False), (2, True)):
+        problem = _dp_chain(10, bounds, seed, flip)
+        dp = oracle.chain_dp(problem)
+        bf = sq.brute_force(problem)
+        assert dp.engine == "chain_dp" and dp.discarded is None
+        assert dp.value == pytest.approx(bf.value, abs=1e-9)
+        # the recovered (z, x) is feasible and attains the value
+        assert np.all(dp.x[dp.z == 0] == 0.0)
+        assert np.all(dp.x >= problem.lo * dp.z) and np.all(dp.x <= problem.up * dp.z)
+        attained = problem.quad.value(dp.x) + problem.costs @ dp.z
+        assert attained == pytest.approx(dp.value, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n, bounds, flip",
+    [
+        (40, _DP_BOUNDS[0], False),
+        (40, _DP_BOUNDS[1], False),
+        (40, _DP_BOUNDS[2], True),
+        (60, _DP_BOUNDS[1], False),
+    ],
+)
+def test_chain_dp_matches_mnp(n, bounds, flip):
+    problem = _dp_chain(n, bounds, 0, flip)
+    dp = oracle.chain_dp(problem)
+    mnp = sq.solve_full(problem, engine="mnp")
+    assert mnp.converged
+    assert 0 < dp.z.sum() < n  # the optimum opens some variables, not all
+    assert dp.value == pytest.approx(mnp.value, rel=1e-9)
+
+
+def test_chain_dp_rejects_problems_that_do_not_decouple():
+    robust, _ = sq.generate("chain", 6, mode="robust", outlier_fraction=0.2, seed=0)
+    grid, _ = sq.generate("grid2d", (2, 3), seed=0)
+    for inst in (robust, grid):
+        with pytest.raises(InputError, match="tridiagonal"):
+            oracle.chain_dp(sq.compile_instance(inst))

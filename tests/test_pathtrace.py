@@ -77,6 +77,27 @@ def test_corrupted_state_rejected(small_quad):
         _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.2, 0.0]), 1)
 
 
+def test_audit_checks_gradient_signs_at_bounds(small_quad):
+    # g_0 = 2 y_0 - y_1 - 1; the parametric coordinate 1 is exempt (g_1 = -y_0)
+    cases = [
+        # (lo_0, up_0, y_0, accepted)
+        (0.0, 1.0, 1.0, False),  # on its upper bound, g_0 = 1 > 0
+        (0.0, 1.0, 0.0, False),  # on its lower bound, g_0 = -1 < 0
+        (0.0, 0.3, 0.3, True),  # on its upper bound, g_0 = -0.4
+        (0.6, 1.0, 0.6, True),  # on its lower bound, g_0 = 0.2
+        (0.4, 0.4, 0.4, True),  # pinned, g_0 = -0.2 carries no sign condition
+    ]
+    for lo0, up0, y0, accepted in cases:
+        args = (small_quad, np.array([lo0, 0.0]), np.array([up0, 10.0]), np.array([y0, 0.0]), 1)
+        if accepted:
+            _stage_state(*args)
+        else:
+            with pytest.raises(InputError, match="corrupted"):
+                _stage_state(*args)
+    with pytest.raises(InputError, match="corrupted"):
+        _stage_state(small_quad, np.zeros(2), np.ones(2), np.array([np.nan, 0.0]), 1)
+
+
 def test_chain_natural_order(small_quad):
     chain = chain_nonnegative(small_quad, np.zeros(2), np.array([10.0, 10.0]))
     assert np.allclose(chain.values, [0.0, -0.25, -1.0 / 3.0], atol=1e-12)

@@ -338,7 +338,7 @@ def test_solve_full_robust_two_chain():
         sq.chain_graph(2, weight=1.0), a=[0, 10], node_weights=[1, 1],
         c=[1, 1], l=[-100, -100], u=[100, 100], mode="robust",
     )
-    problem = sq.compile_robust(inst, ridge=1e-8)
+    problem = sq.compile_robust(inst)
     for engine in ("exhaustive", "mnp"):
         res = sq.solve_full(problem, engine=engine)
         assert res.value == pytest.approx(1.0, abs=2e-6)  # plus ridge terms
@@ -376,7 +376,7 @@ def test_solve_full_robust_free_discard_single_vertex_mnp():
     inst = sq.ProblemInstance(
         sq.Graph(1), a=[7], node_weights=[1], c=[0], l=[-50], u=[50], mode="robust"
     )
-    problem = sq.compile_robust(inst, ridge=1e-8)
+    problem = sq.compile_robust(inst)
     res = sq.solve_full(problem, engine="mnp")
     assert res.value == pytest.approx(sq.brute_force(problem).value, abs=1e-9)
     assert res.value == pytest.approx(0.0, abs=1e-9)
