@@ -108,8 +108,8 @@ def cmd_trace(args):
     payload = chain.to_json_dict()
     _write_json(args.output, payload)
     print(
-        f"trace[{chain.kind}] m={chain.m} v(0)={chain.values[0]:.6f} "
-        f"v(full)={chain.values[-1]:.6f} breakpoints={len(chain.breakpoints)}"
+        f"trace[{chain.kind}] stages={chain.m} v(0)={chain.values[0]:.6f} "
+        f"v(last)={chain.values[-1]:.6f} breakpoints={len(chain.breakpoints)}"
     )
     return EXIT_OK
 
@@ -185,9 +185,11 @@ def build_parser():
     e.add_argument("--output")
     e.set_defaults(fn=cmd_eval)
 
-    t = sub.add_parser("trace", help="compute a full value chain by path tracing")
+    t = sub.add_parser("trace", help="compute a value chain by path tracing")
     t.add_argument("input")
-    t.add_argument("--order", help="comma-separated coordinate order")
+    t.add_argument(
+        "--order", help="comma-separated coordinate order, all coordinates or a prefix"
+    )
     t.add_argument("--output")
     t.set_defaults(fn=cmd_trace)
 

@@ -265,6 +265,34 @@ def _check_chain_matches_oracle(problem, rng):
     return worst <= 1e-8, None if worst <= 1e-8 else {"worst_gap": worst, "stage": at}
 
 
+def _check_chain_memo(problem, rng):
+    """Two chains of one oracle that share prefix sets: every value is F to
+    1e-9, and a set reached by both orders gets the same bits."""
+    oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs)
+    m = oracle.m
+    first = rng.permutation(m)
+    second = first.copy()
+    half = min(m // 2, m - 2)
+    if half >= 0:  # swap two positions in the second half
+        i, j = rng.choice(np.arange(half, m), size=2, replace=False)
+        second[[i, j]] = second[[j, i]]
+    seen = {}
+    for order in (first, second):
+        values = oracle.chain(order)
+        z = np.zeros(m, dtype=int)
+        for k, f in enumerate(values.tolist()):
+            if k:
+                z[order[k - 1]] = 1
+            ref = boxqp.value_function(problem.quad, problem.lo, problem.up, oracle.smap, z)
+            ref += oracle.bincost(z)
+            if abs(f - ref) > 1e-9 * (1.0 + abs(ref)):
+                return False, {"order": order.tolist(), "stage": k, "value": f, "ref": ref}
+            key = z.tobytes()
+            if seen.setdefault(key, f) != f:
+                return False, {"order": order.tolist(), "stage": k, "value": f, "first": seen[key]}
+    return True, None
+
+
 def _check_monotone_path(problem, rng):
     _, _, vc, _ = _chain_for(problem)
     pts = vc.iterate_sequence()
@@ -396,6 +424,7 @@ CHECKS = {
     "boxqp_permutation_invariance": _check_boxqp_permutation,
     "boxqp_isotonicity": _check_boxqp_isotone,
     "chain_matches_oracle": _check_chain_matches_oracle,
+    "chain_memo_consistent": _check_chain_memo,
     "monotone_path": _check_monotone_path,
     "breakpoint_budget": _check_breakpoint_budget,
     "value_function_submodular": _check_value_submodular,

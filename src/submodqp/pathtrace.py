@@ -36,13 +36,15 @@ One driver, :func:`chain_general`, traces every chain over the sign-split
 coordinates: stage 0 is the box with every coordinate off (the zero box when
 l >= 0, one indicator per variable and at most 2n breakpoints; variables
 with l < 0 may start negative, at most 4n breakpoints; always-open
-variables keep [l, u]), and each stage switches one coordinate on.
-:func:`chain_nonnegative` is its entry point for l >= 0, indexed by
-variable.  Infinite bounds are traced as given: an infinite bound is never
-a breakpoint, because its ratio-test gap is infinite, and every stage
-target min(max(l_j, root), u_j) is finite, because the stationarity root
-is.  :func:`lovasz` evaluates the piecewise linear extension from a
-computed chain.
+variables keep [l, u]), and each stage switches one coordinate on.  The
+order may stop short of a permutation: a prefix order traces only its own
+stages, which match the first stages of the full chain bit for bit, because
+the trace is sequential.  :func:`chain_nonnegative` is its entry point for
+l >= 0, indexed by variable.  Infinite bounds are traced as given: an
+infinite bound is never a breakpoint, because its ratio-test gap is
+infinite, and every stage target min(max(l_j, root), u_j) is finite,
+because the stationarity root is.  :func:`lovasz` evaluates the piecewise
+linear extension from a chain over a whole permutation.
 """
 
 from __future__ import annotations
@@ -361,8 +363,8 @@ def _stage_is_noop(state, j, lo_new, up_new):
 
 def _check_order(order, m):
     order = list(range(m)) if order is None else [int(i) for i in order]
-    if sorted(order) != list(range(m)):
-        raise InputError(f"order must be a permutation of 0..{m - 1}")
+    if len(set(order)) != len(order) or not all(0 <= i < m for i in order):
+        raise InputError(f"order must list distinct coordinates of 0..{m - 1}")
     return order
 
 
@@ -379,7 +381,12 @@ def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
     Stage 0 solves the all-off box (negative variables may start strictly
     below zero; with l >= 0 it is the zero box; always-open variables of
     ``smap`` keep [l, u]) with the box-QP oracle; each following stage flips
-    one split coordinate on, in the given ``order`` (default: ascending).
+    one split coordinate on, in the given ``order`` (default: every
+    coordinate, ascending).  ``order`` may be a prefix of a permutation, any
+    distinct coordinates: the chain then has ``len(order) + 1`` values, and
+    they, the minimizers and the breakpoints are bit for bit the first
+    stages of the chain of any permutation that starts with it.  Repeated or
+    out-of-range coordinates raise :class:`InputError`.
     Flipping a minus-coordinate raises the variable's lower bound to 0;
     flipping a plus-coordinate opens its upper range.  Both move the
     minimizer monotonically upward.  The chain's ``kind`` is

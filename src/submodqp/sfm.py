@@ -13,7 +13,12 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
   F, using the greedy subgradient as its linear-optimization oracle.  Each
   greedy call needs one full value chain, which the path tracer delivers in
   the cost of a single evaluation; that is what makes the method practical.
-  F(∅) costs it one evaluation, not a chain.
+  F(∅) costs it one evaluation, not a chain.  :class:`IndicatorOracle`
+  remembers F by prefix set (up to ``MEMO_ENTRIES`` sets, oldest dropped
+  first), so a chain is traced only up to its last prefix set that no
+  earlier chain reached, and the tail is read back.  The first value
+  computed for a set is the one every later chain gets, which keeps F one
+  set function across MNP's cycles.
 
 :func:`solve_full` wires everything together for a compiled indicator
 problem: sign split, oracle construction, minimization, and recovery of the
@@ -38,6 +43,7 @@ from .lattice import bounds_for_binary, split
 EXHAUSTIVE_GUARD = 25
 EXHAUSTIVE_CHUNK = 1 << 10  # codes per eval_many call of minimize_exhaustive
 BRUTE_TIE_TOL = 1e-9
+MEMO_ENTRIES = 1 << 16  # prefix sets an IndicatorOracle remembers F for
 
 _log = logging.getLogger(__name__)
 
@@ -77,10 +83,13 @@ class SubmodularOracle:
     Subclasses implement :meth:`eval`.  :meth:`eval_many` evaluates the rows
     of a stack and :meth:`chain` returns the m+1 values of F along the
     prefixes of a permutation; the defaults make single evaluations, fast
-    implementations override them.
+    implementations override them.  ``chains``, ``stages_traced`` and
+    ``stages_memo`` count the chains asked for, the stages computed for
+    them and the stages answered from a memo (none by default).
     """
 
     m = 0
+    chains = stages_traced = stages_memo = 0
 
     def eval(self, zbin):
         raise NotImplementedError
@@ -89,6 +98,8 @@ class SubmodularOracle:
         return np.array([self.eval(z) for z in zbins], dtype=float)
 
     def chain(self, order):
+        self.chains += 1
+        self.stages_traced += len(order)
         return self.chain_naive(order)
 
     def chain_naive(self, order):
@@ -132,6 +143,18 @@ class IndicatorOracle(SubmodularOracle):
     ``bincost``): variables in the boolean mask ``always_open`` get no
     coordinate and keep their box [l, u] under every assignment.  Without
     the mask every variable has one or two coordinates.
+
+    :meth:`chain` remembers F by prefix set.  ``memo`` maps each set, keyed
+    exactly as the int bitmask of its coordinates (never a hash, whose
+    collisions would hand MNP a wrong vertex), to the first F value computed
+    for it, and every later chain reads that value: F stays one set
+    function across chains, as Wolfe's method assumes.  A chain is traced
+    only up to its last prefix set that ``memo`` does not hold, and the rest
+    of it, the tail, is read from ``memo``.  ``memo`` holds at most
+    ``MEMO_ENTRIES`` sets and drops the oldest first; a dropped set is
+    valued afresh when it is next traced.  The memo lives as long as the
+    oracle, which is one :func:`solve_full`.  :meth:`value_chain`,
+    :meth:`eval`, :meth:`eval_many` and :meth:`recover_x` do not use it.
     """
 
     def __init__(self, quad, lo, up, costs=None, always_open=None):
@@ -141,6 +164,7 @@ class IndicatorOracle(SubmodularOracle):
         self.up = np.asarray(up, dtype=float)
         self.smap, self.bincost = split(self.lo, self.up, costs, always_open)
         self.m = self.smap.binary_dim
+        self.memo = {}
 
     @cached_property
     def stage0(self):
@@ -162,9 +186,35 @@ class IndicatorOracle(SubmodularOracle):
         return v + (zbins @ self.bincost.linear + self.bincost.constant)
 
     def chain(self, order):
-        vc = self.value_chain(order)
-        costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[np.asarray(order)])])
-        return vc.values + costs + self.bincost.constant
+        order = np.asarray(order, dtype=int)
+        if np.any(order < 0):
+            raise InputError(f"order must list distinct coordinates of 0..{self.m - 1}")
+        keys = [0]
+        for c in order.tolist():
+            keys.append(keys[-1] | (1 << c))
+        if keys[-1].bit_count() != order.size or keys[-1] >> self.m:
+            raise InputError(f"order must list distinct coordinates of 0..{self.m - 1}")
+        memo = self.memo
+        traced = len(keys) - 1  # stages up to the last set memo lacks
+        while traced >= 0 and keys[traced] in memo:
+            traced -= 1
+        values = [memo[key] for key in keys[traced + 1 :]]  # read before any drop
+        self.chains += 1
+        self.stages_traced += max(traced, 0)
+        self.stages_memo += order.size - max(traced, 0)
+        if traced < 0:
+            return np.array(values)
+        head = order[:traced]
+        costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[head])])
+        fresh = self.value_chain(head).values + costs + self.bincost.constant
+        for k, f in enumerate(fresh.tolist()):
+            if keys[k] in memo:
+                fresh[k] = memo[keys[k]]
+            else:
+                if len(memo) >= MEMO_ENTRIES:
+                    del memo[next(iter(memo))]
+                memo[keys[k]] = f
+        return np.concatenate([fresh, values])
 
     def value_chain(self, order):
         """Raw v-chain (no costs) as a :class:`pathtrace.ValueChain`."""
@@ -319,6 +369,10 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     z[order[:k]] = 1
     value = oracle.eval(z)
     gap = value - (f0 + float(np.minimum(x, 0.0).sum()))
+    _log.debug(
+        "mnp: %d chains, %d prefix stages traced, %d answered from the memo",
+        oracle.chains, oracle.stages_traced, oracle.stages_memo,
+    )
     return SfmResult(
         z=z,
         value=float(value),

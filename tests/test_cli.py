@@ -113,6 +113,21 @@ def test_trace_writes_value_chain(tmp_path):
     assert len(d["values"]) == len(d["order"]) + 1
 
 
+def test_trace_with_a_prefix_order_traces_the_prefix(tmp_path, capsys):
+    inst, _ = model.generate("chain", (4,), seed=2)
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    full, prefix = tmp_path / "full.json", tmp_path / "prefix.json"
+    assert _run(["trace", str(path), "--order", "3,1,0,2", "--output", str(full)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert _run(["trace", str(path), "--order", "3,1", "--output", str(prefix)]) == cli.EXIT_OK
+    d, f = json.loads(prefix.read_text()), json.loads(full.read_text())
+    assert d["order"] == [3, 1]
+    assert d["values"] == f["values"][:3]
+    assert f"v(last)={d['values'][-1]:.6f}" in capsys.readouterr().out
+    assert _run(["trace", str(path), "--order", "3,3"]) == cli.EXIT_INPUT
+
+
 def test_trace_infinite_bounds_matches_naive_chain(tmp_path):
     inst = sq.ProblemInstance(
         sq.chain_graph(3, weight=0.5), a=[1.0, -2.0, 0.5], node_weights=[1, 1, 1],

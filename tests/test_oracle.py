@@ -143,6 +143,23 @@ def test_mnp_check_requires_a_certified_result(monkeypatch):
     assert not ok and detail["mnp_certificate"] > 1e-6
 
 
+def test_memo_check_catches_a_set_valued_twice(monkeypatch):
+    prob = sq.InstanceSampler(n=5, regime="mixed", seed=2).draw(0)
+    check = oracle.CHECKS["chain_memo_consistent"]
+    assert check(prob, np.random.default_rng(0)) == (True, None)
+    chain = sfm.IndicatorOracle.chain
+
+    def drifting(self, order):  # the second chain revalues the full set by one ulp
+        values = chain(self, order)
+        if self.chains == 2:
+            values[-1] = np.nextafter(values[-1], np.inf)
+        return values
+
+    monkeypatch.setattr(sfm.IndicatorOracle, "chain", drifting)
+    ok, detail = check(prob, np.random.default_rng(0))
+    assert not ok and detail["stage"] == len(detail["order"]) and "first" in detail
+
+
 def test_report_serialization():
     report = sq.run_property_suite(sq.InstanceSampler(n=4, regime="nonnegative", seed=5), trials=2)
     d = report.to_json_dict()
@@ -192,6 +209,16 @@ def test_chain_dp_matches_mnp(n, bounds, flip):
     mnp = sq.solve_full(problem, engine="mnp")
     assert mnp.converged
     assert 0 < dp.z.sum() < n  # the optimum opens some variables, not all
+    assert dp.value == pytest.approx(mnp.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chain_dp_judges_mnp_at_m_200(seed):
+    inst, _ = sq.generate("chain", 100, signal_sparsity=0.6, cost=0.4, seed=seed)
+    problem = sq.compile_instance(inst)
+    mnp = sq.solve_full(problem, engine="mnp")
+    dp = oracle.chain_dp(problem)
+    assert mnp.converged
     assert dp.value == pytest.approx(mnp.value, rel=1e-9)
 
 

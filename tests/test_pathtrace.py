@@ -212,6 +212,41 @@ def test_chain_matches_boxqp_prefixes(regime):
             assert abs(chain.values[k] - ref) <= 1e-8
 
 
+@pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])
+@pytest.mark.parametrize("always_open", [False, True])
+def test_prefix_order_gives_the_first_stages_bit_for_bit(regime, always_open):
+    rng = np.random.default_rng(13)
+    for seed in range(4):
+        prob = sq.InstanceSampler(n=7, regime=regime, seed=90 + seed).draw(0)
+        mask = None
+        if always_open:
+            mask = (rng.random(prob.n) < 0.5) & (prob.lo <= 0) & (prob.up >= 0)
+        smap, _ = lattice.split(prob.lo, prob.up, always_open=mask)
+        order = rng.permutation(smap.binary_dim)
+        full = chain_general(prob.quad, prob.lo, prob.up, smap, order)
+        for k in range(smap.binary_dim + 1):
+            head = chain_general(prob.quad, prob.lo, prob.up, smap, order[:k])
+            assert head.m == k and head.order == tuple(order[:k].tolist())
+            assert head.kind == full.kind
+            assert np.array_equal(head.values, full.values[: k + 1])
+            assert np.array_equal(head.minimizers, full.minimizers[: k + 1])
+            n_bp = sum(1 for b in full.breakpoints if b.stage <= k)
+            assert head.breakpoints == full.breakpoints[:n_bp]
+            assert all(
+                np.array_equal(p, q)
+                for p, q in zip(head.breakpoint_points, full.breakpoint_points[:n_bp])
+            )
+
+
+def test_order_rejects_repeated_or_out_of_range_coordinates():
+    prob = sq.InstanceSampler(n=4, regime="mixed", seed=3).draw(0)
+    smap, _ = lattice.split(prob.lo, prob.up)
+    m = smap.binary_dim
+    for order in ([0, 1, 0], [0, m], [-1, 0], list(range(m)) + [0]):
+        with pytest.raises(InputError, match="distinct coordinates"):
+            chain_general(prob.quad, prob.lo, prob.up, smap, order)
+
+
 def test_chain_minimizers_pass_kkt_audit():
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=77).draw(0)
     smap, _ = lattice.split(prob.lo, prob.up)

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -543,3 +544,94 @@ def test_extension_convexity_probe():
         z1, z2 = rng.random(oracle.m), rng.random(oracle.m)
         lam = float(rng.uniform(0.05, 0.95))
         assert ext(lam * z1 + (1 - lam) * z2) <= lam * ext(z1) + (1 - lam) * ext(z2) + 1e-8
+
+
+def _memo_oracle(seed=5):
+    prob = sq.InstanceSampler(n=6, regime="mixed", seed=seed).draw(0)
+    return prob, sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+
+
+def test_chain_with_every_prefix_set_known_traces_no_stage(monkeypatch):
+    _, oracle = _memo_oracle()
+    order = np.random.default_rng(0).permutation(oracle.m)
+    first = oracle.chain(order)
+    assert (oracle.chains, oracle.stages_traced, oracle.stages_memo) == (1, oracle.m, 0)
+    assert len(oracle.memo) == oracle.m + 1
+    monkeypatch.setattr(sfm.pathtrace, "chain_general", None)  # tracing would fail
+    assert np.array_equal(oracle.chain(order), first)
+    assert np.array_equal(oracle.chain(order[: oracle.m // 2]), first[: oracle.m // 2 + 1])
+    assert oracle.stages_traced == oracle.m
+    assert oracle.stages_memo == oracle.m + oracle.m // 2
+
+
+def test_chain_traces_up_to_its_last_unknown_prefix_set(monkeypatch):
+    _, oracle = _memo_oracle()
+    m = oracle.m
+    traced = []
+    value_chain = oracle.value_chain
+
+    def drifting(order):  # the second trace values every set one ulp higher
+        traced.append(len(order))
+        vc = value_chain(order)
+        if len(traced) == 2:
+            vc.values = np.nextafter(vc.values, np.inf)
+        return vc
+
+    monkeypatch.setattr(oracle, "value_chain", drifting)
+    order = np.arange(m)
+    first = oracle.chain(order)
+    swapped = order.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]  # only the prefix set of stage 2 is new
+    second = oracle.chain(swapped)
+    assert traced == [m, 2]
+    assert (oracle.stages_traced, oracle.stages_memo) == (m + 2, m - 2)
+    assert len(oracle.memo) == m + 2
+    same = np.arange(m + 1) != 2
+    assert np.array_equal(second[same], first[same])  # the first value wins
+    assert np.max(np.abs(second - oracle.chain_naive(swapped))) <= 1e-8
+
+
+def test_oracle_chain_rejects_repeated_or_out_of_range_coordinates():
+    _, oracle = _memo_oracle()
+    oracle.chain(np.arange(oracle.m))  # every prefix set known
+    for order in ([0, 1, 0], [0, oracle.m], [-1, 0]):
+        with pytest.raises(InputError, match="distinct coordinates"):
+            oracle.chain(order)
+
+
+def test_bounded_memo_keeps_mnp_results(monkeypatch):
+    problems = [
+        sq.InstanceSampler(n=8, regime=regime, seed=900 + seed).draw(0)
+        for seed, regime in enumerate(("nonnegative", "mixed", "negative"))
+    ]
+    inst, _ = sq.generate("chain", (10,), mode="robust", outlier_fraction=0.2, seed=3)
+    problems.append(sq.compile_instance(inst))
+    ref = [sq.solve_full(p) for p in problems]
+    sizes = []
+    chain = sfm.IndicatorOracle.chain
+
+    def watched(self, order):
+        values = chain(self, order)
+        sizes.append(len(self.memo))
+        return values
+
+    monkeypatch.setattr(sfm, "MEMO_ENTRIES", 8)
+    monkeypatch.setattr(sfm.IndicatorOracle, "chain", watched)
+    for problem, expect in zip(problems, ref):
+        got = sq.solve_full(problem)
+        assert got.converged == expect.converged
+        assert np.array_equal(got.z, expect.z)
+        assert got.value == pytest.approx(expect.value, rel=1e-9, abs=1e-12)
+    assert max(sizes) == 8
+
+
+def test_mnp_logs_its_chain_counters(caplog):
+    prob, _ = _memo_oracle(seed=6)
+    with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
+        sq.solve_full(prob)
+    pattern = r"mnp: (\d+) chains, (\d+) prefix stages traced, (\d+) answered from the memo"
+    found = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records]
+    found = [f for f in found if f]
+    assert len(found) == 1
+    chains, traced, memo = (int(g) for g in found[0].groups())
+    assert chains >= 2 and traced >= 1 and memo >= 1
