@@ -12,8 +12,9 @@ clamped set.  There are two entry points:
   straight to LAPACK ``potrf``/``potrs``, so a solve costs a constant
   handful of calls per iteration.
 * :func:`solve_many` takes a stack of boxes, one per row, and runs the same
-  algorithm on all of them at once: one batched Newton solve per iteration
-  for every row still live.  Enumeration uses it, where thousands of small
+  algorithm on all of them at once.  Each iteration gathers the free block
+  of every row still live and solves the blocks of each size k together, as
+  one stack of k x k systems.  Enumeration uses it, where thousands of small
   solves would otherwise pay numpy's per-call overhead thousands of times.
 
 Every returned solution, scalar or stacked, is audited against the KKT
@@ -36,7 +37,10 @@ from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary
 
 KKT_TOL_FACTOR = 1e-10
-# entries of one (rows, n, n) temporary in a stacked solve (0.5 MB of floats)
+# most entries of one temporary in a stacked solve (0.5 MB of floats): a block
+# of rows holds at most this many (rows x n) and a stack of k x k free blocks
+# this many (systems x k x k), so a 1,024-code chunk of the exhaustive engine
+# is one block for n <= 64
 STACK_ENTRIES = 1 << 16
 
 
@@ -173,12 +177,13 @@ def solve_many(quad, lo, up, max_iter=200):
 
     The algorithm is :func:`solve`'s, run on every row at once, with the
     same start, clamp rule, exits, Armijo constants and iteration cap.  The
-    free-block Newton step of all live rows is one batched solve of the
-    masked system (Q on free x free, the identity on clamped rows and
-    columns, the clamped values on the right-hand side).  Rows leave the
-    live set as they converge, and every row passes :func:`solve`'s KKT
-    audit.  Stacks are split into blocks of ``STACK_ENTRIES // n**2`` rows,
-    which bounds every temporary by the size of Q, not of the stack.
+    live rows that take a Newton step are grouped by their number k of free
+    variables, and each group solves its gathered systems
+    ``Q[F,F] x_F = a_F - Q[F,C] x_C`` as one stack, split so that no stack
+    holds more than ``STACK_ENTRIES`` entries.  Rows leave the live set as
+    they converge, and every row passes :func:`solve`'s KKT audit.  Stacks
+    of boxes are split into blocks of ``STACK_ENTRIES // n`` rows, which
+    bounds every temporary by that constant, not by the size of the stack.
     Errors name the offending row.  Returns a :class:`BoxQpSolution` whose
     fields hold one entry per row.
     """
@@ -197,7 +202,7 @@ def solve_many(quad, lo, up, max_iter=200):
         raise InputError(
             f"row {row}: a lower bound of +inf or an upper bound of -inf admits no finite point"
         )
-    size = max(1, STACK_ENTRIES // (n * n))
+    size = max(1, STACK_ENTRIES // n)
     blocks = [
         _solve_block(quad, lo[s : s + size], up[s : s + size], x[s : s + size], s, max_iter)
         for s in range(0, max(lo.shape[0], 1), size)
@@ -216,7 +221,6 @@ def _solve_block(quad, lo, up, x, offset, max_iter):
     Q, a = quad.Q, quad.a
     rows, n = x.shape
     tol_kkt = KKT_TOL_FACTOR * (1.0 + float(np.abs(a).max(initial=0.0)))
-    diag = np.arange(n)
     value = np.empty(rows)
     known = np.zeros(rows, dtype=bool)  # value holds f(x), from a line search
     res = np.empty(rows)
@@ -232,15 +236,8 @@ def _solve_block(quad, lo, up, x, offset, max_iter):
         stop = np.abs(np.where(free, g, 0.0)).max(axis=1) <= 0.5 * tol_kkt
         go = (~stop).nonzero()[0]
         if go.size:
-            fg, cg, xg = free[go], clamped[go], xl[go]
-            A = Q * (fg[:, :, None] & fg[:, None, :])
-            A[:, diag, diag] = np.where(fg, Q.diagonal(), 1.0)
-            rhs = np.where(fg, a - (xg * cg) @ Q, xg)
-            try:
-                xstar = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError as e:
-                raise NumericalError(f"free block solve failed in rows from {offset}: {e}") from None
-            d = np.where(fg, xstar - xg, 0.0)
+            xg = xl[go]
+            d = _newton_direction(Q, a, free[go], xg, offset + live[go])
             small = np.abs(d).max(axis=1) <= 1e-13 * (1.0 + np.abs(xg).max(axis=1))
             stop[go[small]] = True
             go, d = go[~small], d[~small]
@@ -262,6 +259,34 @@ def _solve_block(quad, lo, up, x, offset, max_iter):
         )
     value[~known] = _values(quad, x[~known])
     return x, value, res, iters
+
+
+def _newton_direction(Q, a, free, x, rows):
+    """Newton step of each row of ``x`` on its free set F: the solution of
+    ``Q[F,F] x_F = a_F - Q[F,C] x_C`` minus ``x_F``, and 0 on the clamped set
+    C.  Rows with the same number k of free variables are solved together,
+    as one stack of k x k systems of at most ``STACK_ENTRIES`` entries;
+    ``rows`` numbers them for error messages."""
+    rhs = a - (x * ~free) @ Q
+    d = np.zeros_like(x)
+    counts = free.sum(axis=1)
+    for k in np.unique(counts).tolist():
+        group = (counts == k).nonzero()[0]
+        size = max(1, STACK_ENTRIES // (k * k))
+        for s in range(0, group.size, size):
+            r = group[s : s + size]
+            F = free[r].nonzero()[1].reshape(r.size, k)
+            A = Q[F[:, :, None], F[:, None, :]]
+            rF = (r[:, None], F)
+            try:
+                xF = np.linalg.solve(A, rhs[rF][:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError as e:
+                raise NumericalError(
+                    f"row {rows[r[0]]}: free block solve failed"
+                    f" ({r.size} rows of {k} free variables solved together): {e}"
+                ) from None
+            d[rF] = xF - x[rF]
+    return d
 
 
 def _newton_step(quad, x, lo, up, value, known, rows, g, d, offset):

@@ -13,7 +13,7 @@ check as a replayable JSON payload (see :func:`replay_witness`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -383,6 +383,21 @@ def _check_brute_matches_solver(problem, rng):
     return gap <= 1e-6, None if gap <= 1e-6 else {"gap": gap}
 
 
+def _check_chain_dp(problem, rng):
+    """The segment DP equals brute force on the tridiagonal part of Q.
+
+    Zeroing the entries off the tridiagonal removes only nonpositive
+    off-diagonal entries, so Q stays Stieltjes.
+    """
+    if problem.mode != "sparse" or problem.n > 10:
+        return True, None
+    quad = problem.quad
+    tri = replace(problem, quad=QuadraticForm(np.triu(np.tril(quad.Q, 1), -1), quad.a, quad.k0))
+    dp, bf = chain_dp(tri).value, brute_force(tri).value
+    ok = abs(dp - bf) <= 1e-9 * (1.0 + abs(bf))
+    return ok, None if ok else {"chain_dp": dp, "brute_force": bf}
+
+
 def _check_segment_affine(problem, rng):
     """Between consecutive breakpoints the path is affine: interior samples
     (recomputed independently by pinning the parametric coordinate) must be
@@ -432,6 +447,7 @@ CHECKS = {
     "lovasz_convexity": _check_lovasz_convexity,
     "mnp_matches_exhaustive": _check_mnp_matches_exhaustive,
     "brute_matches_solver": _check_brute_matches_solver,
+    "chain_dp_matches_brute_force": _check_chain_dp,
     "segment_affinity": _check_segment_affine,
 }
 

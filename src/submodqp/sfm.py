@@ -6,9 +6,11 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
   the reference for correctness.  It walks the codes 0 ... 2^m - 1 in
   lexicographic order, ``EXHAUSTIVE_CHUNK`` at a time, and evaluates each
   chunk with one :meth:`SubmodularOracle.eval_many` call: for an indicator
-  problem, one stacked box-QP solve (:func:`boxqp.solve_many`).  A tie
-  keeps the first vector found: a later one wins only when it is lower by
-  more than ``BRUTE_TIE_TOL``, the rule of a one-by-one scan;
+  problem, one stacked box-QP solve (:func:`boxqp.solve_many`): for up to
+  64 variables, one block of rows whose Newton steps are solved in groups
+  of equal free-block size.  A tie keeps the first vector found: a later
+  one wins only when it is lower by more than ``BRUTE_TIE_TOL``, the rule
+  of a one-by-one scan;
 * ``mnp`` runs Wolfe's minimum-norm-point algorithm over the base polytope of
   F, using the greedy subgradient as its linear-optimization oracle.  Each
   greedy call needs one full value chain, which the path tracer delivers in
@@ -85,11 +87,15 @@ class SubmodularOracle:
     prefixes of a permutation; the defaults make single evaluations, fast
     implementations override them.  ``chains``, ``stages_traced`` and
     ``stages_memo`` count the chains asked for, the stages computed for
-    them and the stages answered from a memo (none by default).
+    them and the stages answered from a memo (none by default);
+    ``stacked_rows`` and ``stacked_iterations`` count the box QPs that
+    :meth:`eval_many` solved in stacks and their Newton iterations (none by
+    default).
     """
 
     m = 0
     chains = stages_traced = stages_memo = 0
+    stacked_rows = stacked_iterations = 0
 
     def eval(self, zbin):
         raise NotImplementedError
@@ -182,8 +188,10 @@ class IndicatorOracle(SubmodularOracle):
         """F on each row of ``zbins``, by one stacked box-QP solve."""
         zbins = np.asarray(zbins)
         blo, bup = bounds_for_binary(self.smap, zbins, self.lo, self.up)
-        v = boxqp.solve_many(self.quad, blo, bup).value
-        return v + (zbins @ self.bincost.linear + self.bincost.constant)
+        sol = boxqp.solve_many(self.quad, blo, bup)
+        self.stacked_rows += sol.iterations.size
+        self.stacked_iterations += int(sol.iterations.sum())
+        return sol.value + (zbins @ self.bincost.linear + self.bincost.constant)
 
     def chain(self, order):
         order = np.asarray(order, dtype=int)
@@ -250,11 +258,16 @@ def minimize_exhaustive(oracle):
 
     The codes 0 ... 2^m - 1 are read with the first coordinate as the most
     significant bit, which is lexicographic order, and evaluated
-    ``EXHAUSTIVE_CHUNK`` at a time by :meth:`SubmodularOracle.eval_many`.
-    The scan then keeps one-by-one semantics across chunks: a vector
-    replaces the incumbent only when its value is below the incumbent's by
-    more than ``BRUTE_TIE_TOL``.  (This is not the first vector within
-    ``BRUTE_TIE_TOL`` of the minimum: a chain of near-ties can walk further.)
+    ``EXHAUSTIVE_CHUNK`` at a time by :meth:`SubmodularOracle.eval_many`
+    (for an indicator problem with up to 64 variables, one
+    :func:`boxqp.solve_many` block per chunk).  The scan then keeps one-by-one
+    semantics across chunks: a vector replaces the incumbent only when its
+    value is below the incumbent's by more than ``BRUTE_TIE_TOL``.  (This is
+    not the first vector within ``BRUTE_TIE_TOL`` of the minimum: a chain of
+    near-ties can walk further.)  Only the codes of a chunk below the
+    incumbent it started with, less ``BRUTE_TIE_TOL``, can replace it, so
+    the scan visits just those, in order.  The oracle's ``stacked_rows``
+    and ``stacked_iterations`` are logged at DEBUG.
     """
     m = oracle.m
     if m > EXHAUSTIVE_GUARD:
@@ -264,10 +277,14 @@ def minimize_exhaustive(oracle):
     for start in range(0, 1 << m, EXHAUSTIVE_CHUNK):
         codes = np.arange(start, min(start + EXHAUSTIVE_CHUNK, 1 << m))
         values = oracle.eval_many((codes[:, None] >> shifts) & 1)
-        for code, val in zip(codes.tolist(), values.tolist()):
-            if val < best - BRUTE_TIE_TOL:
-                best_code, best = code, val
+        for i in (values < best - BRUTE_TIE_TOL).nonzero()[0].tolist():
+            if values[i] < best - BRUTE_TIE_TOL:
+                best_code, best = start + i, float(values[i])
     best_z = None if best_code is None else (best_code >> shifts) & 1
+    _log.debug(
+        "exhaustive: %d codes, %d box QPs solved in stacks, %d Newton iterations",
+        1 << m, oracle.stacked_rows, oracle.stacked_iterations,
+    )
     return SfmResult(
         z=best_z,
         value=float(best),

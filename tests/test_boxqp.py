@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,41 +152,84 @@ def test_solve_rejects_bounds_that_leave_no_box(small_quad, inf):
         boxqp.solve(small_quad, np.full(2, inf), np.full(2, inf))
 
 
-def _row_stack(prob, rng, rows=40):
-    """Boxes for solve_many: split assignments, plus zero-width and infinite rows."""
+def _row_stack(prob, rng, repeat=1, rows=40):
+    """Boxes for solve_many: split assignments, zero-width and infinite rows,
+    and for each k = 0..n two rows with k unbounded variables and the rest
+    pinned, so that their Newton steps solve blocks of every size 1..n-1.
+    The rows with n - 1 unbounded variables come ``repeat`` times each."""
+    n = prob.n
     smap, _ = lattice.split(prob.lo, prob.up)
     z = rng.integers(0, 2, size=(rows, smap.binary_dim))
     lo, up = lattice.bounds_for_binary(smap, z, prob.lo, prob.up)
     mid = 0.5 * (prob.lo + prob.up)
-    pinned = rng.random(prob.n) < 0.5
-    extra_lo = np.array([np.where(pinned, mid, prob.lo), mid,
-                         np.full(prob.n, -np.inf), np.where(pinned, -np.inf, prob.lo)])
-    extra_up = np.array([np.where(pinned, mid, prob.up), mid,
-                         np.full(prob.n, np.inf), np.where(pinned, prob.up, np.inf)])
+    pinned = rng.random(n) < 0.5
+    extra_lo = [np.where(pinned, mid, prob.lo), mid,
+                np.full(n, -np.inf), np.where(pinned, -np.inf, prob.lo)]
+    extra_up = [np.where(pinned, mid, prob.up), mid,
+                np.full(n, np.inf), np.where(pinned, prob.up, np.inf)]
+    for k in range(n + 1):
+        for _ in range(2):
+            open_ = np.isin(np.arange(n), rng.choice(n, size=k, replace=False))
+            times = repeat if k == n - 1 else 1
+            extra_lo += [np.where(open_, -np.inf, mid)] * times
+            extra_up += [np.where(open_, np.inf, mid)] * times
     return np.vstack([lo, extra_lo]), np.vstack([up, extra_up])
 
 
 @pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])
-def test_solve_many_matches_solve_row_by_row(regime):
+def test_solve_many_matches_solve_row_by_row(regime, monkeypatch):
+    stacks = []  # (rows, k) of every stacked free-block solve
+    linalg_solve = np.linalg.solve
+
+    def recording(A, b):
+        stacks.append(A.shape[:2])
+        return linalg_solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
     rng = np.random.default_rng(9)
-    for seed in range(8):
-        prob = sq.InstanceSampler(n=3 + seed, regime=regime, seed=40 + seed).draw(0)
-        lo, up = _row_stack(prob, rng)
+    for seed, density in itertools.product(range(8), (0.5, 1.0)):
+        sampler = sq.InstanceSampler(n=3 + seed, density=density, regime=regime, seed=40 + seed)
+        prob = sampler.draw(0)
+        # enough rows with n - 1 unbounded variables to overflow one stack
+        repeat = boxqp.STACK_ENTRIES // (prob.n - 1) ** 2 + 1 if density == 1.0 else 1
+        lo, up = _row_stack(prob, rng, repeat)
+        stacks.clear()
         many = boxqp.solve_many(prob.quad, lo, up)
         assert many.x.shape == lo.shape and many.value.shape == (lo.shape[0],)
         tol = boxqp.KKT_TOL_FACTOR * (1.0 + float(np.abs(prob.quad.a).max()))
         assert np.all(many.kkt_residual <= tol)
-        for r in range(lo.shape[0]):
+        n = prob.n
+        assert all(rows * k * k <= boxqp.STACK_ENTRIES for rows, k in stacks)
+        if density == 1.0:
+            # every pinned variable pulls on every unbounded one, so each
+            # such row takes one Newton step on a block of its k unbounded
+            # variables, and the rows with k = n - 1 fill a whole stack
+            assert {k for _, k in stacks} >= set(range(1, n))
+            assert (boxqp.STACK_ENTRIES // (n - 1) ** 2, n - 1) in stacks
+        # one scalar solve per distinct box
+        boxes = np.hstack([lo, up])
+        _, first, inverse = np.unique(boxes, axis=0, return_index=True, return_inverse=True)
+        for box, r in enumerate(first):
             one = boxqp.solve(prob.quad, lo[r], up[r])
-            assert np.all(np.abs(many.x[r] - one.x) <= 1e-10 * (1.0 + np.abs(one.x)))
-            assert abs(many.value[r] - one.value) <= 1e-12 * (1.0 + abs(one.value))
+            same = inverse.ravel() == box
+            assert np.all(np.abs(many.x[same] - one.x) <= 1e-10 * (1.0 + np.abs(one.x)))
+            assert np.all(np.abs(many.value[same] - one.value) <= 1e-12 * (1.0 + abs(one.value)))
 
 
-def test_solve_many_splits_large_stacks_into_blocks(small_quad):
-    rows = boxqp.STACK_ENTRIES // small_quad.n**2 + 3  # one full block and a short one
+def test_solve_many_splits_large_stacks_into_blocks(small_quad, monkeypatch):
+    blocks = []
+    solve_block = boxqp._solve_block
+
+    def recording(quad, lo, *args):
+        blocks.append(lo.shape[0])
+        return solve_block(quad, lo, *args)
+
+    monkeypatch.setattr(boxqp, "_solve_block", recording)
+    rows = boxqp.STACK_ENTRIES // small_quad.n + 3  # one full block and a short one
     lo = np.zeros((rows, 2))
     up = np.column_stack([np.linspace(0.0, 1.0, rows), np.full(rows, 10.0)])
     many = boxqp.solve_many(small_quad, lo, up)
+    assert blocks == [rows - 3, 3]
     assert many.x.shape == (rows, 2)
     for r in (0, rows // 2, rows - 1):
         assert np.allclose(many.x[r], boxqp.solve(small_quad, lo[r], up[r]).x, atol=1e-14)
@@ -223,8 +268,11 @@ def test_solve_many_turns_a_failed_block_solve_into_a_numerical_error(small_quad
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(NumericalError, match="Singular matrix"):
-        boxqp.solve_many(small_quad, np.zeros((1, 2)), np.array([[10.0, 0.0]]))
+    # rows 0 and 2 start at the minimizer; only row 1 takes a Newton step
+    lo, up = np.zeros((3, 2)), np.full((3, 2), 10.0)
+    up[1, 1] = 0.0
+    with pytest.raises(NumericalError, match=r"row 1: .*Singular matrix"):
+        boxqp.solve_many(small_quad, lo, up)
 
 
 def test_kkt_violation_of_a_stack_is_the_violation_of_each_row():

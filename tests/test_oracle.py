@@ -160,6 +160,22 @@ def test_memo_check_catches_a_set_valued_twice(monkeypatch):
     assert not ok and detail["stage"] == len(detail["order"]) and "first" in detail
 
 
+def test_chain_dp_check_catches_a_perturbed_value(monkeypatch):
+    prob = sq.InstanceSampler(n=6, regime="mixed", seed=4).draw(0)
+    check = oracle.CHECKS["chain_dp_matches_brute_force"]
+    assert check(prob, np.random.default_rng(0)) == (True, None)
+    chain_dp = oracle.chain_dp
+
+    def perturbed(problem):
+        res = chain_dp(problem)
+        res.value += 1e-6
+        return res
+
+    monkeypatch.setattr(oracle, "chain_dp", perturbed)
+    ok, detail = check(prob, np.random.default_rng(0))
+    assert not ok and detail["chain_dp"] == pytest.approx(detail["brute_force"] + 1e-6, abs=1e-12)
+
+
 def test_report_serialization():
     report = sq.run_property_suite(sq.InstanceSampler(n=4, regime="nonnegative", seed=5), trials=2)
     d = report.to_json_dict()

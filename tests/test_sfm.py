@@ -635,3 +635,16 @@ def test_mnp_logs_its_chain_counters(caplog):
     assert len(found) == 1
     chains, traced, memo = (int(g) for g in found[0].groups())
     assert chains >= 2 and traced >= 1 and memo >= 1
+
+
+def test_exhaustive_logs_its_box_qp_counters(caplog):
+    prob = sq.InstanceSampler(n=6, regime="nonnegative", seed=3).draw(0)
+    with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
+        sq.solve_full(prob, engine="exhaustive")
+    pattern = r"exhaustive: (\d+) codes, (\d+) box QPs solved in stacks, (\d+) Newton iterations"
+    found = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records]
+    found = [f for f in found if f]
+    assert len(found) == 1
+    codes, rows, iters = (int(g) for g in found[0].groups())
+    # every code is one stacked row, and every row takes at least one iteration
+    assert codes == rows == 2**6 and iters > rows
