@@ -91,6 +91,8 @@ def cmd_eval(args):
     z = np.array(_parse_int_list(args.z, "z"), dtype=int)
     if z.shape != (problem.n,) or np.any((z != 0) & (z != 1)):
         raise InputError(f"z must be {problem.n} binary entries")
+    if np.any((z == 0) & ~problem.indicated):
+        raise InputError("z must be 1 on every variable with no indicator (robust signals)")
     blo = np.where(z == 1, problem.lo, 0.0)
     bup = np.where(z == 1, problem.up, 0.0)
     sol = boxqp.solve(problem.quad, blo, bup)
@@ -102,7 +104,7 @@ def cmd_eval(args):
 
 def cmd_trace(args):
     problem = model.compile_instance(model.load_instance(args.input))
-    orl = sfm.IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs)
+    orl = sfm.IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, ~problem.indicated)
     order = _parse_int_list(args.order, "order") if args.order else list(range(orl.m))
     chain = orl.value_chain(order)
     payload = chain.to_json_dict()

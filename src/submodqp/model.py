@@ -13,7 +13,8 @@ Both modes compile to the same canonical form: minimize
 ``-a^T x + 0.5 x^T Q x + k0 + c^T z`` subject to ``l*z <= x <= u*z`` with
 ``z`` binary, where ``Q`` is a Stieltjes matrix (positive definite with
 nonpositive off-diagonal entries).  That structure makes the continuous value
-function submodular in ``z``, which the solver modules exploit.
+function submodular in ``z``, which the solver modules exploit.  Robust
+signals carry no indicator: z = 1 for them, so they always lie in [l, u].
 
 Robust mode adds the ridge ``RIDGE * sum_i w_i^2`` for strict convexity.  It
 is a constant: any small positive value serves, and a fixed one keeps every
@@ -37,10 +38,6 @@ from .exceptions import InputError, NumericalError
 MODES = ("sparse", "robust")
 
 RIDGE = 1e-8  # weight of the robust-mode slack ridge (see compile_robust)
-
-# role tags for the continuous variables of a compiled problem
-ROLE_SIGNAL = "signal"
-ROLE_SLACK = "slack_w"
 
 
 def _as_float_vector(values, n, name):
@@ -251,12 +248,12 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class IndicatorProblem:
-    """Canonical compiled form: Stieltjes quadratic + per-variable indicators.
+    """Canonical compiled form: Stieltjes quadratic + indicators.
 
-    Every continuous variable carries exactly one indicator; variables that
-    the model does not want penalized (the x's in robust mode) get cost 0.
-    Such an indicator cannot change the optimum when 0 lies in [l, u]: the
-    solver then gives the variable no binary coordinate (see
+    The mode fixes which variables carry an indicator (:attr:`indicated`):
+    every one in sparse mode, only the slacks of (x_1..x_n, w_1..w_n) in
+    robust mode.  A variable with no indicator has z = 1, so it always lies
+    in [l, u]; the solver gives it no binary coordinate (see
     :func:`submodqp.sfm.solve_full`).
     """
 
@@ -264,7 +261,6 @@ class IndicatorProblem:
     costs: np.ndarray
     lo: np.ndarray
     up: np.ndarray
-    roles: tuple = ()
     mode: str = "sparse"
 
     def __post_init__(self):
@@ -280,26 +276,33 @@ class IndicatorProblem:
             raise InputError("lo > up in compiled problem")
         if not np.all(c >= 0):
             raise InputError("negative indicator cost")
-        roles = tuple(self.roles) if self.roles else tuple((ROLE_SIGNAL, i) for i in range(n))
-        if len(roles) != n:
-            raise InputError("roles length mismatch")
+        if self.mode not in MODES:
+            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "robust" and n % 2:
+            raise InputError(f"a robust-mode problem has (x, w) pairs, got {n} variables")
         for arr in (c, lo, up):
             arr.flags.writeable = False
         object.__setattr__(self, "costs", c)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "up", up)
-        object.__setattr__(self, "roles", roles)
 
     @property
     def n(self):
         return self.quad.n
 
+    @property
+    def indicated(self):
+        """Read-only boolean mask of the variables that carry an indicator."""
+        mask = np.arange(self.n) >= (self.n // 2 if self.mode == "robust" else 0)
+        mask.flags.writeable = False
+        return mask
+
     def discarded(self, z):
-        """Sorted vertices whose observation the indicator vector z discards,
-        or None outside robust mode."""
+        """Sorted vertices whose observation the indicator vector z discards
+        (open slacks), or None outside robust mode."""
         if self.mode != "robust":
             return None
-        return sorted(v for (kind, v), zk in zip(self.roles, z) if kind == ROLE_SLACK and zk == 1)
+        return np.flatnonzero(np.asarray(z)[self.n // 2 :] == 1).tolist()
 
     def to_json_dict(self):
         return {
@@ -309,25 +312,22 @@ class IndicatorProblem:
             "c": self.costs.tolist(),
             "l": [_num_to_json(v) for v in self.lo],
             "u": [_num_to_json(v) for v in self.up],
-            "roles": [[kind, int(v)] for kind, v in self.roles],
             "mode": self.mode,
         }
 
     @staticmethod
     def from_json_dict(d):
-        known = {"Q", "a", "k0", "c", "l", "u", "roles", "mode"}
+        known = {"Q", "a", "k0", "c", "l", "u", "mode"}
         _reject_unknown_keys(d, known, "indicator problem")
         with _json_errors("indicator problem"):
             quad = QuadraticForm(
                 np.array(d["Q"], dtype=float), np.array(d["a"], dtype=float), float(d.get("k0", 0.0))
             )
-            roles = tuple((kind, int(v)) for kind, v in d.get("roles", []))
             return IndicatorProblem(
                 quad=quad,
                 costs=np.array(d["c"], dtype=float),
                 lo=np.array([_num_from_json(v) for v in d["l"]], dtype=float),
                 up=np.array([_num_from_json(v) for v in d["u"]], dtype=float),
-                roles=roles,
                 mode=d.get("mode", "sparse"),
             )
 
@@ -347,8 +347,7 @@ def compile_sparse(inst):
         k0 = float(np.sum(nw * inst.a**2))
     quad = QuadraticForm(Q, a, k0)
     quad.require_stieltjes()
-    roles = tuple((ROLE_SIGNAL, i) for i in range(inst.n))
-    return IndicatorProblem(quad, inst.c, inst.l, inst.u, roles, mode="sparse")
+    return IndicatorProblem(quad, inst.c, inst.l, inst.u, mode="sparse")
 
 
 def slack_bound(inst):
@@ -365,10 +364,9 @@ def compile_robust(inst):
     + RIDGE * sum_i w_i^2.  The ridge restores strict convexity (the plain
     reformulation is singular along x_i = w_i directions) with negligible
     bias; any small positive value does that, so it is a constant, not an
-    argument.  The x variables get indicators of cost 0 with the user
-    bounds; when those bounds contain 0 the sign split leaves them always
-    open, so only the w variables, which carry the discard costs and
-    a box [-M, M], reach the binary minimization.
+    argument.  Only the w variables carry an indicator, with the discard
+    costs and the box [-M, M]; the x variables have none (cost 0), so each
+    x_i lies in its user bounds [l_i, u_i] under every assignment.
     """
     if inst.mode != "robust":
         raise InputError(f"compile_robust requires mode='robust', got {inst.mode!r}")
@@ -388,8 +386,7 @@ def compile_robust(inst):
     costs = np.concatenate([np.zeros(n), inst.c])
     lo = np.concatenate([inst.l, np.full(n, -M)])
     up = np.concatenate([inst.u, np.full(n, M)])
-    roles = tuple((ROLE_SIGNAL, i) for i in range(n)) + tuple((ROLE_SLACK, i) for i in range(n))
-    return IndicatorProblem(quad, costs, lo, up, roles, mode="robust")
+    return IndicatorProblem(quad, costs, lo, up, mode="robust")
 
 
 def compile_instance(inst):

@@ -24,10 +24,9 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
 
 :func:`solve_full` wires everything together for a compiled indicator
 problem: sign split, oracle construction, minimization, and recovery of the
-original indicator vector and continuous minimizer.  Variables whose
-indicator cannot change the optimum get no binary coordinate (see
-:func:`solve_full`); in robust mode these are the signal variables, half
-the ground set.
+original indicator vector and continuous minimizer.  Variables with no
+indicator (the signals of a robust problem) and those whose indicator
+cannot change the optimum get no binary coordinate (see :func:`solve_full`).
 """
 
 from __future__ import annotations
@@ -404,8 +403,9 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     """End-to-end minimization of f(x) + c^T z over the indicator feasible set.
 
     A variable is always open, with no binary coordinate and the box
-    [l_i, u_i] under every assignment, when (a) it costs nothing and (b) 0
-    lies in [l_i, u_i].  Then its feasible set [l_i, u_i] ∪ {0} is [l_i, u_i]:
+    [l_i, u_i] under every assignment, when it has no indicator (see
+    ``problem.indicated``), or when (a) it costs nothing and (b) 0 lies in
+    [l_i, u_i].  Then its feasible set [l_i, u_i] ∪ {0} is [l_i, u_i]:
     opening a box never raises v and a zero cost never changes the cost
     term, so F with the indicator open is at most F with it closed, and the
     restriction of F to the open indicators is submodular with the same
@@ -415,13 +415,14 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     nest.  The requested engine then minimizes the (submodular)
     value-plus-cost function over the remaining split coordinates; when
     none is left, one box-QP solve is the whole minimization.  Finally it
-    maps back: repairs any spurious split corner, recovers x with one
-    box-QP solve, and reports the discarded-observation set for robust-mode
-    problems.
+    repairs any spurious split corner: that closes only bounds the engine's
+    minimizer x does not use, so x stays the minimizer of the repaired box.
+    A robust problem's result lists its discarded observations.
     """
     if engine not in ("exhaustive", "mnp"):
         raise InputError(f"unknown engine {engine!r} (use 'exhaustive' or 'mnp')")
-    always_open = (problem.costs == 0.0) & (problem.lo <= 0.0) & (problem.up >= 0.0)
+    zero_cost_open = (problem.costs == 0.0) & (problem.lo <= 0.0) & (problem.up >= 0.0)
+    always_open = ~problem.indicated | zero_cost_open
     oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, always_open)
     smap = oracle.smap
     _log.debug(
@@ -433,18 +434,15 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     else:  # with no coordinate, enumeration is one evaluation
         res = minimize_exhaustive(oracle)
 
-    zbin = smap.repair(res.z, res.x)
-    blo, bup = bounds_for_binary(smap, zbin, problem.lo, problem.up)
-    xstar = boxqp.solve(problem.quad, blo, bup).x
-    z = smap.forward(zbin)
-    value = problem.quad.value(xstar) + float(problem.costs @ z)
+    z = smap.forward(smap.repair(res.z, res.x))
+    value = problem.quad.value(res.x) + float(problem.costs @ z)
     if value > res.value + 1e-7 * (1.0 + abs(res.value)):
-        raise NumericalError("split-corner repair changed the optimal value")
+        raise NumericalError("the recovered (x, z) is worse than the engine's value")
 
     return SfmResult(
         z=z,
         value=value,
-        x=xstar,
+        x=res.x,
         certificate=res.certificate,
         engine=engine,
         converged=res.converged,

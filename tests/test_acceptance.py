@@ -60,21 +60,29 @@ def _model_instance(mode, regime, idx):
 def test_criterion_1_exactness_vs_oracle():
     t0 = time.time()
     worst_ex = worst_mnp = 0.0
+    robust = outside = 0  # robust instances, and those with a signal outside [l, u]
     for idx in range(200):
         mode = ("sparse", "sparse", "robust")[idx % 3]
         regime = ("nonnegative", "mixed", "negative")[(idx // 3) % 3]
-        problem = sq.compile_instance(_model_instance(mode, regime, idx))
+        inst = _model_instance(mode, regime, idx)
+        problem = sq.compile_instance(inst)
         bf = sq.brute_force(problem)
         ex = sq.solve_full(problem, engine="exhaustive")
         mn = sq.solve_full(problem, engine="mnp")
         worst_ex = max(worst_ex, abs(ex.value - bf.value))
         worst_mnp = max(worst_mnp, abs(mn.value - bf.value))
+        if mode == "robust":  # a robust signal has no indicator: it stays in [l, u]
+            robust += 1
+            signals = np.array([res.x[: inst.n] for res in (bf, ex, mn)])
+            outside += bool(np.any((signals < inst.l) | (signals > inst.u)))
     elapsed = time.time() - t0
-    ok = worst_ex <= 1e-6 and worst_mnp <= 1e-6 and elapsed < 300.0
+    ok = worst_ex <= 1e-6 and worst_mnp <= 1e-6 and outside == 0 and elapsed < 300.0
     _report(1, "exactness vs oracle", ok,
-            f"(200 instances, worst gaps exhaustive {worst_ex:.2e} / mnp {worst_mnp:.2e}, {elapsed:.0f}s)")
+            f"(200 instances, worst gaps exhaustive {worst_ex:.2e} / mnp {worst_mnp:.2e}, "
+            f"{outside} of {robust} robust answers leave [l, u], {elapsed:.0f}s)")
     assert worst_ex <= 1e-6
     assert worst_mnp <= 1e-6
+    assert outside == 0
     assert elapsed < 300.0
 
 

@@ -92,6 +92,16 @@ def test_eval_rejects_bad_z(tmp_path):
     assert _run(["eval", str(path), "--z", "0,2,1"]) == cli.EXIT_INPUT
 
 
+def test_eval_rejects_a_closed_robust_signal(tmp_path, capsys):
+    # a robust signal carries no indicator, so its z is 1
+    inst, _ = model.generate("chain", (3,), mode="robust", seed=0)
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    assert _run(["eval", str(path), "--z", "1,1,1,0,1,0"]) == cli.EXIT_OK
+    assert _run(["eval", str(path), "--z", "0,1,1,0,1,0"]) == cli.EXIT_INPUT
+    assert "no indicator" in capsys.readouterr().err
+
+
 def test_ridge_is_not_an_option(tmp_path, capsys):
     # robust mode compiles with the fixed model.RIDGE
     inst, _ = model.generate("chain", (3,), mode="robust", seed=0)
@@ -126,6 +136,17 @@ def test_trace_with_a_prefix_order_traces_the_prefix(tmp_path, capsys):
     assert d["values"] == f["values"][:3]
     assert f"v(last)={d['values'][-1]:.6f}" in capsys.readouterr().out
     assert _run(["trace", str(path), "--order", "3,3"]) == cli.EXIT_INPUT
+
+
+def test_trace_robust_traces_the_slack_coordinates(tmp_path, capsys):
+    # the coordinates solve uses: the two split bits of each straddling slack
+    inst, _ = model.generate("chain", (3,), mode="robust", seed=0)
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    out = tmp_path / "chain.json"
+    assert _run(["trace", str(path), "--output", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["order"] == list(range(6))
+    assert "stages=6 " in capsys.readouterr().out
 
 
 def test_trace_infinite_bounds_matches_naive_chain(tmp_path):

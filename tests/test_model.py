@@ -75,7 +75,7 @@ def test_compile_robust_structure():
     assert p.quad.Q[1, 3] == pytest.approx(-2.0)
     assert p.quad.Q[0, 3] == 0.0
     assert np.all(p.costs[:2] == 0.0) and np.all(p.costs[2:] == 1.0)
-    assert p.roles[2] == (model.ROLE_SLACK, 0)
+    assert p.indicated.tolist() == [False, False, True, True]
     M = model.slack_bound(inst)
     assert np.all(p.lo[2:] == -M) and np.all(p.up[2:] == M)
 
@@ -188,6 +188,25 @@ def test_discarded_lists_the_vertices_of_open_slacks():
     assert sq.compile_instance(inst).discarded(z) == [1, 2]
     sparse, _ = model.generate("chain", (3,), seed=0)
     assert sq.compile_instance(sparse).discarded(z[:3]) is None
+
+
+def test_indicated_follows_the_mode():
+    quad = sq.QuadraticForm(np.eye(4), np.zeros(4))
+    box = (np.ones(4), -np.ones(4), np.ones(4))
+    assert sq.IndicatorProblem(quad, *box).indicated.tolist() == [True] * 4
+    robust = sq.IndicatorProblem(quad, *box, mode="robust")
+    assert robust.indicated.tolist() == [False, False, True, True]
+    assert not robust.indicated.flags.writeable
+    with pytest.raises(AttributeError):
+        robust.indicated = np.ones(4, dtype=bool)
+    assert "roles" not in robust.to_json_dict()
+    back = sq.IndicatorProblem.from_json_dict(robust.to_json_dict())
+    assert back.indicated.tolist() == [False, False, True, True]
+    odd = sq.QuadraticForm(np.eye(3), np.zeros(3))
+    with pytest.raises(InputError, match="3 variables"):
+        sq.IndicatorProblem(odd, np.ones(3), -np.ones(3), np.ones(3), mode="robust")
+    with pytest.raises(InputError, match="mode"):
+        sq.IndicatorProblem(quad, *box, mode="dense")
 
 
 def test_generate_fully_sparse_noiseless():

@@ -4,6 +4,7 @@ import pytest
 import submodqp as sq
 from submodqp import oracle, sfm
 from submodqp.exceptions import InputError
+from submodqp.lattice import split
 
 
 def test_brute_force_matches_solver_on_corner_instance():
@@ -236,6 +237,22 @@ def test_chain_dp_judges_mnp_at_m_200(seed):
     dp = oracle.chain_dp(problem)
     assert mnp.converged
     assert dp.value == pytest.approx(mnp.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed, bounds", [(0, None), (1, None), (2, (0.5, 4.0))])
+def test_brute_force_judges_mnp_on_robust_chains_at_m_24(seed, bounds):
+    # 12 vertices: brute force enumerates the 12 slack indicators, and MNP
+    # splits each straddling slack into two coordinates; with the bounds
+    # (0.5, 4.0) no signal may be 0
+    inst, _ = sq.generate("chain", 12, mode="robust", outlier_fraction=0.2, bounds=bounds, seed=seed)
+    problem = sq.compile_instance(inst)
+    assert split(problem.lo, problem.up, None, ~problem.indicated)[0].binary_dim == 24
+    mnp = sq.solve_full(problem, engine="mnp")
+    bf = sq.brute_force(problem)
+    assert mnp.converged
+    assert mnp.value == pytest.approx(bf.value, rel=1e-9)
+    for res in (mnp, bf):
+        assert np.all(res.x[:12] >= inst.l) and np.all(res.x[:12] <= inst.u)
 
 
 def test_chain_dp_rejects_problems_that_do_not_decouple():

@@ -414,6 +414,43 @@ def test_solve_full_always_open_rule(monkeypatch):
     assert res.value == pytest.approx(sq.brute_force(problem).value, abs=1e-9)
 
 
+def test_solve_full_repairs_a_spurious_corner_without_a_second_solve(monkeypatch):
+    # three priced straddling variables whose unconstrained minimizer
+    # (1.2, -1.2, 0) lies inside [-2, 2]^3; the engine returns every
+    # (z+, z-) = (1, 0), so repair closes l of the first, u of the second
+    # and both bounds of the third
+    quad = sq.QuadraticForm([[2.0, -0.5, 0.0], [-0.5, 2.0, 0.0], [0.0, 0.0, 1.0]], [3.0, -3.0, 0.0])
+    problem = sq.IndicatorProblem(quad, np.full(3, 0.1), np.full(3, -2.0), np.full(3, 2.0))
+    seen = []
+
+    def spurious(oracle, tol):
+        seen.append(oracle)
+        z = oracle.smap.plus.astype(int)  # every z+ set, every z- clear
+        return sfm.SfmResult(z, oracle.eval(z), oracle.recover_x(z), 0.0, "mnp")
+
+    monkeypatch.setattr(sfm, "minimize_mnp", spurious)
+    solves = []
+    solve = boxqp.solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(boxqp, "solve", counted)
+    res = sq.solve_full(problem, engine="mnp")
+    assert len(solves) == 2  # the engine's eval and recover_x, no recovery solve
+
+    (oracle,) = seen
+    smap = oracle.smap
+    zbin = smap.repair(smap.plus.astype(int), res.x)
+    blo, bup = lattice.bounds_for_binary(smap, zbin, problem.lo, problem.up)
+    x = solve(quad, blo, bup).x  # the repaired box, solved again
+    z = smap.forward(zbin)
+    assert res.z.tolist() == z.tolist() == [1, 1, 0]
+    assert np.max(np.abs(res.x - x)) <= 1e-12
+    assert res.value == pytest.approx(quad.value(x) + problem.costs @ z, rel=1e-12, abs=1e-12)
+
+
 def _zero_half_the_costs(prob, rng):
     """Zero the costs of a random half of the variables, one of them
     semi-continuous (0 < l), which the open rule must leave live."""
@@ -442,8 +479,8 @@ def test_zero_cost_semicontinuous_variables_stay_live():
 
 
 def test_robust_engine_sees_only_the_slack_coordinates(monkeypatch):
-    # the signal variables cost nothing and straddle zero, so only the two
-    # split bits of each slack reach the engine: 2n coordinates, not 4n
+    # the signal variables carry no indicator, so only the two split bits
+    # of each slack reach the engine: 2n coordinates, not 4n
     inst, _ = sq.generate("chain", (6,), signal_sparsity=0.0, outlier_fraction=0.2,
                           noise_sd=0.25, seed=3, mode="robust", cost=4.0)
     problem = sq.compile_instance(inst)
