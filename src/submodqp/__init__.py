@@ -1,7 +1,8 @@
 """submodqp: exact sparse and robust MRF inference via submodular minimization.
 
 The package solves convex quadratic minimization problems with indicator
-variables (l*z <= x <= u*z, z binary) whose Hessian is a Stieltjes matrix.
+variables (l*z <= x <= u*z, z binary) whose Hessian is a Stieltjes matrix;
+``QuadraticForm`` rejects any other Hessian when it is built.
 Such problems cover Gaussian-MRF denoising with an L0 sparsity prior and the
 outlier-trimming robust variant; their value functions are submodular, so the
 combinatorial part reduces to binary submodular minimization, accelerated by

@@ -1,8 +1,10 @@
 """Exact active-set solver for box-constrained Stieltjes quadratics.
 
-Minimizes ``-a^T x + 0.5 x^T Q x + k0`` over ``l <= x <= u`` with Q symmetric
-positive definite and nonpositive off-diagonal, by projected Newton on the
-clamped set.  There are two entry points:
+Minimizes ``-a^T x + 0.5 x^T Q x + k0`` over ``l <= x <= u`` by projected
+Newton on the clamped set.  Q is a Stieltjes matrix, symmetric positive
+definite with nonpositive off-diagonal, because :class:`QuadraticForm`
+admits no other; the solvers take that as given.  There are two entry
+points:
 
 * :func:`solve` takes one box.  It is the slow, trusted value-function
   oracle: every active-set change triggers a fresh factorization (simplicity
@@ -96,7 +98,6 @@ def solve(quad, lo, up, max_iter=200):
     activate, but a lower bound of +inf or an upper bound of -inf, which
     admits no finite point, raises :class:`InputError`.
     """
-    quad.require_stieltjes()
     n = quad.n
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
@@ -187,7 +188,6 @@ def solve_many(quad, lo, up, max_iter=200):
     Errors name the offending row.  Returns a :class:`BoxQpSolution` whose
     fields hold one entry per row.
     """
-    quad.require_stieltjes()
     n = quad.n
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)

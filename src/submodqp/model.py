@@ -13,8 +13,10 @@ Both modes compile to the same canonical form: minimize
 ``-a^T x + 0.5 x^T Q x + k0 + c^T z`` subject to ``l*z <= x <= u*z`` with
 ``z`` binary, where ``Q`` is a Stieltjes matrix (positive definite with
 nonpositive off-diagonal entries).  That structure makes the continuous value
-function submodular in ``z``, which the solver modules exploit.  Robust
-signals carry no indicator: z = 1 for them, so they always lie in [l, u].
+function submodular in ``z``, which the solver modules exploit.  It is an
+invariant of :class:`QuadraticForm`: construction rejects any other Q, so no
+solver checks it again.  Robust signals carry no indicator: z = 1 for them,
+so they always lie in [l, u].
 
 Robust mode adds the ridge ``RIDGE * sum_i w_i^2`` for strict convexity.  It
 is a constant: any small positive value serves, and a fixed one keeps every
@@ -27,13 +29,12 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .exceptions import InputError, NumericalError
+from .exceptions import InputError
 
 MODES = ("sparse", "robust")
 
@@ -104,12 +105,17 @@ def chain_graph(n, weight=1.0):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """f(x) = -a^T x + 0.5 x^T Q x + k0 with symmetric Q.
+    """f(x) = -a^T x + 0.5 x^T Q x + k0 with Q a Stieltjes matrix.
 
-    Construction checks shape, finiteness and symmetry only; solvers
-    additionally require the Stieltjes property (see
-    :meth:`stieltjes_violation`), so that invalid matrices can still be
-    represented, e.g. to exercise rejection paths.
+    Construction checks shape, finiteness and symmetry, then the Stieltjes
+    property: every off-diagonal entry is nonpositive, and one Cholesky
+    factorization (LAPACK ``potrf``) proves Q positive definite.  A Q that
+    fails raises :class:`InputError` naming the worst violation: the largest
+    positive off-diagonal entry, or ``-min_eigenvalue`` when the
+    factorization fails.  So every form a solver sees is Stieltjes, and none
+    re-checks it.  The same factor gives the Newton point Q^{-1} a
+    (:meth:`newton_point`); the factor itself is not kept, so a form holds
+    one n x n array.
     Arrays are copied and frozen; instances are safe to share across threads.
     """
 
@@ -127,15 +133,22 @@ class QuadraticForm:
             raise InputError("a and Q dimensions disagree")
         if not (np.isfinite(Q).all() and np.isfinite(a).all() and math.isfinite(k0)):
             raise InputError("quadratic form has non-finite entries")
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(Q).max())):
+        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(Q).max(initial=0.0))):
             raise InputError("Q must be symmetric")
-        Q.flags.writeable = False
-        a.flags.writeable = False
+        violation = float((Q - np.diag(np.diag(Q))).max(initial=0.0))
+        c, info = dpotrf(Q, lower=1)
+        if info != 0:
+            violation = max(violation, float(-np.linalg.eigvalsh(Q).min()), np.finfo(float).tiny)
+        if violation > 0.0:
+            raise InputError(f"Q is not a Stieltjes matrix (violation {violation:.3e})")
+        newton = dpotrs(c, a, lower=1)[0] if a.size else a.copy()  # potrs rejects n = 0
+        neg_a = -a  # for value(); negation is exact
+        for arr in (Q, a, newton, neg_a):
+            arr.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "k0", k0)
-        neg_a = -a  # for value(); negation is exact
-        neg_a.flags.writeable = False
+        object.__setattr__(self, "_newton", newton)
         object.__setattr__(self, "_neg_a", neg_a)
 
     @property
@@ -149,44 +162,8 @@ class QuadraticForm:
     def grad(self, x):
         return self.Q @ np.asarray(x, dtype=float) - self.a
 
-    @cached_property
-    def _stieltjes_violation(self):
-        off = self.Q - np.diag(np.diag(self.Q))
-        worst = max(0.0, float(off.max(initial=0.0)))
-        try:
-            np.linalg.cholesky(self.Q)
-        except np.linalg.LinAlgError:
-            worst = max(worst, float(-np.linalg.eigvalsh(self.Q).min()))
-            worst = max(worst, np.finfo(float).tiny)
-        return worst
-
-    def stieltjes_violation(self):
-        """Worst violation of the Stieltjes property (0.0 when it holds).
-
-        Returns max(largest positive off-diagonal entry, positive-definiteness
-        defect measured as ``-min_eigenvalue`` when Cholesky fails).  Cached:
-        the arrays are frozen at construction.
-        """
-        return self._stieltjes_violation
-
-    def require_stieltjes(self):
-        v = self.stieltjes_violation()
-        if v > 0.0:
-            raise InputError(f"Q is not a Stieltjes matrix (violation {v:.3e})")
-
-    @cached_property
-    def _newton(self):
-        self.require_stieltjes()
-        c, info = dpotrf(self.Q, lower=1)
-        if info == 0:
-            x, info = dpotrs(c, self.a, lower=1)
-        if info != 0:
-            raise NumericalError(f"Q is not positive definite (LAPACK info={info})")
-        x.flags.writeable = False
-        return x
-
     def newton_point(self):
-        """Unconstrained minimizer Q^{-1} a (computed once; read-only, shared)."""
+        """Unconstrained minimizer Q^{-1} a (computed at construction; read-only, shared)."""
         return self._newton
 
 
@@ -346,7 +323,6 @@ def compile_sparse(inst):
         a = 2.0 * nw * inst.a
         k0 = float(np.sum(nw * inst.a**2))
     quad = QuadraticForm(Q, a, k0)
-    quad.require_stieltjes()
     return IndicatorProblem(quad, inst.c, inst.l, inst.u, mode="sparse")
 
 
@@ -381,7 +357,6 @@ def compile_robust(inst):
         a = np.concatenate([2.0 * nw * inst.a, -2.0 * nw * inst.a])
         k0 = float(np.sum(nw * inst.a**2))
     quad = QuadraticForm(Q, a, k0)
-    quad.require_stieltjes()
     M = slack_bound(inst)
     costs = np.concatenate([np.zeros(n), inst.c])
     lo = np.concatenate([inst.l, np.full(n, -M)])

@@ -112,7 +112,8 @@ class InstanceSampler:
     """Reproducible random Stieltjes indicator problems.
 
     Q is built as diag + weighted-Laplacian with a diagonal margin of at
-    least 1e-3, so the Stieltjes property holds by construction.  Regimes
+    least 1e-3, so it is a Stieltjes matrix, as :class:`QuadraticForm`
+    requires.  Regimes
     steer the bounds: ``nonnegative`` (0 <= l <= u), ``negative``
     (l <= u <= 0) and ``mixed`` (each variable draws one of the three
     patterns, exercising every split branch).  Draws are deterministic in
@@ -208,11 +209,6 @@ def _witness(problem, **extra):
 
 
 # --- individual checks; each returns (ok, detail_dict_or_None) --------------
-
-def _check_stieltjes(problem, rng):
-    v = problem.quad.stieltjes_violation()
-    return v == 0.0, None if v == 0.0 else {"violation": v}
-
 
 def _check_boxqp_kkt(problem, rng):
     sol = boxqp.solve(problem.quad, problem.lo, problem.up)
@@ -435,7 +431,6 @@ def _check_segment_affine(problem, rng):
 
 
 CHECKS = {
-    "stieltjes": _check_stieltjes,
     "boxqp_kkt": _check_boxqp_kkt,
     "boxqp_permutation_invariance": _check_boxqp_permutation,
     "boxqp_isotonicity": _check_boxqp_isotone,
@@ -457,9 +452,10 @@ def run_property_suite(sampler, trials):
     """Run every registered invariant on ``trials`` sampled instances.
 
     Failures never raise: each produces a replayable witness (instance JSON
-    plus check name and detail) in the report.  A Stieltjes failure on an
-    instance skips that instance's downstream checks, since they presuppose
-    the structure.
+    plus check name and detail) in the report.  Every check runs on every
+    draw: a drawn Q is Stieltjes because :class:`QuadraticForm` admits no
+    other, and a sampler that draws one that is not raises
+    :class:`InputError` at the draw.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -476,8 +472,6 @@ def run_property_suite(sampler, trials):
                 report.checks[name].failures.append(
                     _witness(problem, check=name, trial=t, seed=seed, detail=detail)
                 )
-                if name == "stieltjes":
-                    break  # it runs first; the other checks presuppose it
     return report
 
 

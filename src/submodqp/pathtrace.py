@@ -9,12 +9,13 @@ which are piecewise-affine in ``x``:
 
     y_R(x) = Q_RR^{-1} (a_R - Q_RS l_S - Q_RT u_T) - (Q_RR^{-1} Q_R,j) x
 
-For Stieltjes Q the path is componentwise nondecreasing, so every coordinate
-leaves its lower bound at most once and reaches its upper bound at most once;
-the stage advances by ratio tests (nearest breakpoint vs. the stationarity
-root of the parametric coordinate, clamped to its box) and pivots a single
-variable at each breakpoint while a maintained Cholesky factor of Q_RR is
-updated in O(|R|^2) (see :mod:`submodqp.cholesky`).
+Q is Stieltjes (every :class:`QuadraticForm` is), so the path is
+componentwise nondecreasing: every coordinate leaves its lower bound at most
+once and reaches its upper bound at most once.  The stage advances by ratio
+tests (nearest breakpoint vs. the stationarity root of the parametric
+coordinate, clamped to its box) and pivots a single variable at each
+breakpoint while a maintained Cholesky factor of Q_RR is updated in
+O(|R|^2) (see :mod:`submodqp.cholesky`).
 
 Each segment (the stretch of the path between two breakpoints) costs one
 solve with Q_RR for a two-column right-hand side, the offset
@@ -158,7 +159,6 @@ class PathState:
         over the non-parametric coordinates, and a corrupted (or NaN) state
         is rejected.
         """
-        quad.require_stieltjes()
         n = quad.n
         lo = np.array(lo, dtype=float)
         up = np.array(up, dtype=float)
@@ -395,7 +395,6 @@ def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
     already has it; every chain of one minimization starts there, so the
     caller can solve it once.
     """
-    quad.require_stieltjes()
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
     if smap is None:

@@ -163,7 +163,6 @@ class IndicatorOracle(SubmodularOracle):
     """
 
     def __init__(self, quad, lo, up, costs=None, always_open=None):
-        quad.require_stieltjes()
         self.quad = quad
         self.lo = np.asarray(lo, dtype=float)
         self.up = np.asarray(up, dtype=float)
@@ -235,12 +234,13 @@ class IndicatorOracle(SubmodularOracle):
 
 
 def greedy_subgradient(oracle, zfrac):
-    """Linear minorant of F at zfrac (a base-polytope point).
+    """Linear minorant of F at zfrac: the greedy vertex w of the base polytope.
 
     Sorts zfrac nonincreasing (stable, so ties keep ascending index order),
     asks for one chain along that order, and scatters the consecutive
-    differences back to original positions; then
-    ``F(0) + <w, zfrac>`` equals the piecewise linear extension at zfrac.
+    differences back to original positions.  Only the order of zfrac
+    matters; for zfrac in [0, 1]^m, ``F(0) + <w, zfrac>`` equals the
+    piecewise linear extension at zfrac.
     """
     zfrac = np.asarray(zfrac, dtype=float)
     if zfrac.shape != (oracle.m,):
@@ -306,15 +306,6 @@ def _affine_minimizer(S):
     return coeff, S.T @ coeff
 
 
-def _rank_fractions(x):
-    """Map a direction to (0,1]^m preserving ascending order of x."""
-    m = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    zfrac = np.empty(m)
-    zfrac[order] = (m - np.arange(m)) / m
-    return zfrac
-
-
 def gap_tolerance(value, tol):
     """Largest duality gap that certifies ``value`` as the minimum.
 
@@ -352,7 +343,7 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     eps_drop = 1e-11
 
     for _ in range(max_iter):
-        zfrac = _rank_fractions(x)
+        zfrac = -x  # greedy's order, argsort(-zfrac), is then ascending x
         q = greedy_subgradient(oracle, zfrac)
         scale = 1.0 + float(np.max(np.abs(S))) ** 2 + float(q @ q)
         if x @ q >= x @ x - tol * scale:
@@ -399,35 +390,43 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     )
 
 
+def always_open(problem):
+    """Boolean mask of the variables that get no binary coordinate.
+
+    A variable is always open, with the box [l_i, u_i] under every
+    assignment, when it has no indicator (see ``problem.indicated``), or
+    when (a) it costs nothing and (b) 0 lies in [l_i, u_i].  Then its
+    feasible set [l_i, u_i] ∪ {0} is [l_i, u_i]: opening a box never raises
+    v and a zero cost never changes the cost term, so F with the indicator
+    open is at most F with it closed, and the restriction of F to the open
+    indicators is submodular with the same minimum (Bach 2013, *Learning
+    with Submodular Functions*, on restriction).  Condition (b) matters: a
+    zero-cost semi-continuous variable (0 < l_i) chooses between {0} and
+    [l_i, u_i], which do not nest.
+    """
+    zero_cost_open = (problem.costs == 0.0) & (problem.lo <= 0.0) & (problem.up >= 0.0)
+    return ~problem.indicated | zero_cost_open
+
+
 def solve_full(problem, engine="mnp", tol=1e-9):
     """End-to-end minimization of f(x) + c^T z over the indicator feasible set.
 
-    A variable is always open, with no binary coordinate and the box
-    [l_i, u_i] under every assignment, when it has no indicator (see
-    ``problem.indicated``), or when (a) it costs nothing and (b) 0 lies in
-    [l_i, u_i].  Then its feasible set [l_i, u_i] ∪ {0} is [l_i, u_i]:
-    opening a box never raises v and a zero cost never changes the cost
-    term, so F with the indicator open is at most F with it closed, and the
-    restriction of F to the open indicators is submodular with the same
-    minimum (Bach 2013, *Learning with Submodular Functions*, on
-    restriction).  Condition (b) matters: a zero-cost semi-continuous
-    variable (0 < l_i) chooses between {0} and [l_i, u_i], which do not
-    nest.  The requested engine then minimizes the (submodular)
-    value-plus-cost function over the remaining split coordinates; when
-    none is left, one box-QP solve is the whole minimization.  Finally it
-    repairs any spurious split corner: that closes only bounds the engine's
-    minimizer x does not use, so x stays the minimizer of the repaired box.
-    A robust problem's result lists its discarded observations.
+    The variables of :func:`always_open` get no binary coordinate.  The
+    requested engine minimizes the (submodular) value-plus-cost function
+    over the remaining split coordinates; when none is left, one box-QP
+    solve is the whole minimization.  Finally it repairs any spurious split
+    corner: that closes only bounds the engine's minimizer x does not use,
+    so x stays the minimizer of the repaired box.  A robust problem's
+    result lists its discarded observations.
     """
     if engine not in ("exhaustive", "mnp"):
         raise InputError(f"unknown engine {engine!r} (use 'exhaustive' or 'mnp')")
-    zero_cost_open = (problem.costs == 0.0) & (problem.lo <= 0.0) & (problem.up >= 0.0)
-    always_open = ~problem.indicated | zero_cost_open
-    oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, always_open)
+    opened = always_open(problem)
+    oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, opened)
     smap = oracle.smap
     _log.debug(
         "%d variables, %d always open, %d binary coordinates, engine %s",
-        smap.n, int(always_open.sum()), oracle.m, engine,
+        smap.n, int(opened.sum()), oracle.m, engine,
     )
     if engine == "mnp" and oracle.m:
         res = minimize_mnp(oracle, tol=tol)

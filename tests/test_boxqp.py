@@ -48,15 +48,17 @@ def test_active_upper_bound(small_quad):
 
 
 def test_rejects_non_stieltjes():
-    quad = sq.QuadraticForm([[2, 0.5], [0.5, 2]], [0, 0])
-    with pytest.raises(InputError):
-        boxqp.solve(quad, np.zeros(2), np.ones(2))
+    # no box QP can be posed on it: the form itself is refused
+    with pytest.raises(InputError, match=r"not a Stieltjes matrix \(violation 5\.000e-01\)"):
+        sq.QuadraticForm([[2, 0.5], [0.5, 2]], [0, 0])
 
 
 def test_rejects_indefinite():
-    quad = sq.QuadraticForm([[1, -2], [-2, 1]], [0, 0])
-    with pytest.raises(InputError):
-        boxqp.solve(quad, np.zeros(2), np.ones(2))
+    # eigenvalues -1 and 3: the violation is the positive-definiteness defect
+    with pytest.raises(InputError, match=r"not a Stieltjes matrix \(violation 1\.000e\+00\)"):
+        sq.QuadraticForm([[1, -2], [-2, 1]], [0, 0])
+    with pytest.raises(InputError, match="not a Stieltjes matrix"):
+        sq.QuadraticForm([[1, -1], [-1, 1]], [0, 0])  # singular
 
 
 def test_rejects_empty_box(small_quad):

@@ -149,6 +149,33 @@ def test_trace_robust_traces_the_slack_coordinates(tmp_path, capsys):
     assert "stages=6 " in capsys.readouterr().out
 
 
+def test_trace_traces_the_coordinates_solve_minimizes_over(tmp_path, capsys, monkeypatch):
+    # vertex 0 costs nothing and 0 lies in its bounds, so solve keeps it open
+    # with no coordinate; vertex 1 straddles 0 (two coordinates), vertex 2 has one
+    inst = sq.ProblemInstance(
+        sq.chain_graph(3), a=[1.0, -2.0, 0.5], node_weights=[1, 1, 1],
+        c=[0.0, 1.0, 1.0], l=[-3.0, -3.0, 0.0], u=[3.0, 3.0, 3.0],
+    )
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    seen = []
+    mnp = sfm.minimize_mnp
+    monkeypatch.setattr(sfm, "minimize_mnp", lambda orc, tol: seen.append(orc.m) or mnp(orc, tol=tol))
+    assert _run(["solve", str(path)]) == cli.EXIT_OK
+    out = tmp_path / "chain.json"
+    assert _run(["trace", str(path), "--output", str(out)]) == cli.EXIT_OK
+    assert seen == [3] and "stages=3 " in capsys.readouterr().out
+    d = json.loads(out.read_text())
+    assert d["order"] == [0, 1, 2]
+    quad = model.compile_instance(inst).quad
+    # vertex 0 keeps [l, u] throughout; vertex 1 moves from [l, 0] to [0, u]
+    # and vertex 2 from {0} to [l, u]
+    first = boxqp.solve(quad, [-3.0, -3.0, 0.0], [3.0, 0.0, 0.0]).value
+    last = boxqp.solve(quad, [-3.0, 0.0, 0.0], [3.0, 3.0, 3.0]).value
+    assert d["values"][0] == pytest.approx(first, abs=1e-9)
+    assert d["values"][-1] == pytest.approx(last, abs=1e-9)
+
+
 def test_trace_infinite_bounds_matches_naive_chain(tmp_path):
     inst = sq.ProblemInstance(
         sq.chain_graph(3, weight=0.5), a=[1.0, -2.0, 0.5], node_weights=[1, 1, 1],

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import submodqp as sq
 from submodqp import model
@@ -49,13 +50,48 @@ def test_sparse_objective_matches_sum_form():
         assert abs(direct - via_quad) <= 1e-10 * (1.0 + abs(direct))
 
 
+def assert_stieltjes(Q):
+    off = Q - np.diag(np.diag(Q))
+    assert off.max(initial=0.0) <= 0.0  # second-order submodularity
+    np.linalg.cholesky(Q)  # positive definite
+
+
 def test_compiled_q_is_stieltjes():
     for seed in range(5):
         inst, _ = model.generate("chain", (7,), noise_sd=0.5, seed=seed)
-        p = sq.compile_sparse(inst)
-        assert p.quad.stieltjes_violation() == 0.0
-        off = p.quad.Q - np.diag(np.diag(p.quad.Q))
-        assert off.max() <= 0.0  # second-order submodularity
+        assert_stieltjes(sq.compile_sparse(inst).quad.Q)
+
+
+def test_from_json_rejects_a_non_stieltjes_problem():
+    d = sq.InstanceSampler(n=3, seed=0).draw(0).to_json_dict()
+    d["Q"][0][1] = d["Q"][1][0] = 0.5
+    with pytest.raises(InputError, match="not a Stieltjes matrix"):
+        sq.IndicatorProblem.from_json_dict(d)
+
+
+def test_newton_point_is_one_factorization(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(model, "dpotrf", counting)
+    for seed in range(3):
+        quad = sq.InstanceSampler(n=9, seed=seed).draw(0).quad
+        x = quad.newton_point()
+        assert x.tobytes() == dpotrs(dpotrf(quad.Q, lower=1)[0], quad.a, lower=1)[0].tobytes()
+        assert not x.flags.writeable and x is quad.newton_point()
+        # no factor is kept: Q is the only n x n array on the form
+        squares = [v for v in vars(quad).values() if np.ndim(v) == 2]
+        assert len(squares) == 1 and squares[0] is quad.Q
+    assert calls == [(9, 9)] * 3
+
+
+def test_empty_form_has_an_empty_newton_point():
+    quad = sq.QuadraticForm(np.zeros((0, 0)), np.zeros(0), 1.5)
+    assert quad.n == 0 and quad.newton_point().shape == (0,)
+    assert quad.value(np.zeros(0)) == 1.5
 
 
 def _robust_two_chain():
@@ -69,7 +105,7 @@ def _robust_two_chain():
 def test_compile_robust_structure():
     inst, p = _robust_two_chain()
     assert p.n == 4
-    assert p.quad.stieltjes_violation() == 0.0
+    assert_stieltjes(p.quad.Q)
     # cross terms couple each x_i with its own slack only
     assert p.quad.Q[0, 2] == pytest.approx(-2.0)
     assert p.quad.Q[1, 3] == pytest.approx(-2.0)

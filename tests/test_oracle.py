@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,9 @@ def test_sampler_regimes():
 
 def test_sampler_always_stieltjes():
     for t in range(20):
-        prob = sq.InstanceSampler(n=7, regime="mixed", seed=9).draw(t)
-        assert prob.quad.stieltjes_violation() == 0.0
+        Q = sq.InstanceSampler(n=7, regime="mixed", seed=9).draw(t).quad.Q
+        assert (Q - np.diag(np.diag(Q))).max() <= 0.0
+        np.linalg.cholesky(Q)  # positive definite
 
 
 def test_property_suite_passes_on_clean_instances():
@@ -101,21 +104,32 @@ class _AdversarialSampler:
         return sq.IndicatorProblem(quad, np.zeros(2), np.zeros(2), np.ones(2))
 
 
-def test_property_suite_gates_on_stieltjes():
-    report = sq.run_property_suite(_AdversarialSampler(), trials=1)
+def test_property_suite_raises_on_a_non_stieltjes_draw():
+    # no check can see such a Q: the draw itself is refused
+    with pytest.raises(InputError, match=r"not a Stieltjes matrix \(violation 5\.000e-01\)"):
+        sq.run_property_suite(_AdversarialSampler(), trials=1)
+
+
+def _perturb_chain_dp(monkeypatch):
+    """Make ``oracle.chain_dp`` report its value 1e-6 too high."""
+    chain_dp = oracle.chain_dp
+
+    def perturbed(problem):
+        res = chain_dp(problem)
+        res.value += 1e-6
+        return res
+
+    monkeypatch.setattr(oracle, "chain_dp", perturbed)
+
+
+def test_witness_replay_reproduces_failure(monkeypatch):
+    _perturb_chain_dp(monkeypatch)
+    report = sq.run_property_suite(sq.InstanceSampler(n=6, regime="mixed", seed=4), trials=1)
     assert not report.ok
-    assert len(report.checks["stieltjes"].failures) == 1
-    # downstream checks were skipped, not failed
-    assert report.checks["boxqp_kkt"].passes == 0
-    assert report.checks["boxqp_kkt"].failures == []
-
-
-def test_witness_replay_reproduces_failure():
-    report = sq.run_property_suite(_AdversarialSampler(), trials=1)
-    witness = report.checks["stieltjes"].failures[0]
-    ok, detail = sq.replay_witness(witness)
+    witness = report.checks["chain_dp_matches_brute_force"].failures[0]
+    ok, detail = sq.replay_witness(json.loads(json.dumps(witness)))
     assert not ok
-    assert detail["violation"] == pytest.approx(0.5)
+    assert detail == witness["detail"]
 
 
 def test_witness_replay_rejects_unknown_check():
@@ -131,7 +145,7 @@ def test_witness_replay_rejects_a_malformed_instance(key, value):
     else:
         d[key] = value
     with pytest.raises(InputError, match="indicator problem JSON"):
-        sq.replay_witness({"check": "stieltjes", "instance": d})
+        sq.replay_witness({"check": "boxqp_kkt", "instance": d})
 
 
 def test_mnp_check_requires_a_certified_result(monkeypatch):
@@ -165,14 +179,7 @@ def test_chain_dp_check_catches_a_perturbed_value(monkeypatch):
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=4).draw(0)
     check = oracle.CHECKS["chain_dp_matches_brute_force"]
     assert check(prob, np.random.default_rng(0)) == (True, None)
-    chain_dp = oracle.chain_dp
-
-    def perturbed(problem):
-        res = chain_dp(problem)
-        res.value += 1e-6
-        return res
-
-    monkeypatch.setattr(oracle, "chain_dp", perturbed)
+    _perturb_chain_dp(monkeypatch)
     ok, detail = check(prob, np.random.default_rng(0))
     assert not ok and detail["chain_dp"] == pytest.approx(detail["brute_force"] + 1e-6, abs=1e-12)
 
