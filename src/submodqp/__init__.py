@@ -35,7 +35,6 @@ from .model import (
     load_instance,
     save_instance,
 )
-from .lattice import check_lattice_membership
 from .boxqp import solve as solve_boxqp
 from .sfm import (
     FunctionOracle,
@@ -61,7 +60,6 @@ __all__ = [
     "QuadraticForm",
     "brute_force",
     "chain_graph",
-    "check_lattice_membership",
     "compile_instance",
     "compile_robust",
     "compile_sparse",

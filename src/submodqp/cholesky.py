@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .exceptions import NumericalError
+from .exceptions import InputError, NumericalError
 
 
 def _trsolve(A, b, trans=0):
@@ -104,7 +104,7 @@ class UpdatableCholesky:
         idx = self._idx
         p = int((idx[:m] == j).argmax())
         if idx[p] != j:
-            raise ValueError(f"index {j} is not in the factor")
+            raise InputError(f"index {j} is not in the factor")
         L = self._L
         if p + 1 < m:
             v = L[p + 1 : m, p]

@@ -3,7 +3,9 @@
 Subcommands: generate, solve, eval, trace, verify, bench.  Every subcommand
 writes machine-readable JSON (or CSV, for bench) to --output and prints a
 one-line summary.  Exit codes: 0 success, 1 input error, 2 numerical failure,
-3 verification failure.
+3 verification failure.  A file that cannot be read or written (missing, a
+directory, not UTF-8, or an --output in a missing directory) is an input
+error.
 
 Run it with single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``): its matrices
 are small, so extra BLAS threads cost more than they save (one chain at
@@ -222,7 +224,7 @@ def main(argv=None):
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as e:

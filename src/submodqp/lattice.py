@@ -1,4 +1,4 @@
-"""Sign splitting and lattice/submodularity checkers.
+"""Sign splitting of the indicator variables.
 
 When a variable's range straddles zero, a single indicator does not preserve
 the lattice structure of the feasible set.  Splitting the indicator into a
@@ -117,23 +117,6 @@ class SignSplitMap:
             raise InputError(f"variable {i}: (z+, z-) = (1, 0) does not map to a binary z")
         return (lo_open | up_open).astype(int)
 
-    def backward(self, z, x=None):
-        """Map an original indicator vector to split coordinates.
-
-        For straddling variables with z=1 the sign of ``x`` (default: positive)
-        picks between the (1,1) and (0,0) encodings, which open u and l.
-        """
-        on = np.asarray(z) != 0
-        neg = np.zeros(self.n, dtype=bool) if x is None else np.asarray(x) < 0
-        one_bit = self.lo_bit == self.up_bit
-        zbin = np.empty(self.binary_dim + 1, dtype=int)
-        plus = np.append(self.plus, True)
-        # a bit is set when its open state equals its kind; always-open
-        # variables write the trailing slot, which is dropped
-        zbin[self.lo_bit] = (on & (neg | one_bit)) == plus[self.lo_bit]
-        zbin[self.up_bit] = (on & (~neg | one_bit)) == plus[self.up_bit]
-        return zbin[:-1]
-
     def repair(self, zbin, x):
         """Resolve spurious (z+, z-) = (1, 0) corners using the sign of x.
 
@@ -213,103 +196,4 @@ def bounds_for_binary(smap, zbin, lo, up):
     return (
         np.where(lo_open, np.asarray(lo, dtype=float), 0.0),
         np.where(up_open, np.asarray(up, dtype=float), 0.0),
-    )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    witness: dict | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_submodular_zeroth(fun, probes, increments, tol=1e-8):
-    """Exhaustive zeroth-order submodularity test at the given probe points.
-
-    For each probe y and each index pair (i, j), verifies
-    ``f(y + c_i e_i) + f(y + c_j e_j) >= f(y) + f(y + c_i e_i + c_j e_j) - tol``.
-    Returns the first violating witness if any.
-    """
-    increments = np.asarray(increments, dtype=float)
-    if np.any(increments <= 0):
-        raise InputError("increments must be positive")
-    for y in probes:
-        y = np.asarray(y, dtype=float)
-        n = y.shape[0]
-        base = fun(y)
-        bumped = [fun(y + increments[i] * _unit(n, i)) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                both = fun(y + increments[i] * _unit(n, i) + increments[j] * _unit(n, j))
-                lhs = bumped[i] + bumped[j]
-                rhs = base + both
-                if lhs < rhs - tol:
-                    return CheckResult(
-                        False,
-                        {
-                            "y": y.tolist(),
-                            "i": i,
-                            "j": j,
-                            "ci": float(increments[i]),
-                            "cj": float(increments[j]),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        },
-                    )
-    return CheckResult(True)
-
-
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
-LATTICE_KINDS = ("Lplus", "Lminus", "Lpm")
-
-
-def _in_set(kind, lo, up, point, tol=0.0):
-    if kind == "Lplus":
-        x, z = point
-        if z not in (0, 1):
-            return False
-        return lo * z - tol <= x <= up * z + tol
-    if kind == "Lminus":
-        x, z = point
-        if z not in (0, 1):
-            return False
-        return lo * (1 - z) - tol <= x <= up * (1 - z) + tol
-    if kind == "Lpm":
-        x, zp, zm = point
-        if zp not in (0, 1) or zm not in (0, 1):
-            return False
-        return lo * (1 - zm) - tol <= x <= up * zp + tol
-    raise InputError(f"unknown lattice kind {kind!r} (use one of {LATTICE_KINDS})")
-
-
-def check_lattice_membership(kind, lo, up, point_a, point_b):
-    """Verify meet/join closure of a point pair in one of the indicator sets.
-
-    Both points must be members (precondition, raised as :class:`InputError`);
-    the check itself reports whether componentwise min and max stay inside the
-    set.  With hypotheses violated (e.g. Lplus with a negative lower bound) the
-    closure genuinely fails, which is what motivates sign splitting.
-    """
-    for name, p in (("first", point_a), ("second", point_b)):
-        if not _in_set(kind, lo, up, p):
-            raise InputError(f"{name} point {p} is not a member of {kind}")
-    a = np.asarray(point_a, dtype=float)
-    b = np.asarray(point_b, dtype=float)
-    meet = np.minimum(a, b)
-    join = np.maximum(a, b)
-    meet_t = tuple(meet[:1]) + tuple(int(round(v)) for v in meet[1:])
-    join_t = tuple(join[:1]) + tuple(int(round(v)) for v in join[1:])
-    ok = _in_set(kind, lo, up, meet_t) and _in_set(kind, lo, up, join_t)
-    if ok:
-        return CheckResult(True)
-    return CheckResult(
-        False,
-        {"meet": list(meet_t), "join": list(join_t), "kind": kind, "lo": lo, "up": up},
     )

@@ -521,7 +521,9 @@ def save_instance(inst, path):
 
 def load_instance(path):
     try:
-        d = json.loads(Path(path).read_text())
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}") from e
     if not isinstance(d, dict):

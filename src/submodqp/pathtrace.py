@@ -125,7 +125,7 @@ class PathState:
 
     Holds the current point ``y``, the per-variable effective bounds, the
     active-set statuses, the maintained factor over the free set and the
-    parametric coordinate (``param``) with its current value ``x_param``.
+    parametric coordinate ``param`` (its current value is ``y[param]``).
     The factor's index set is always the set of free statuses.  ``free``
     and ``eligible`` are the masks of the last :func:`trace_path` call.
     """
@@ -144,10 +144,6 @@ class PathState:
         self.free = self.eligible = None
         self.breakpoints = []
         self.points = []
-
-    @property
-    def x_param(self):
-        return float(self.y[self.param]) if self.param is not None else None
 
     @classmethod
     def from_point(cls, quad, lo, up, y, param=None, orig_lo=None, orig_up=None, audit=True):

@@ -88,13 +88,15 @@ class SubmodularOracle:
     ``stages_memo`` count the chains asked for, the stages computed for
     them and the stages answered from a memo (none by default);
     ``stacked_rows`` and ``stacked_iterations`` count the box QPs that
-    :meth:`eval_many` solved in stacks and their Newton iterations (none by
-    default).
+    :meth:`eval_many` solved in stacks and their Newton iterations, and
+    ``scalar_solves`` and ``scalar_iterations`` those solved one at a time
+    (none by default).
     """
 
     m = 0
     chains = stages_traced = stages_memo = 0
     stacked_rows = stacked_iterations = 0
+    scalar_solves = scalar_iterations = 0
 
     def eval(self, zbin):
         raise NotImplementedError
@@ -121,19 +123,14 @@ class SubmodularOracle:
 
 
 class FunctionOracle(SubmodularOracle):
-    """Wrap a plain callable on binary vectors, plus an optional linear cost."""
+    """Wrap a plain callable on binary vectors."""
 
-    def __init__(self, fun, m, costs=None):
+    def __init__(self, fun, m):
         self.fun = fun
         self.m = int(m)
-        self.costs = None if costs is None else np.asarray(costs, dtype=float)
 
     def eval(self, zbin):
-        zbin = np.asarray(zbin)
-        val = float(self.fun(zbin))
-        if self.costs is not None:
-            val += float(self.costs @ zbin)
-        return val
+        return float(self.fun(np.asarray(zbin)))
 
 
 class IndicatorOracle(SubmodularOracle):
@@ -170,17 +167,23 @@ class IndicatorOracle(SubmodularOracle):
         self.m = self.smap.binary_dim
         self.memo = {}
 
+    def _solve(self, zbin):
+        """The box QP under ``zbin``, solved alone and counted."""
+        blo, bup = bounds_for_binary(self.smap, zbin, self.lo, self.up)
+        sol = boxqp.solve(self.quad, blo, bup)
+        self.scalar_solves += 1
+        self.scalar_iterations += sol.iterations
+        return sol
+
     @cached_property
     def stage0(self):
         """Box-QP solution with every coordinate off: where chains start."""
-        blo, bup = bounds_for_binary(self.smap, np.zeros(self.m, dtype=int), self.lo, self.up)
-        sol = boxqp.solve(self.quad, blo, bup)
+        sol = self._solve(np.zeros(self.m, dtype=int))
         sol.x.flags.writeable = False  # shared by every chain
         return sol
 
     def eval(self, zbin):
-        v = boxqp.value_function(self.quad, self.lo, self.up, self.smap, zbin)
-        return v + self.bincost(zbin)
+        return self._solve(zbin).value + self.bincost(zbin)
 
     def eval_many(self, zbins):
         """F on each row of ``zbins``, by one stacked box-QP solve."""
@@ -229,8 +232,7 @@ class IndicatorOracle(SubmodularOracle):
         )
 
     def recover_x(self, zbin):
-        blo, bup = bounds_for_binary(self.smap, zbin, self.lo, self.up)
-        return boxqp.solve(self.quad, blo, bup).x
+        return self._solve(zbin).x
 
 
 def greedy_subgradient(oracle, zfrac):
@@ -265,8 +267,8 @@ def minimize_exhaustive(oracle):
     not the first vector within ``BRUTE_TIE_TOL`` of the minimum: a chain of
     near-ties can walk further.)  Only the codes of a chunk below the
     incumbent it started with, less ``BRUTE_TIE_TOL``, can replace it, so
-    the scan visits just those, in order.  The oracle's ``stacked_rows``
-    and ``stacked_iterations`` are logged at DEBUG.
+    the scan visits just those, in order.  The oracle's box-QP counters,
+    stacked and scalar, are logged at DEBUG.
     """
     m = oracle.m
     if m > EXHAUSTIVE_GUARD:
@@ -280,17 +282,20 @@ def minimize_exhaustive(oracle):
             if values[i] < best - BRUTE_TIE_TOL:
                 best_code, best = start + i, float(values[i])
     best_z = None if best_code is None else (best_code >> shifts) & 1
-    _log.debug(
-        "exhaustive: %d codes, %d box QPs solved in stacks, %d Newton iterations",
-        1 << m, oracle.stacked_rows, oracle.stacked_iterations,
-    )
-    return SfmResult(
+    res = SfmResult(
         z=best_z,
         value=float(best),
         x=oracle.recover_x(best_z),
         certificate=0.0,
         engine="exhaustive",
     )
+    _log.debug(
+        "exhaustive: %d codes, %d box QPs solved in stacks, %d Newton iterations; "
+        "%d solved alone, %d Newton iterations",
+        1 << m, oracle.stacked_rows, oracle.stacked_iterations,
+        oracle.scalar_solves, oracle.scalar_iterations,
+    )
+    return res
 
 
 def _affine_minimizer(S):
@@ -304,6 +309,11 @@ def _affine_minimizer(S):
     rhs[0] = 1.0
     coeff = np.linalg.solve(M, rhs)[1:]
     return coeff, S.T @ coeff
+
+
+def _require_tol(tol):
+    if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
+        raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def gap_tolerance(value, tol):
@@ -327,8 +337,10 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     when ``max_iter`` ends the loop), so it holds F on every level set: the
     result is its shortest prefix within ``BRUTE_TIE_TOL`` of its minimum.
     ``certificate`` is the duality gap value − F(∅) − Σ min(x_i, 0), and
-    ``converged`` means it is at most :func:`gap_tolerance`.
+    ``converged`` means it is at most :func:`gap_tolerance`.  ``tol`` must
+    be finite and nonnegative (:class:`InputError` otherwise).
     """
+    _require_tol(tol)
     m = oracle.m
     if m == 0:
         raise InputError("empty ground set")
@@ -376,11 +388,7 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     z[order[:k]] = 1
     value = oracle.eval(z)
     gap = value - (f0 + float(np.minimum(x, 0.0).sum()))
-    _log.debug(
-        "mnp: %d chains, %d prefix stages traced, %d answered from the memo",
-        oracle.chains, oracle.stages_traced, oracle.stages_memo,
-    )
-    return SfmResult(
+    res = SfmResult(
         z=z,
         value=float(value),
         x=oracle.recover_x(z),
@@ -388,6 +396,13 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
         engine="mnp",
         converged=abs(gap) <= gap_tolerance(value, tol),
     )
+    _log.debug(
+        "mnp: %d chains, %d prefix stages traced, %d answered from the memo; "
+        "%d box QPs solved alone, %d Newton iterations",
+        oracle.chains, oracle.stages_traced, oracle.stages_memo,
+        oracle.scalar_solves, oracle.scalar_iterations,
+    )
+    return res
 
 
 def always_open(problem):
@@ -417,8 +432,10 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     solve is the whole minimization.  Finally it repairs any spurious split
     corner: that closes only bounds the engine's minimizer x does not use,
     so x stays the minimizer of the repaired box.  A robust problem's
-    result lists its discarded observations.
+    result lists its discarded observations.  ``tol`` must be finite and
+    nonnegative, whatever the engine (:class:`InputError` otherwise).
     """
+    _require_tol(tol)
     if engine not in ("exhaustive", "mnp"):
         raise InputError(f"unknown engine {engine!r} (use 'exhaustive' or 'mnp')")
     opened = always_open(problem)

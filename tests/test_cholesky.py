@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from submodqp.cholesky import UpdatableCholesky
-from submodqp.exceptions import NumericalError
+from submodqp.exceptions import InputError, NumericalError
 from submodqp.oracle import InstanceSampler
 
 
@@ -116,6 +116,6 @@ def test_insert_into_non_pd_raises():
 
 def test_remove_of_an_absent_index_raises():
     fac = UpdatableCholesky(np.eye(4), [2, 0])
-    with pytest.raises(ValueError, match="not in the factor"):
+    with pytest.raises(InputError, match="not in the factor"):
         fac.remove(1)
     assert fac.indices.tolist() == [2, 0]

@@ -266,3 +266,45 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,t_chain_ms")
+
+
+def test_solve_of_a_missing_file_is_input_error(tmp_path, capsys):
+    assert _run(["solve", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_solve_of_a_directory_is_input_error(tmp_path, capsys):
+    assert _run(["solve", str(tmp_path)]) == cli.EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_solve_of_a_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"n": "\xff\xfe"}')
+    assert _run(["solve", str(path)]) == cli.EXIT_INPUT
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "eval", "trace", "verify", "bench"])
+def test_output_in_a_missing_directory_is_input_error(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    model.save_instance(model.generate("chain", (3,), seed=0)[0], inst)
+    argv = {
+        "generate": ["generate", "--dims", "3"],
+        "solve": ["solve", str(inst)],
+        "eval": ["eval", str(inst), "--z", "1,0,1"],
+        "trace": ["trace", str(inst)],
+        "verify": ["verify", "--trials", "1", "--n", "3"],
+        "bench": ["bench", "--sizes", "8", "--reps", "1"],
+    }[command]
+    out = tmp_path / "missing" / "out.json"
+    assert _run(argv + ["--output", str(out)]) == cli.EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_solve_rejects_a_meaningless_tol(tmp_path, capsys, tol):
+    path = tmp_path / "inst.json"
+    model.save_instance(model.generate("chain", (3,), seed=0)[0], path)
+    assert _run(["solve", str(path), f"--tol={tol}"]) == cli.EXIT_INPUT
+    assert "input error: tol must be finite and nonnegative" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,110 @@ _bound_pairs = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+# --- checkers of the lattice-closure and submodularity lemmas ----------------
+#
+# The sign split exists because these lemmas hold for the split sets and fail
+# for a single indicator on a straddling range; the tests below check both.
+
+@dataclass(frozen=True)
+class CheckResult:
+    ok: bool
+    witness: dict | None = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_submodular_zeroth(fun, probes, increments, tol=1e-8):
+    """Exhaustive zeroth-order submodularity test at the given probe points.
+
+    For each probe y and each index pair (i, j), verifies
+    ``f(y + c_i e_i) + f(y + c_j e_j) >= f(y) + f(y + c_i e_i + c_j e_j) - tol``.
+    Returns the first violating witness if any.
+    """
+    increments = np.asarray(increments, dtype=float)
+    if np.any(increments <= 0):
+        raise InputError("increments must be positive")
+    for y in probes:
+        y = np.asarray(y, dtype=float)
+        n = y.shape[0]
+        base = fun(y)
+        bumped = [fun(y + increments[i] * _unit(n, i)) for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                both = fun(y + increments[i] * _unit(n, i) + increments[j] * _unit(n, j))
+                lhs = bumped[i] + bumped[j]
+                rhs = base + both
+                if lhs < rhs - tol:
+                    return CheckResult(
+                        False,
+                        {
+                            "y": y.tolist(),
+                            "i": i,
+                            "j": j,
+                            "ci": float(increments[i]),
+                            "cj": float(increments[j]),
+                            "lhs": lhs,
+                            "rhs": rhs,
+                        },
+                    )
+    return CheckResult(True)
+
+
+def _unit(n, i):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
+
+
+LATTICE_KINDS = ("Lplus", "Lminus", "Lpm")
+
+
+def _in_set(kind, lo, up, point, tol=0.0):
+    if kind == "Lplus":
+        x, z = point
+        if z not in (0, 1):
+            return False
+        return lo * z - tol <= x <= up * z + tol
+    if kind == "Lminus":
+        x, z = point
+        if z not in (0, 1):
+            return False
+        return lo * (1 - z) - tol <= x <= up * (1 - z) + tol
+    if kind == "Lpm":
+        x, zp, zm = point
+        if zp not in (0, 1) or zm not in (0, 1):
+            return False
+        return lo * (1 - zm) - tol <= x <= up * zp + tol
+    raise InputError(f"unknown lattice kind {kind!r} (use one of {LATTICE_KINDS})")
+
+
+def check_lattice_membership(kind, lo, up, point_a, point_b):
+    """Verify meet/join closure of a point pair in one of the indicator sets.
+
+    Both points must be members (precondition, raised as :class:`InputError`);
+    the check itself reports whether componentwise min and max stay inside the
+    set.  With hypotheses violated (e.g. Lplus with a negative lower bound) the
+    closure genuinely fails, which is what motivates sign splitting.
+    """
+    for name, p in (("first", point_a), ("second", point_b)):
+        if not _in_set(kind, lo, up, p):
+            raise InputError(f"{name} point {p} is not a member of {kind}")
+    a = np.asarray(point_a, dtype=float)
+    b = np.asarray(point_b, dtype=float)
+    meet = np.minimum(a, b)
+    join = np.maximum(a, b)
+    meet_t = tuple(meet[:1]) + tuple(int(round(v)) for v in meet[1:])
+    join_t = tuple(join[:1]) + tuple(int(round(v)) for v in join[1:])
+    ok = _in_set(kind, lo, up, meet_t) and _in_set(kind, lo, up, join_t)
+    if ok:
+        return CheckResult(True)
+    return CheckResult(
+        False,
+        {"meet": list(meet_t), "join": list(join_t), "kind": kind, "lo": lo, "up": up},
+    )
 
 
 @given(_bound_pairs)
@@ -99,7 +204,7 @@ def test_bounds_for_binary_infinite_upper():
 
 
 def test_zeroth_order_checker_supermodular_witness():
-    res = lattice.check_submodular_zeroth(
+    res = check_submodular_zeroth(
         lambda x: x[0] * x[1], [np.zeros(2)], [1.0, 1.0]
     )
     assert not res.ok
@@ -107,7 +212,7 @@ def test_zeroth_order_checker_supermodular_witness():
 
 
 def test_zeroth_order_checker_negative_cross_term():
-    res = lattice.check_submodular_zeroth(
+    res = check_submodular_zeroth(
         lambda x: -x[0] * x[1], [np.zeros(2)], [1.0, 1.0]
     )
     assert res.ok
@@ -118,37 +223,37 @@ def test_zeroth_order_checker_stieltjes_quadratic():
     prob = sampler.draw(0)
     rng = np.random.default_rng(9)
     probes = [rng.normal(0, 2, size=4) for _ in range(1000)]
-    res = lattice.check_submodular_zeroth(prob.quad.value, probes, rng.uniform(0.2, 1.5, 4))
+    res = check_submodular_zeroth(prob.quad.value, probes, rng.uniform(0.2, 1.5, 4))
     assert res.ok
 
 
 def test_zeroth_order_checker_rejects_bad_increments():
     with pytest.raises(InputError):
-        lattice.check_submodular_zeroth(lambda x: 0.0, [np.zeros(2)], [1.0, 0.0])
+        check_submodular_zeroth(lambda x: 0.0, [np.zeros(2)], [1.0, 0.0])
 
 
 def test_lattice_membership_lplus():
-    res = sq.check_lattice_membership("Lplus", 1.0, 2.0, (1.5, 1), (0.0, 0))
+    res = check_lattice_membership("Lplus", 1.0, 2.0, (1.5, 1), (0.0, 0))
     assert res.ok
 
 
 def test_lattice_membership_lpm():
-    res = sq.check_lattice_membership("Lpm", -1.0, 1.0, (-0.5, 1, 0), (0.7, 1, 1))
+    res = check_lattice_membership("Lpm", -1.0, 1.0, (-0.5, 1, 0), (0.7, 1, 1))
     assert res.ok
 
 
 def test_lattice_membership_fails_for_negative_lower_bound():
     # Lplus with l < 0 is not a lattice: the meet (-1, 0) violates l*z <= x
-    res = sq.check_lattice_membership("Lplus", -1.0, 1.0, (-1.0, 1), (0.0, 0))
+    res = check_lattice_membership("Lplus", -1.0, 1.0, (-1.0, 1), (0.0, 0))
     assert not res.ok
     assert res.witness["meet"] == [-1.0, 0]
 
 
 def test_lattice_membership_precondition_is_distinct():
     with pytest.raises(InputError):
-        sq.check_lattice_membership("Lplus", 1.0, 2.0, (5.0, 1), (0.0, 0))
+        check_lattice_membership("Lplus", 1.0, 2.0, (5.0, 1), (0.0, 0))
     with pytest.raises(InputError):
-        sq.check_lattice_membership("Lwrong", 0.0, 1.0, (0.0, 0), (0.0, 0))
+        check_lattice_membership("Lwrong", 0.0, 1.0, (0.0, 0), (0.0, 0))
 
 
 def _all_binary(m):
@@ -186,8 +291,7 @@ def test_dropping_coupling_constraint_preserves_optimum():
         assert best_full == pytest.approx(best_coupled, abs=1e-9)
 
 
-def test_forward_map_round_trip_and_cost():
-    rng = np.random.default_rng(4)
+def test_forward_map_and_cost():
     for seed in range(10):
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=200 + seed).draw(0)
         smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
@@ -198,8 +302,6 @@ def test_forward_map_round_trip_and_cost():
             orig = smap.forward(z)
             assert set(np.unique(orig)).issubset({0, 1})
             assert bincost(z) == pytest.approx(float(prob.costs @ orig), abs=1e-12)
-            back = smap.backward(orig, x=rng.normal(size=smap.n))
-            assert np.array_equal(smap.forward(back), orig)
 
 
 def test_forward_rejects_spurious_corner():
@@ -230,7 +332,6 @@ def test_split_always_open_layout():
             continue  # spurious corner
         orig = smap.forward(z)
         assert cost(z) == pytest.approx(float(costs @ orig), abs=1e-12)
-        assert np.array_equal(smap.forward(smap.backward(orig)), orig)
 
 
 def test_split_with_every_variable_open():
@@ -309,19 +410,6 @@ def _reference_forward(layout, z):
     return out
 
 
-def _reference_backward(layout, z, x, m):
-    zbin = [0] * m
-    for i, (regime, p, q) in enumerate(layout):
-        if regime == "+":
-            zbin[p] = z[i]
-        elif regime == "-":
-            zbin[q] = 1 - z[i]
-        elif regime == "+-":
-            neg = x is not None and x[i] < 0
-            zbin[p], zbin[q] = (0, 1) if not z[i] else (0, 0) if neg else (1, 1)
-    return zbin
-
-
 def _reference_repair(layout, z, x):
     z = list(z)
     for i, (regime, p, m) in enumerate(layout):
@@ -365,5 +453,3 @@ def test_bound_table_matches_the_four_box_formulas():
                 continue
             assert smap.forward(z).tolist() == ref
             assert smap.repair(z, rng.normal(size=n)).tolist() == z.tolist()
-            for x in (None, rng.normal(size=n)):
-                assert smap.backward(ref, x).tolist() == _reference_backward(layout, ref, x, m)

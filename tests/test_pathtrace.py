@@ -58,17 +58,17 @@ def test_trace_empty_interval_is_identity(small_quad):
     # the free block is refreshed from the factorization, so equality holds
     # at float resolution rather than bitwise
     assert np.allclose(st.y, before, rtol=0.0, atol=1e-15)
-    assert st.x_param == 0.0
+    assert st.y[st.param] == 0.0
     assert st.breakpoints == []
 
 
 def test_backward_target_beyond_the_float_guard_raises(small_quad):
     st = _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1)
     with pytest.raises(NumericalError, match="retreats"):
-        trace_path(st, to=st.x_param - 1.0)
+        trace_path(st, to=st.y[st.param] - 1.0)
     # a backward step within the guard is float noise: the trace stays put
     trace_path(st, to=-1e-13)
-    assert st.x_param == 0.0
+    assert st.y[st.param] == 0.0
 
 
 def test_corrupted_state_rejected(small_quad):

@@ -233,7 +233,7 @@ def test_minimize_mnp_capped_gap_above_tol_is_not_converged():
 def test_minimize_mnp_modular():
     d = np.array([-1.0, 2.0, 0.5, -3.0, 0.4])
     c = np.array([0.5, 0.1, 0.2, 1.0, 0.1])
-    oracle = sq.FunctionOracle(lambda z: float(d @ z), 5, costs=c)
+    oracle = sq.FunctionOracle(lambda z: float((d + c) @ z), 5)
     res = sq.minimize_mnp(oracle)
     assert np.array_equal(res.z, (d + c < 0).astype(int))
     assert res.value == pytest.approx(float(np.minimum(d + c, 0).sum()), abs=1e-9)
@@ -666,22 +666,60 @@ def test_mnp_logs_its_chain_counters(caplog):
     prob, _ = _memo_oracle(seed=6)
     with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
         sq.solve_full(prob)
-    pattern = r"mnp: (\d+) chains, (\d+) prefix stages traced, (\d+) answered from the memo"
+    pattern = (
+        r"mnp: (\d+) chains, (\d+) prefix stages traced, (\d+) answered from the memo; "
+        r"(\d+) box QPs solved alone, (\d+) Newton iterations"
+    )
     found = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records]
     found = [f for f in found if f]
     assert len(found) == 1
-    chains, traced, memo = (int(g) for g in found[0].groups())
+    chains, traced, memo, scalar, iters = (int(g) for g in found[0].groups())
     assert chains >= 2 and traced >= 1 and memo >= 1
+    # stage 0, F(∅), the rounded set's value and its x
+    assert scalar == 4 and iters >= scalar
 
 
 def test_exhaustive_logs_its_box_qp_counters(caplog):
     prob = sq.InstanceSampler(n=6, regime="nonnegative", seed=3).draw(0)
     with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
         sq.solve_full(prob, engine="exhaustive")
-    pattern = r"exhaustive: (\d+) codes, (\d+) box QPs solved in stacks, (\d+) Newton iterations"
+    pattern = (
+        r"exhaustive: (\d+) codes, (\d+) box QPs solved in stacks, (\d+) Newton iterations; "
+        r"(\d+) solved alone, (\d+) Newton iterations"
+    )
     found = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records]
     found = [f for f in found if f]
     assert len(found) == 1
-    codes, rows, iters = (int(g) for g in found[0].groups())
+    codes, rows, iters, scalar, scalar_iters = (int(g) for g in found[0].groups())
     # every code is one stacked row, and every row takes at least one iteration
     assert codes == rows == 2**6 and iters > rows
+    assert scalar == 1 and scalar_iters >= 1  # the minimizer's x
+
+
+def test_scalar_box_qp_solves_are_counted():
+    prob, oracle = _memo_oracle(seed=6)
+    assert (oracle.scalar_solves, oracle.scalar_iterations) == (0, 0)
+    sq.minimize_mnp(oracle)
+    # stage 0, F(∅), the rounded set's value and its x; chains solve none
+    assert (oracle.scalar_solves, oracle.scalar_iterations) == (4, 8)
+    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    sq.minimize_exhaustive(oracle)
+    # enumeration solves in stacks; only the minimizer's x is solved alone
+    assert (oracle.scalar_solves, oracle.scalar_iterations) == (1, 1)
+    assert oracle.stacked_rows == 2**oracle.m
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+@pytest.mark.parametrize("engine", ["exhaustive", "mnp"])
+def test_solve_full_rejects_a_meaningless_tol(engine, tol):
+    # an infinite tol certifies any value, and a NaN one the noise floor
+    inst, _ = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=3)
+    with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+        sq.solve_full(sq.compile_instance(inst), engine=engine, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_minimize_mnp_rejects_a_meaningless_tol(tol):
+    oracle = sq.FunctionOracle(lambda z: float(z.sum()), 3)
+    with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+        sq.minimize_mnp(oracle, tol=tol)
