@@ -1,7 +1,8 @@
 """Scaling benchmark: one traced value chain against n+1 box-QP solves.
 
 :func:`bench_rows` backs ``submodqp bench`` and the cubic-scaling acceptance
-test.
+test.  It reports each pass twice: by wall time, and by a deterministic work
+count that repeats exactly from run to run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import boxqp, model, pathtrace
 from .exceptions import InputError
-from .lattice import split
+from .lattice import bounds_for_binary, split
 
 
 def _bench_problem(n, seed):
@@ -35,17 +36,19 @@ _NAIVE_RUNS = 2
 def _time_chain(problem):
     t0 = time.perf_counter()
     chain = pathtrace.chain_nonnegative(problem.quad, problem.lo, problem.up)
-    return time.perf_counter() - t0, len(chain.breakpoints)
+    return time.perf_counter() - t0, chain
 
 
 def _time_naive(problem, smap):
+    """Seconds and projected Newton iterations of the n+1 prefix solves."""
     t0 = time.perf_counter()
     z = np.zeros(problem.n, dtype=int)
-    boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z)
-    for j in range(problem.n):
-        z[j] = 1
-        boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z)
-    return time.perf_counter() - t0
+    iterations = 0
+    for j in range(problem.n + 1):
+        z[:j] = 1
+        blo, bup = bounds_for_binary(smap, z, problem.lo, problem.up)
+        iterations += boxqp.solve(problem.quad, blo, bup).iterations
+    return time.perf_counter() - t0, iterations
 
 
 def bench_rows(sizes, reps=3, seed=0):
@@ -60,7 +63,10 @@ def bench_rows(sizes, reps=3, seed=0):
     skewing their ratios; within a repetition the naive pass is timed twice
     and the chain, which costs a few percent of it, five times.  The garbage
     collector is held off while the clock runs, as ``timeit`` does.  Rows
-    report medians.
+    report medians, the breakpoints of the chain, and the work of each pass:
+    ``chain_work`` is the chain's ``pivot_work`` (|R|^2 summed over its
+    pivots) and ``naive_work`` sums n^3 over the Newton iterations of the
+    naive pass, each of which factors a free block of up to n variables.
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
@@ -74,18 +80,21 @@ def bench_rows(sizes, reps=3, seed=0):
         cases.append((problem, smap))
     t_chain = [[] for _ in sizes]
     t_naive = [[] for _ in sizes]
-    bps = [0] * len(sizes)
+    chains = [None] * len(sizes)
+    iterations = [0] * len(sizes)
     gc_was_enabled = gc.isenabled()
     try:
         for rep in range(reps + 1):
             for k, (problem, smap) in enumerate(cases):
                 gc.collect()
                 gc.disable()
-                tc = []
+                tc, tn = [], []
                 for _ in range(_CHAIN_RUNS):
-                    t, bps[k] = _time_chain(problem)
+                    t, chains[k] = _time_chain(problem)
                     tc.append(t)
-                tn = [_time_naive(problem, smap) for _ in range(_NAIVE_RUNS)]
+                for _ in range(_NAIVE_RUNS):
+                    t, iterations[k] = _time_naive(problem, smap)
+                    tn.append(t)
                 if gc_was_enabled:
                     gc.enable()
                 if rep:  # repetition 0 is the warm-up
@@ -99,7 +108,9 @@ def bench_rows(sizes, reps=3, seed=0):
             "n": n,
             "t_chain_ms": 1000.0 * float(np.median(t_chain[k])),
             "t_naive_ms": 1000.0 * float(np.median(t_naive[k])),
-            "breakpoints": bps[k],
+            "breakpoints": len(chains[k].breakpoints),
+            "chain_work": chains[k].pivot_work,
+            "naive_work": iterations[k] * n**3,
         }
         for k, n in enumerate(sizes)
     ]

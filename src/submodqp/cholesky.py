@@ -63,6 +63,8 @@ class UpdatableCholesky:
     """Lower Cholesky factor of Q restricted to a dynamic index set.
 
     ``indices`` gives an initial index set, factored with one ``dpotrf``.
+    ``update_work`` sums k^2 over the inserts and removes, k the size of the
+    set before each: their arithmetic up to a constant, counted exactly.
     """
 
     def __init__(self, Q, indices=()):
@@ -72,6 +74,7 @@ class UpdatableCholesky:
         self._idx = np.empty(n, dtype=np.intp)
         m = len(indices)
         self.size = m
+        self.update_work = 0
         if m:
             self._idx[:m] = indices
             c, info = dpotrf(Q[np.ix_(self._idx[:m], self._idx[:m])], lower=1)
@@ -98,6 +101,7 @@ class UpdatableCholesky:
         self._L[m, m] = np.sqrt(s)
         self._idx[m] = j
         self.size = m + 1
+        self.update_work += m * m
 
     def remove(self, j):
         m = self.size
@@ -121,6 +125,7 @@ class UpdatableCholesky:
             idx[p : m - 1] = idx[p + 1 : m]
         L[m - 1, :m] = 0.0
         self.size = m - 1
+        self.update_work += m * m
 
     def solve(self, b):
         """Solve Q[idx, idx] y = b with b ordered like :attr:`indices`.

@@ -6,8 +6,8 @@ Two inference modes are supported:
 * ``sparse``  -- estimate a signal that is zero on most vertices; each vertex
   carries an indicator variable with cost ``c_i`` that pays for a nonzero value.
 * ``robust``  -- estimate a smooth signal while discarding gross outliers;
-  each observation carries a slack variable ``w_i`` (active only when the
-  observation is discarded at cost ``c_i``).
+  each observation carries a slack variable ``w_i``, unbounded when the
+  observation is discarded at cost ``c_i`` and 0 otherwise.
 
 Both modes compile to the same canonical form: minimize
 ``-a^T x + 0.5 x^T Q x + k0 + c^T z`` subject to ``l*z <= x <= u*z`` with
@@ -326,13 +326,6 @@ def compile_sparse(inst):
     return IndicatorProblem(quad, inst.c, inst.l, inst.u, mode="sparse")
 
 
-def slack_bound(inst):
-    """Box half-width M for the outlier slacks: any optimal w_i is x_i - a_i or 0,
-    both of which lie well inside [-M, M]."""
-    finite = [abs(v) for v in np.concatenate([inst.l, inst.u]) if math.isfinite(v)]
-    return 2.0 * (float(np.abs(inst.a).max(initial=0.0)) + (max(finite) if finite else 0.0)) + 1.0
-
-
 def compile_robust(inst):
     """Compile a robust-mode instance: variables (x_1..x_n, w_1..w_n).
 
@@ -341,8 +334,10 @@ def compile_robust(inst):
     reformulation is singular along x_i = w_i directions) with negligible
     bias; any small positive value does that, so it is a constant, not an
     argument.  Only the w variables carry an indicator, with the discard
-    costs and the box [-M, M]; the x variables have none (cost 0), so each
-    x_i lies in its user bounds [l_i, u_i] under every assignment.
+    costs and the box [-inf, inf]: as in the paper, a slack is free exactly
+    when its observation is discarded, and 0 otherwise.  The x variables
+    have none (cost 0), so each x_i lies in its user bounds [l_i, u_i] under
+    every assignment.
     """
     if inst.mode != "robust":
         raise InputError(f"compile_robust requires mode='robust', got {inst.mode!r}")
@@ -357,10 +352,9 @@ def compile_robust(inst):
         a = np.concatenate([2.0 * nw * inst.a, -2.0 * nw * inst.a])
         k0 = float(np.sum(nw * inst.a**2))
     quad = QuadraticForm(Q, a, k0)
-    M = slack_bound(inst)
     costs = np.concatenate([np.zeros(n), inst.c])
-    lo = np.concatenate([inst.l, np.full(n, -M)])
-    up = np.concatenate([inst.u, np.full(n, M)])
+    lo = np.concatenate([inst.l, np.full(n, -np.inf)])
+    up = np.concatenate([inst.u, np.full(n, np.inf)])
     return IndicatorProblem(quad, costs, lo, up, mode="robust")
 
 

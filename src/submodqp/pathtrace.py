@@ -83,7 +83,12 @@ class Breakpoint:
 
 @dataclass
 class ValueChain:
-    """Chain of optimal values with per-stage minimizers and the pivot log."""
+    """Chain of optimal values with per-stage minimizers and the pivot log.
+
+    ``pivot_work`` is the factor's ``update_work`` over the whole chain:
+    |R|^2 summed over the pivots of the free set R, a deterministic count
+    of the chain's O(|R|^2)-per-pivot arithmetic.
+    """
 
     values: np.ndarray
     minimizers: np.ndarray
@@ -91,6 +96,7 @@ class ValueChain:
     breakpoint_points: tuple
     order: tuple
     kind: str
+    pivot_work: int
 
     @property
     def m(self):
@@ -423,6 +429,7 @@ def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
         breakpoint_points=tuple(state.points),
         order=tuple(order),
         kind="nonnegative" if np.all(lo >= 0) else "general",
+        pivot_work=state.chol.update_work,
     )
 
 

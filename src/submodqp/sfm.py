@@ -32,7 +32,7 @@ cannot change the optimum get no binary coordinate (see :func:`solve_full`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -41,12 +41,28 @@ from . import boxqp, pathtrace
 from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
 
-EXHAUSTIVE_GUARD = 25
+EXHAUSTIVE_GUARD = 20  # 2^20 codes take about 10 s on a 10-vertex robust chain
 EXHAUSTIVE_CHUNK = 1 << 10  # codes per eval_many call of minimize_exhaustive
 BRUTE_TIE_TOL = 1e-9
 MEMO_ENTRIES = 1 << 16  # prefix sets an IndicatorOracle remembers F for
 
 _log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True, slots=True)
+class SolveStats:
+    """The work counters of the oracle behind one solve (see
+    :class:`SubmodularOracle`): chains, their traced and memo-answered
+    stages, and box QPs solved in stacks and alone, with their Newton
+    iterations."""
+
+    chains: int
+    stages_traced: int
+    stages_memo: int
+    stacked_rows: int
+    stacked_iterations: int
+    scalar_solves: int
+    scalar_iterations: int
 
 
 @dataclass
@@ -55,7 +71,8 @@ class SfmResult:
 
     ``certificate`` is the duality gap, ``value`` minus a lower bound on
     min F (0.0 for enumeration); ``converged`` means the gap certifies
-    ``value`` as the minimum to within :func:`gap_tolerance`.
+    ``value`` as the minimum to within :func:`gap_tolerance`.  ``stats``
+    holds the oracle's work counters (:func:`solve_full` fills it).
     """
 
     z: np.ndarray
@@ -65,6 +82,7 @@ class SfmResult:
     engine: str
     converged: bool = True
     discarded: list | None = None
+    stats: SolveStats | None = None
 
     def to_json_dict(self):
         return {
@@ -75,6 +93,7 @@ class SfmResult:
             "engine": self.engine,
             "converged": bool(self.converged),
             "discarded": self.discarded,
+            "stats": None if self.stats is None else asdict(self.stats),
         }
 
 
@@ -432,7 +451,8 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     solve is the whole minimization.  Finally it repairs any spurious split
     corner: that closes only bounds the engine's minimizer x does not use,
     so x stays the minimizer of the repaired box.  A robust problem's
-    result lists its discarded observations.  ``tol`` must be finite and
+    result lists its discarded observations, and every result carries the
+    oracle's work counters (:class:`SolveStats`).  ``tol`` must be finite and
     nonnegative, whatever the engine (:class:`InputError` otherwise).
     """
     _require_tol(tol)
@@ -463,4 +483,5 @@ def solve_full(problem, engine="mnp", tol=1e-9):
         engine=engine,
         converged=res.converged,
         discarded=problem.discarded(z),
+        stats=SolveStats(*(getattr(oracle, f.name) for f in fields(SolveStats))),
     )

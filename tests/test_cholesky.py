@@ -119,3 +119,12 @@ def test_remove_of_an_absent_index_raises():
     with pytest.raises(InputError, match="not in the factor"):
         fac.remove(1)
     assert fac.indices.tolist() == [2, 0]
+
+
+def test_update_work_sums_the_squared_size_before_each_update():
+    fac = UpdatableCholesky(np.eye(4), [2, 0])
+    assert fac.update_work == 0  # the initial factorization is not an update
+    fac.insert(1)
+    fac.insert(3)
+    fac.remove(0)
+    assert fac.update_work == 2**2 + 3**2 + 4**2

@@ -84,6 +84,24 @@ def test_eval_all_off_prints_constant_term(tmp_path, capsys):
     assert "v(z) = 1" in outp  # k0 = sum nw_i a_i^2 = 1
 
 
+def test_eval_reproduces_the_value_of_a_robust_solve(tmp_path):
+    # the discarded observations' slacks are free in both commands
+    inst, truth = model.generate("chain", (6,), mode="robust", outlier_fraction=0.34, seed=4)
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    sol, ev = tmp_path / "sol.json", tmp_path / "eval.json"
+    assert _run(["solve", str(path), "--output", str(sol)]) == cli.EXIT_OK
+    solved = json.loads(sol.read_text())
+    assert solved["discarded"] == truth["outliers"] and solved["discarded"]
+    assert solved["stats"]["chains"] > 0
+    z = ",".join(str(v) for v in solved["z"])
+    assert _run(["eval", str(path), "--z", z, "--output", str(ev)]) == cli.EXIT_OK
+    evaluated = json.loads(ev.read_text())
+    cost = float(inst.c[solved["discarded"]].sum())
+    assert evaluated["value"] + cost == pytest.approx(solved["value"], rel=1e-12)
+    assert np.allclose(evaluated["x"], solved["x"], rtol=0.0, atol=1e-12)
+
+
 def test_eval_rejects_bad_z(tmp_path):
     inst, _ = model.generate("chain", (3,), seed=0)
     path = tmp_path / "inst.json"

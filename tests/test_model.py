@@ -103,7 +103,7 @@ def _robust_two_chain():
 
 
 def test_compile_robust_structure():
-    inst, p = _robust_two_chain()
+    _, p = _robust_two_chain()
     assert p.n == 4
     assert_stieltjes(p.quad.Q)
     # cross terms couple each x_i with its own slack only
@@ -112,8 +112,8 @@ def test_compile_robust_structure():
     assert p.quad.Q[0, 3] == 0.0
     assert np.all(p.costs[:2] == 0.0) and np.all(p.costs[2:] == 1.0)
     assert p.indicated.tolist() == [False, False, True, True]
-    M = model.slack_bound(inst)
-    assert np.all(p.lo[2:] == -M) and np.all(p.up[2:] == M)
+    # a discarded observation's slack is free: its box is the whole line
+    assert np.all(p.lo[2:] == -np.inf) and np.all(p.up[2:] == np.inf)
 
 
 def test_robust_no_discard_value():

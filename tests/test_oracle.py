@@ -148,6 +148,21 @@ def test_witness_replay_rejects_a_malformed_instance(key, value):
         sq.replay_witness({"check": "boxqp_kkt", "instance": d})
 
 
+def test_robust_problem_round_trips_its_free_slacks():
+    # a discarded observation's slack is free: the JSON spells its box as
+    # "-inf"/"inf", and a witness on the problem replays from that JSON
+    inst, _ = sq.generate("chain", 3, mode="robust", outlier_fraction=0.34, seed=2)
+    problem = sq.compile_robust(inst)
+    d = json.loads(json.dumps(problem.to_json_dict()))
+    assert d["l"][3:] == ["-inf"] * 3 and d["u"][3:] == ["inf"] * 3
+    back = sq.IndicatorProblem.from_json_dict(d)
+    assert back.mode == "robust"
+    assert np.array_equal(back.lo, problem.lo) and np.array_equal(back.up, problem.up)
+    for check in ("boxqp_kkt", "chain_matches_oracle", "chain_memo_consistent",
+                  "mnp_matches_exhaustive", "brute_matches_solver"):
+        assert sq.replay_witness({"check": check, "instance": d}) == (True, None), check
+
+
 def test_mnp_check_requires_a_certified_result(monkeypatch):
     prob = sq.InstanceSampler(n=4, regime="mixed", seed=1).draw(0)
     rng = np.random.default_rng(0)

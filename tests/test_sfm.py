@@ -79,9 +79,19 @@ def test_minimize_exhaustive_free_indicators():
 
 
 def test_minimize_exhaustive_guard():
-    oracle = sq.FunctionOracle(lambda z: 0.0, 26)
-    with pytest.raises(InputError):
+    oracle = sq.FunctionOracle(lambda z: 0.0, 21)
+    with pytest.raises(InputError, match="guarded at m <= 20"):
         sq.minimize_exhaustive(oracle)
+
+
+def test_minimize_exhaustive_guard_acts_before_any_evaluation():
+    # 2^21 codes would take about 40 s on a robust chain: refuse them unevaluated
+    class Unevaluable(sq.FunctionOracle):
+        def eval_many(self, zbins):
+            raise AssertionError("the guard let an evaluation through")
+
+    with pytest.raises(InputError, match="guarded at m <= 20, got 21"):
+        sq.minimize_exhaustive(Unevaluable(lambda z: 0.0, 21))
 
 
 def _scan_one_by_one(oracle):
@@ -332,6 +342,37 @@ def test_indicator_oracle_rejects_bounds_that_leave_no_box(bound, monkeypatch):
     monkeypatch.setattr(boxqp, "solve", None)  # rejected before any solve
     with pytest.raises(InputError, match="no finite point"):
         sq.IndicatorOracle(quad, lo, up)
+
+
+def test_robust_instance_with_no_finite_bound_matches_brute_force():
+    # unbounded signals and free slacks: every bound of the problem is infinite
+    for seed in range(3):
+        inst, truth = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=seed,
+                                  bounds=(-np.inf, np.inf))
+        problem = sq.compile_robust(inst)
+        assert np.all(problem.lo == -np.inf) and np.all(problem.up == np.inf)
+        ref = sq.brute_force(problem)
+        for engine in ("exhaustive", "mnp"):
+            res = sq.solve_full(problem, engine=engine)
+            assert res.converged
+            assert abs(res.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value))
+            assert np.array_equal(res.z, ref.z)
+            assert res.discarded == truth["outliers"]
+
+
+def test_solve_full_reports_the_oracles_work_counters():
+    inst, _ = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=3)
+    problem = sq.compile_instance(inst)
+    res = sq.solve_full(problem)
+    assert res.stats == sfm.SolveStats(
+        chains=8, stages_traced=39, stages_memo=25, stacked_rows=0, stacked_iterations=0,
+        scalar_solves=4, scalar_iterations=12,
+    )
+    # each chain's 8 stages are traced or read from the memo
+    assert res.stats.stages_traced + res.stats.stages_memo == 8 * res.stats.chains
+    assert res.to_json_dict()["stats"]["stages_memo"] == 25
+    ex = sq.solve_full(problem, engine="exhaustive")
+    assert ex.stats == sfm.SolveStats(0, 0, 0, 256, 568, 1, 2)
 
 
 def test_solve_full_robust_two_chain():
