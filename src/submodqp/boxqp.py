@@ -44,6 +44,7 @@ KKT_TOL_FACTOR = 1e-10
 # this many (systems x k x k), so a 1,024-code chunk of the exhaustive engine
 # is one block for n <= 64
 STACK_ENTRIES = 1 << 16
+MAX_ITER = 200  # projected Newton iterations allowed per box, scalar or stacked
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _spd_solve(A, b):
     return x
 
 
-def solve(quad, lo, up, max_iter=200):
+def solve(quad, lo, up):
     """Solve the box QP exactly via projected Newton on the clamped set.
 
     Starts from the clamped unconstrained minimizer.  Each iteration clamps
@@ -96,7 +97,8 @@ def solve(quad, lo, up, max_iter=200):
     on the exact KKT point, so the final residual is at roundoff level.
     Strict convexity makes the minimizer unique; infinite bounds simply never
     activate, but a lower bound of +inf or an upper bound of -inf, which
-    admits no finite point, raises :class:`InputError`.
+    admits no finite point, raises :class:`InputError`, and a solve that
+    needs more than ``MAX_ITER`` iterations raises :class:`NumericalError`.
     """
     n = quad.n
     lo = np.asarray(lo, dtype=float)
@@ -117,7 +119,7 @@ def solve(quad, lo, up, max_iter=200):
 
     zero_width = lo == up
     iters = 0
-    while iters < max_iter:
+    while iters < MAX_ITER:
         iters += 1
         g = Q @ x - a
         clamped = ((x <= lo) & (g >= 0)) | ((x >= up) & (g <= 0)) | zero_width
@@ -161,7 +163,7 @@ def solve(quad, lo, up, max_iter=200):
             raise NumericalError("projected Newton line search stalled")
         x, value = xc, vc
     else:
-        raise NumericalError(f"projected Newton iteration cap {max_iter} exceeded")
+        raise NumericalError(f"projected Newton iteration cap {MAX_ITER} exceeded")
 
     # every exit above leaves g = Q x - a at the final x
     res = _kkt_violation(g, lo, up, x)
@@ -172,7 +174,7 @@ def solve(quad, lo, up, max_iter=200):
     return BoxQpSolution(x=x, value=value, kkt_residual=res, iterations=iters)
 
 
-def solve_many(quad, lo, up, max_iter=200):
+def solve_many(quad, lo, up):
     """Solve a stack of box QPs over one quadratic: row r is the box
     [lo[r], up[r]].
 
@@ -204,7 +206,7 @@ def solve_many(quad, lo, up, max_iter=200):
         )
     size = max(1, STACK_ENTRIES // n)
     blocks = [
-        _solve_block(quad, lo[s : s + size], up[s : s + size], x[s : s + size], s, max_iter)
+        _solve_block(quad, lo[s : s + size], up[s : s + size], x[s : s + size], s)
         for s in range(0, max(lo.shape[0], 1), size)
     ]
     return BoxQpSolution(*(np.concatenate(field) for field in zip(*blocks)))
@@ -215,7 +217,7 @@ def _values(quad, x):
     return x @ -quad.a + 0.5 * np.einsum("ri,ri->r", x, x @ quad.Q) + quad.k0
 
 
-def _solve_block(quad, lo, up, x, offset, max_iter):
+def _solve_block(quad, lo, up, x, offset):
     """:func:`solve_many` on one block of rows; ``x`` is the clipped start
     and ``offset`` the block's first row, for error messages."""
     Q, a = quad.Q, quad.a
@@ -226,7 +228,7 @@ def _solve_block(quad, lo, up, x, offset, max_iter):
     res = np.empty(rows)
     iters = np.zeros(rows, dtype=int)
     live = np.arange(rows)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not live.size:
             break
         xl, ll, ul = x[live], lo[live], up[live]
@@ -249,7 +251,7 @@ def _solve_block(quad, lo, up, x, offset, max_iter):
             _newton_step(quad, x, lo, up, value, known, live[go], g[go], d, offset)
         live = live[~stop]
     if live.size:
-        raise NumericalError(f"row {offset + live[0]}: projected Newton iteration cap {max_iter} exceeded")
+        raise NumericalError(f"row {offset + live[0]}: projected Newton iteration cap {MAX_ITER} exceeded")
 
     bad = ~(res <= tol_kkt)
     if bad.any():

@@ -52,8 +52,8 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from .exceptions import InputError, NumericalError
 
 
-def _trsolve(A, b, trans=0):
-    x, info = dtrtrs(A, b, lower=1, trans=trans)
+def _trsolve(A, b):
+    x, info = dtrtrs(A, b, lower=1)
     if info != 0:
         raise NumericalError(f"LAPACK dtrtrs failed (info={info})")
     return x

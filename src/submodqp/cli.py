@@ -106,9 +106,7 @@ def cmd_eval(args):
 
 def cmd_trace(args):
     problem = model.compile_instance(model.load_instance(args.input))
-    orl = sfm.IndicatorOracle(
-        problem.quad, problem.lo, problem.up, problem.costs, sfm.always_open(problem)
-    )
+    orl = sfm.IndicatorOracle(problem)
     order = _parse_int_list(args.order, "order") if args.order else list(range(orl.m))
     chain = orl.value_chain(order)
     payload = chain.to_json_dict()

@@ -9,7 +9,7 @@ variable falls in one of four regimes:
 * ``l <= u <= 0``:  one bit z-, box [l*(1-z-), u*(1-z-)]
 * ``l < 0 < u``:    two bits, box [l*(1-z-), u*z+]
 * always open:      no bit, box [l, u], z = 1 (marked by the caller, see
-  :func:`submodqp.sfm.solve_full`)
+  ``submodqp.sfm.IndicatorOracle(problem)``)
 
 Every bit opens or closes bounds of its variable: a z+ bit is open when set
 and opens u (and, alone, l too); a z- bit is open when clear and opens l

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,15 @@ MODES = ("sparse", "robust")
 RIDGE = 1e-8  # weight of the robust-mode slack ridge (see compile_robust)
 
 
+def _as_int(value, name):
+    """``value`` as an int; a bool, or a number that is not integral, raises."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_float_vector(values, n, name):
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
@@ -50,21 +60,27 @@ def _as_float_vector(values, n, name):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph; vertices are 0-based integers."""
+    """Undirected weighted graph; vertices are 0-based integers.
+
+    The vertex count and the edge endpoints must be integral numbers (an
+    integral float such as 3.0 counts; a bool or 3.9 raises
+    :class:`InputError`), so no file is silently read as another graph.
+    """
 
     num_vertices: int
     edges: tuple = ()
 
     def __post_init__(self):
-        if self.num_vertices <= 0:
+        num_vertices = _as_int(self.num_vertices, "num_vertices")
+        if num_vertices <= 0:
             raise InputError("num_vertices must be positive")
         seen = set()
         norm = []
         for e in self.edges:
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
+            i, j, w = _as_int(e[0], "edge endpoint"), _as_int(e[1], "edge endpoint"), float(e[2])
             if i == j:
                 raise InputError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
+            if not (0 <= i < num_vertices and 0 <= j < num_vertices):
                 raise InputError(f"edge ({i},{j}) out of range")
             if not 0 <= w < math.inf:
                 raise InputError(f"edge weight {w} on ({i},{j}) must be finite and nonnegative")
@@ -73,6 +89,7 @@ class Graph:
                 raise InputError(f"duplicate edge ({i},{j})")
             seen.add(key)
             norm.append((key[0], key[1], w))
+        object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", tuple(norm))
 
     def laplacian(self):
@@ -231,7 +248,7 @@ class IndicatorProblem:
     every one in sparse mode, only the slacks of (x_1..x_n, w_1..w_n) in
     robust mode.  A variable with no indicator has z = 1, so it always lies
     in [l, u]; the solver gives it no binary coordinate (see
-    :func:`submodqp.sfm.solve_full`).
+    ``submodqp.sfm.IndicatorOracle(problem)``).
     """
 
     quad: QuadraticForm
@@ -496,8 +513,8 @@ def instance_from_json_dict(d):
     known = {"mode", "n", "edges", "a", "node_weights", "c", "l", "u"}
     _reject_unknown_keys(d, known, "instance")
     with _json_errors("instance"):
-        n = int(d["n"])
-        graph = Graph(n, tuple((int(i), int(j), float(w)) for i, j, w in d.get("edges", [])))
+        # Graph checks that n and the endpoints are integral, not truncated
+        graph = Graph(d["n"], tuple((i, j, float(w)) for i, j, w in d.get("edges", [])))
         return ProblemInstance(
             graph=graph,
             a=np.array(d["a"], dtype=float),

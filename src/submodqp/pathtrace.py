@@ -131,19 +131,20 @@ class PathState:
 
     Holds the current point ``y``, the per-variable effective bounds, the
     active-set statuses, the maintained factor over the free set and the
-    parametric coordinate ``param`` (its current value is ``y[param]``).
-    The factor's index set is always the set of free statuses.  ``free``
-    and ``eligible`` are the masks of the last :func:`trace_path` call.
+    parametric coordinate ``param`` of the open stage (its current value
+    is ``y[param]``; None between stages).  The factor's index set is
+    always the set of free statuses.  ``free`` and ``eligible`` are the
+    masks of the last :func:`trace_path` call.
     """
 
-    def __init__(self, quad, lo, up, y, status, chol, param, orig_lo, orig_up):
+    def __init__(self, quad, lo, up, y, status, chol, orig_lo, orig_up):
         self.quad = quad
         self.lo = lo
         self.up = up
         self.y = y
         self.status = status
         self.chol = chol
-        self.param = param
+        self.param = None
         self.orig_lo = orig_lo
         self.orig_up = orig_up
         self.stage = 0
@@ -152,14 +153,14 @@ class PathState:
         self.points = []
 
     @classmethod
-    def from_point(cls, quad, lo, up, y, param=None, orig_lo=None, orig_up=None, audit=True):
+    def from_point(cls, quad, lo, up, y, orig_lo, orig_up):
         """Build a state from a point, classifying the partition positionally.
 
         Variables sitting exactly on a bound go to the bound sets (never to
-        the free set), matching the oracle's degenerate-KKT convention.  With
-        ``audit`` the entry point is checked with :func:`boxqp.kkt_residual`
-        over the non-parametric coordinates, and a corrupted (or NaN) state
-        is rejected.
+        the free set), matching the oracle's degenerate-KKT convention.  The
+        point must be the minimizer over [lo, up]; no stage is open.
+        ``orig_lo`` and ``orig_up`` are the unsplit bounds, which name the
+        events that cross 0.
         """
         n = quad.n
         lo = np.array(lo, dtype=float)
@@ -168,29 +169,17 @@ class PathState:
         status = np.full(n, _FREE, dtype=np.int8)
         status[y >= up] = _HI
         status[y <= lo] = _LO
-        if param is not None:
-            status[param] = _PARAM
         chol = UpdatableCholesky(quad.Q, np.flatnonzero(status == _FREE))
-        state = cls(
+        return cls(
             quad,
             lo,
             up,
             y,
             status,
             chol,
-            param,
-            lo.copy() if orig_lo is None else np.asarray(orig_lo, dtype=float),
-            up.copy() if orig_up is None else np.asarray(orig_up, dtype=float),
+            np.asarray(orig_lo, dtype=float),
+            np.asarray(orig_up, dtype=float),
         )
-        if audit:
-            # pinning the parametric coordinate's box at its value exempts
-            # it from the gradient conditions
-            pinned = status == _PARAM
-            res = boxqp.kkt_residual(quad, np.where(pinned, y, lo), np.where(pinned, y, up), y)
-            tol = 1e-8 * (1.0 + float(np.abs(quad.a).max(initial=0.0)))
-            if not res <= tol:
-                raise InputError(f"corrupted path state: KKT residual {res:.3e}")
-        return state
 
     # -- stage plumbing -----------------------------------------------------
 
@@ -217,14 +206,14 @@ class PathState:
         self.param = None
 
 
-def trace_path(state, to=None):
+def trace_path(state):
     """Advance the parametric coordinate along the solution path.
 
-    ``to=None`` traces to the stage target min(max(lo_j, stationarity root),
-    up_j); a numeric ``to`` traces to that parameter value (must not be below
-    the current one).  Pivots are processed one at a time, smallest variable
-    index first on ties; each is logged with its event type.  A backwards
-    target beyond the 1e-12 float guard means the state is corrupted.
+    Traces to the stage target min(max(lo_j, stationarity root), up_j),
+    which must not be below the current value.  Pivots are processed one at
+    a time, smallest variable index first on ties; each is logged with its
+    event type.  A backwards target beyond the float guard (1e-12, widened
+    by the local conditioning) means the state is corrupted.
 
     While it runs, ``state.free`` marks the free variables and
     ``state.eligible`` the variables the ratio test watches: free ones, and
@@ -266,11 +255,8 @@ def trace_path(state, to=None):
         if slope_j <= 0:
             raise NumericalError("nonpositive Schur complement on parametric coordinate")
         g = Q @ y - a
-        if to is None:
-            xbar = x0 - float(g[j]) / slope_j
-            target = min(max(lo[j], xbar), up[j])
-        else:
-            target = float(to)
+        xbar = x0 - float(g[j]) / slope_j
+        target = min(max(lo[j], xbar), up[j])
         # float noise in g_j is amplified by 1/slope_j (tiny Schur complements
         # happen, e.g. through the robust ridge), so the monotonicity guard
         # scales with the local conditioning; its tolerance is never below
@@ -405,7 +391,7 @@ def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
 
     lo0, up0 = bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int), lo, up)
     sol = boxqp.solve(quad, lo0, up0) if stage0 is None else stage0
-    state = PathState.from_point(quad, lo0, up0, sol.x, orig_lo=lo, orig_up=up, audit=False)
+    state = PathState.from_point(quad, lo0, up0, sol.x, lo, up)
 
     values = [sol.value]
     minimizers = [state.y.copy()]

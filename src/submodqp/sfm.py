@@ -2,13 +2,15 @@
 
 Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
 
-* ``exhaustive`` enumerates every binary vector (small dimensions only) and is
-  the reference for correctness.  It walks the codes 0 ... 2^m - 1 in
-  lexicographic order, ``EXHAUSTIVE_CHUNK`` at a time, and evaluates each
-  chunk with one :meth:`SubmodularOracle.eval_many` call: for an indicator
-  problem, one stacked box-QP solve (:func:`boxqp.solve_many`): for up to
-  64 variables, one block of rows whose Newton steps are solved in groups
-  of equal free-block size.  A tie keeps the first vector found: a later
+* ``exhaustive`` enumerates every binary vector (small dimensions only).  It
+  is not the judge of correctness: :func:`submodqp.oracle.brute_force` and
+  :func:`submodqp.oracle.chain_dp` are, sharing only the box-QP oracle with
+  it.  It walks the codes 0 ... 2^m - 1 in lexicographic order,
+  ``EXHAUSTIVE_CHUNK`` at a time, and evaluates each chunk with one
+  :meth:`SubmodularOracle.eval_many` call: for an indicator problem, one
+  stacked box-QP solve (:func:`boxqp.solve_many`): for up to 64 variables,
+  one block of rows whose Newton steps are solved in groups of equal
+  free-block size.  A tie keeps the first vector found: a later
   one wins only when it is lower by more than ``BRUTE_TIE_TOL``, the rule
   of a one-by-one scan;
 * ``mnp`` runs Wolfe's minimum-norm-point algorithm over the base polytope of
@@ -23,10 +25,11 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
   set function across MNP's cycles.
 
 :func:`solve_full` wires everything together for a compiled indicator
-problem: sign split, oracle construction, minimization, and recovery of the
-original indicator vector and continuous minimizer.  Variables with no
-indicator (the signals of a robust problem) and those whose indicator
-cannot change the optimum get no binary coordinate (see :func:`solve_full`).
+problem: oracle construction (with its sign split), minimization, and
+recovery of the original indicator vector and continuous minimizer.
+Variables with no indicator (the signals of a robust problem) and those
+whose indicator cannot change the optimum get no binary coordinate (see
+:func:`always_open`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ EXHAUSTIVE_GUARD = 20  # 2^20 codes take about 10 s on a 10-vertex robust chain
 EXHAUSTIVE_CHUNK = 1 << 10  # codes per eval_many call of minimize_exhaustive
 BRUTE_TIE_TOL = 1e-9
 MEMO_ENTRIES = 1 << 16  # prefix sets an IndicatorOracle remembers F for
+# major cycles allowed to minimize_mnp: 20m + 100 for m coordinates
+_CYCLES_PER_COORDINATE, _CYCLES_SPARE = 20, 100
 
 _log = logging.getLogger(__name__)
 
@@ -160,10 +165,10 @@ class IndicatorOracle(SubmodularOracle):
     ones included: no box-QP minimizer or traced point reaches an infinite
     bound.  A lower bound of +inf or an upper bound of -inf admits no point
     and raises :class:`InputError` here, in the sign split.  The ground set
-    is the oracle's own sign split (``smap``, with binary cost
-    ``bincost``): variables in the boolean mask ``always_open`` get no
-    coordinate and keep their box [l, u] under every assignment.  Without
-    the mask every variable has one or two coordinates.
+    is the oracle's own sign split of ``problem`` (``smap``, with binary
+    cost ``bincost``): the variables of :func:`always_open` get no
+    coordinate and keep their box [l, u] under every assignment; every
+    other variable has one or two coordinates.
 
     :meth:`chain` remembers F by prefix set.  ``memo`` maps each set, keyed
     exactly as the int bitmask of its coordinates (never a hash, whose
@@ -178,11 +183,11 @@ class IndicatorOracle(SubmodularOracle):
     :meth:`eval`, :meth:`eval_many` and :meth:`recover_x` do not use it.
     """
 
-    def __init__(self, quad, lo, up, costs=None, always_open=None):
-        self.quad = quad
-        self.lo = np.asarray(lo, dtype=float)
-        self.up = np.asarray(up, dtype=float)
-        self.smap, self.bincost = split(self.lo, self.up, costs, always_open)
+    def __init__(self, problem):
+        self.quad = problem.quad
+        self.lo = problem.lo
+        self.up = problem.up
+        self.smap, self.bincost = split(self.lo, self.up, problem.costs, always_open(problem))
         self.m = self.smap.binary_dim
         self.memo = {}
 
@@ -345,16 +350,17 @@ def gap_tolerance(value, tol):
     return max(BRUTE_TIE_TOL, tol) * (1.0 + abs(value))
 
 
-def minimize_mnp(oracle, tol=1e-9, max_iter=None):
+def minimize_mnp(oracle, tol=1e-9):
     """Wolfe's minimum-norm-point method over the base polytope of F.
 
     The greedy subgradient serves as the linear-optimization oracle (one
     value chain per major cycle).  The minimal minimizer of F is the level
     set {x* < 0} of the min-norm point x* (Fujishige's theorem), and level
     sets of an approximate x round well too (Chakrabarty, Jain & Kothari
-    2014).  The last chain ran along ascending x (the previous iterate's
-    when ``max_iter`` ends the loop), so it holds F on every level set: the
-    result is its shortest prefix within ``BRUTE_TIE_TOL`` of its minimum.
+    2014).  The loop stops after 20m + 100 major cycles at most.  The last
+    chain ran along ascending x (the previous iterate's when that cap ends
+    the loop), so it holds F on every level set: the result is its shortest
+    prefix within ``BRUTE_TIE_TOL`` of its minimum.
     ``certificate`` is the duality gap value − F(∅) − Σ min(x_i, 0), and
     ``converged`` means it is at most :func:`gap_tolerance`.  ``tol`` must
     be finite and nonnegative (:class:`InputError` otherwise).
@@ -363,8 +369,6 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     m = oracle.m
     if m == 0:
         raise InputError("empty ground set")
-    if max_iter is None:
-        max_iter = 20 * m + 100
     f0 = oracle.eval(np.zeros(m, dtype=int))
 
     zfrac = np.full(m, 0.5)
@@ -373,7 +377,7 @@ def minimize_mnp(oracle, tol=1e-9, max_iter=None):
     coeff = np.array([1.0])
     eps_drop = 1e-11
 
-    for _ in range(max_iter):
+    for _ in range(_CYCLES_PER_COORDINATE * m + _CYCLES_SPARE):
         zfrac = -x  # greedy's order, argsort(-zfrac), is then ascending x
         q = greedy_subgradient(oracle, zfrac)
         scale = 1.0 + float(np.max(np.abs(S))) ** 2 + float(q @ q)
@@ -445,12 +449,13 @@ def always_open(problem):
 def solve_full(problem, engine="mnp", tol=1e-9):
     """End-to-end minimization of f(x) + c^T z over the indicator feasible set.
 
-    The variables of :func:`always_open` get no binary coordinate.  The
-    requested engine minimizes the (submodular) value-plus-cost function
-    over the remaining split coordinates; when none is left, one box-QP
-    solve is the whole minimization.  Finally it repairs any spurious split
-    corner: that closes only bounds the engine's minimizer x does not use,
-    so x stays the minimizer of the repaired box.  A robust problem's
+    The oracle is ``IndicatorOracle(problem)``, so the variables of
+    :func:`always_open` get no binary coordinate.  The requested engine
+    minimizes the (submodular) value-plus-cost function over the remaining
+    split coordinates; when none is left, one box-QP solve is the whole
+    minimization.  Finally it repairs any spurious split corner: that
+    closes only bounds the engine's minimizer x does not use, so x stays
+    the minimizer of the repaired box.  A robust problem's
     result lists its discarded observations, and every result carries the
     oracle's work counters (:class:`SolveStats`).  ``tol`` must be finite and
     nonnegative, whatever the engine (:class:`InputError` otherwise).
@@ -458,12 +463,12 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     _require_tol(tol)
     if engine not in ("exhaustive", "mnp"):
         raise InputError(f"unknown engine {engine!r} (use 'exhaustive' or 'mnp')")
-    opened = always_open(problem)
-    oracle = IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, opened)
+    oracle = IndicatorOracle(problem)
     smap = oracle.smap
     _log.debug(
         "%d variables, %d always open, %d binary coordinates, engine %s",
-        smap.n, int(opened.sum()), oracle.m, engine,
+        # an always-open variable's bits point at binary_dim
+        smap.n, int(np.count_nonzero(smap.lo_bit == oracle.m)), oracle.m, engine,
     )
     if engine == "mnp" and oracle.m:
         res = minimize_mnp(oracle, tol=tol)

@@ -194,7 +194,7 @@ def test_criterion_7_lovasz_probes():
     while probes < 1000:
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=5000 + seed).draw(0)
         seed += 1
-        oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+        oracle = sq.IndicatorOracle(prob)
         chain = oracle.value_chain(np.arange(oracle.m))
         # exactness at the vertices the chain interpolates
         z = np.zeros(oracle.m)

@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import submodqp as sq
+from submodqp import sfm
+
+_spec = importlib.util.spec_from_file_location(
+    "answer_digest", Path(__file__).resolve().parent.parent / "tools" / "answer_digest.py"
+)
+answer_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(answer_digest)
+
+
+def test_digest_repeats_and_sees_one_ulp_in_one_chain(monkeypatch):
+    inst, _ = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=3)
+    cases = [("robust chain", sq.compile_instance(inst), 1e-9)]
+    chain = sfm.IndicatorOracle.chain
+    first, solves, chains = answer_digest.digest(cases)
+    assert (solves, chains) == (2, 8)  # MNP and exhaustive; MNP's chains
+    assert sfm.IndicatorOracle.chain is chain  # the recorder is gone
+    assert answer_digest.digest(cases) == (first, solves, chains)
+
+    def drifting(self, order):  # the first chain's last value, one ulp up
+        values = chain(self, order)
+        if self.chains == 1:
+            values[-1] = np.nextafter(values[-1], np.inf)
+        return values
+
+    monkeypatch.setattr(sfm.IndicatorOracle, "chain", drifting)
+    assert answer_digest.digest(cases)[0] != first

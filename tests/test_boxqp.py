@@ -254,15 +254,17 @@ def test_solve_many_rejects_bounds_that_leave_no_box(small_quad, inf):
         boxqp.solve_many(small_quad, lo, up)
 
 
-def test_solve_many_raises_at_the_iteration_cap(small_quad):
+def test_solve_many_raises_at_the_iteration_cap(small_quad, monkeypatch):
     # from the clipped start (2/3, 0) the free first coordinate still needs
     # one Newton step, so one iteration is not enough, as in solve
     lo, up = np.zeros(2), np.array([10.0, 0.0])
+    monkeypatch.setattr(boxqp, "MAX_ITER", 1)
     with pytest.raises(NumericalError, match="iteration cap"):
-        boxqp.solve(small_quad, lo, up, max_iter=1)
+        boxqp.solve(small_quad, lo, up)
     with pytest.raises(NumericalError, match="row 1: projected Newton iteration cap 1"):
-        boxqp.solve_many(small_quad, np.array([lo, lo]), np.array([[10.0, 10.0], up]), max_iter=1)
-    assert boxqp.solve_many(small_quad, lo[None], up[None], max_iter=2).iterations.tolist() == [2]
+        boxqp.solve_many(small_quad, np.array([lo, lo]), np.array([[10.0, 10.0], up]))
+    monkeypatch.setattr(boxqp, "MAX_ITER", 2)
+    assert boxqp.solve_many(small_quad, lo[None], up[None]).iterations.tolist() == [2]
 
 
 def test_solve_many_turns_a_failed_block_solve_into_a_numerical_error(small_quad, monkeypatch):

@@ -223,6 +223,8 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("n", "abc"), ("edges", [[0, 1]]), ("a", "xyz"), ("l", [None]), ("c", [math.inf, 1.0, 1.0]),
+    # no truncation: 3.9 vertices is not 3, nor the edge (0.7, 1.9) the edge (0, 1)
+    ("n", 3.9), ("n", True), ("edges", [[0.7, 1.9, 1.0]]), ("edges", [[False, 1, 1.0]]),
 ])
 def test_malformed_json_values_are_input_errors(tmp_path, capsys, key, value):
     inst, _ = model.generate("chain", (3,), seed=0)
@@ -237,8 +239,8 @@ def test_malformed_json_values_are_input_errors(tmp_path, capsys, key, value):
 def test_solve_exits_2_when_the_gap_does_not_certify(tmp_path, capsys, monkeypatch):
     path = tmp_path / "inst.json"
     _run(["generate", "--dims", "6", "--seed", "1", "--cost", "0.8", "--output", str(path)])
-    mnp = sfm.minimize_mnp
-    monkeypatch.setattr(sfm, "minimize_mnp", lambda oracle, tol: mnp(oracle, tol=tol, max_iter=0))
+    monkeypatch.setattr(sfm, "_CYCLES_PER_COORDINATE", 0)  # no major cycle
+    monkeypatch.setattr(sfm, "_CYCLES_SPARE", 0)
     out = tmp_path / "sol.json"
     assert _run(["solve", str(path), "--output", str(out)]) == cli.EXIT_NUMERICAL
     d = json.loads(out.read_text())

@@ -173,6 +173,26 @@ def test_instance_validation_errors():
         sq.ProblemInstance(g, [0, 0], [1, 1], [0, 0], [0, 0], [1, 1], mode="other")
 
 
+@pytest.mark.parametrize("n, edge", [
+    (3.9, (0, 1, 1.0)), (True, (0, 1, 1.0)), ("3", (0, 1, 1.0)),
+    (3, (0.7, 1.9, 1.0)), (3, (0, True, 1.0)), (3, (0, np.nan, 1.0)),
+])
+def test_graph_rejects_non_integral_counts_and_vertex_ids(n, edge):
+    # int() would truncate 3.9 to 3 and the edge (0.7, 1.9) to (0, 1)
+    with pytest.raises(InputError, match="must be an integer"):
+        sq.Graph(n, (edge,))
+    d = model.instance_to_json_dict(model.generate("chain", (3,), seed=0)[0])
+    d["n"], d["edges"] = n, [list(edge)]
+    with pytest.raises(InputError, match="must be an integer"):
+        model.instance_from_json_dict(d)
+
+
+def test_graph_takes_integral_numbers_as_ints():
+    g = sq.Graph(3.0, ((np.int64(0), 1.0, 2.0), (2, 1, 0.5)))
+    assert g == sq.Graph(3, ((0, 1, 2.0), (1, 2, 0.5)))
+    assert type(g.num_vertices) is int and all(type(i) is int for e in g.edges for i in e[:2])
+
+
 @pytest.mark.parametrize("field", ["costs", "lo", "up"])
 def test_indicator_problem_rejects_nan(field):
     # NaN is an input error (CLI exit 1), not a numerical failure of the

@@ -88,6 +88,46 @@ def test_property_suite_passes_on_clean_instances():
     assert report.checks["chain_matches_oracle"].passes == 4
 
 
+def _robust_chain(vertices, seed):
+    inst, _ = sq.generate("chain", vertices, mode="robust", outlier_fraction=0.34, seed=seed)
+    return sq.compile_instance(inst)
+
+
+@pytest.mark.parametrize("vertices", [3, 4, 5])
+def test_every_check_passes_on_compiled_robust_chains(vertices):
+    # the ridge leaves these Q conditioned near 1e8: x moves by up to ~1e-7
+    # under a permutation, while the Q-norm of the move stays near 1e-10
+    for seed in range(2):
+        problem = _robust_chain(vertices, seed)
+        for t, (name, check) in enumerate(oracle.CHECKS.items()):
+            ok, detail = check(problem, np.random.default_rng([seed, t]))
+            assert ok, (name, seed, detail)
+
+
+def test_property_suite_and_solve_share_a_ground_set(monkeypatch):
+    built = []
+    init = sfm.IndicatorOracle.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(sfm.IndicatorOracle, "__init__", recorded)
+    # robust signals are always open, so only the 5 slacks' 10 bits are left
+    problem = _robust_chain(5, 0)
+    sq.solve_full(problem)
+    suite = oracle._chain_for(problem)[0].smap
+    assert built[0].m == suite.binary_dim == 10
+    for table in ("var", "plus", "lo_bit", "up_bit"):
+        assert np.array_equal(getattr(suite, table), getattr(built[0].smap, table))
+    # a sparse draw prices every variable, so no variable is open
+    prob = sq.InstanceSampler(n=6, regime="mixed", seed=0).draw(0)
+    full, _ = split(prob.lo, prob.up, prob.costs)
+    suite = oracle._chain_for(prob)[0].smap
+    for table in ("var", "plus", "lo_bit", "up_bit"):
+        assert np.array_equal(getattr(suite, table), getattr(full, table))
+
+
 def test_property_suite_rejects_zero_trials():
     with pytest.raises(InputError):
         sq.run_property_suite(sq.InstanceSampler(n=4, seed=0), trials=0)
@@ -167,8 +207,8 @@ def test_mnp_check_requires_a_certified_result(monkeypatch):
     prob = sq.InstanceSampler(n=4, regime="mixed", seed=1).draw(0)
     rng = np.random.default_rng(0)
     assert oracle.CHECKS["mnp_matches_exhaustive"](prob, rng) == (True, None)
-    mnp = sfm.minimize_mnp
-    monkeypatch.setattr(sfm, "minimize_mnp", lambda orc, tol: mnp(orc, tol=tol, max_iter=0))
+    monkeypatch.setattr(sfm, "_CYCLES_PER_COORDINATE", 0)  # no major cycle
+    monkeypatch.setattr(sfm, "_CYCLES_SPARE", 0)
     ok, detail = oracle.CHECKS["mnp_matches_exhaustive"](prob, rng)
     assert not ok and detail["mnp_certificate"] > 1e-6
 

@@ -15,8 +15,16 @@ def small_quad():
     return sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
 
 
-def _stage_state(quad, lo, up, y, param):
-    return PathState.from_point(quad, lo, up, y, param=param)
+def _stage_state(quad, lo, up, y, param, stage_lo=None, stage_up=None):
+    """A state at y, the minimizer over [lo, up] off ``param``, with a stage
+    open on ``param``: its box is [stage_lo, stage_up], by default [lo, up]'s."""
+    state = PathState.from_point(quad, lo, up, y, lo, up)
+    state.begin_stage(
+        param,
+        lo[param] if stage_lo is None else stage_lo,
+        up[param] if stage_up is None else stage_up,
+    )
+    return state
 
 
 def test_trace_to_stationarity(small_quad):
@@ -52,9 +60,11 @@ def test_trace_segment_is_affine(small_quad):
 
 
 def test_trace_empty_interval_is_identity(small_quad):
-    st = _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1)
+    # a stage pinned at the current value traces nothing
+    st = _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1,
+                      stage_lo=0.0, stage_up=0.0)
     before = st.y.copy()
-    trace_path(st, to=0.0)
+    trace_path(st)
     # the free block is refreshed from the factorization, so equality holds
     # at float resolution rather than bitwise
     assert np.allclose(st.y, before, rtol=0.0, atol=1e-15)
@@ -63,39 +73,17 @@ def test_trace_empty_interval_is_identity(small_quad):
 
 
 def test_backward_target_beyond_the_float_guard_raises(small_quad):
-    st = _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1)
+    args = (small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1)
+    st = _stage_state(*args, stage_lo=-10.0, stage_up=-1.0)
     with pytest.raises(NumericalError, match="retreats"):
-        trace_path(st, to=st.y[st.param] - 1.0)
+        trace_path(st)
     # a backward step within the guard is float noise: the trace stays put
-    trace_path(st, to=-1e-13)
+    st = _stage_state(*args, stage_lo=-10.0, stage_up=-1e-13)
+    before = st.y.copy()
+    trace_path(st)
     assert st.y[st.param] == 0.0
-
-
-def test_corrupted_state_rejected(small_quad):
-    # interior coordinate with nonzero gradient fails the entry audit
-    with pytest.raises(InputError, match="corrupted"):
-        _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.2, 0.0]), 1)
-
-
-def test_audit_checks_gradient_signs_at_bounds(small_quad):
-    # g_0 = 2 y_0 - y_1 - 1; the parametric coordinate 1 is exempt (g_1 = -y_0)
-    cases = [
-        # (lo_0, up_0, y_0, accepted)
-        (0.0, 1.0, 1.0, False),  # on its upper bound, g_0 = 1 > 0
-        (0.0, 1.0, 0.0, False),  # on its lower bound, g_0 = -1 < 0
-        (0.0, 0.3, 0.3, True),  # on its upper bound, g_0 = -0.4
-        (0.6, 1.0, 0.6, True),  # on its lower bound, g_0 = 0.2
-        (0.4, 0.4, 0.4, True),  # pinned, g_0 = -0.2 carries no sign condition
-    ]
-    for lo0, up0, y0, accepted in cases:
-        args = (small_quad, np.array([lo0, 0.0]), np.array([up0, 10.0]), np.array([y0, 0.0]), 1)
-        if accepted:
-            _stage_state(*args)
-        else:
-            with pytest.raises(InputError, match="corrupted"):
-                _stage_state(*args)
-    with pytest.raises(InputError, match="corrupted"):
-        _stage_state(small_quad, np.zeros(2), np.ones(2), np.array([np.nan, 0.0]), 1)
+    assert np.allclose(st.y, before, rtol=0.0, atol=1e-15)
+    assert st.breakpoints == []
 
 
 def test_chain_natural_order(small_quad):
@@ -326,10 +314,10 @@ def test_maintained_indices_and_masks_match_the_statuses(monkeypatch):
             _check_maintained_state(self.state, tracing=True)
             seen[bp.event] += 1
 
-    def checked_trace(state, to=None):
+    def checked_trace(state):
         if not isinstance(state.breakpoints, PivotLog):
             state.breakpoints = PivotLog(state)
-        out = trace_path(state, to)
+        out = trace_path(state)
         _check_maintained_state(state, tracing=True)
         return out
 

@@ -10,27 +10,38 @@ from submodqp import boxqp, lattice, sfm
 from submodqp.exceptions import InputError
 
 
+CORNER_QUAD = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
+
+
+def _corner_problem(costs, up=(10.0, 10.0)):
+    """Two variables with boxes [0, u] and the given costs."""
+    return sq.IndicatorProblem(CORNER_QUAD, np.asarray(costs, dtype=float), np.zeros(2),
+                               np.asarray(up, dtype=float))
+
+
+def _cap_mnp(monkeypatch, cycles):
+    """Let minimize_mnp run at most ``cycles`` major cycles, whatever m."""
+    monkeypatch.setattr(sfm, "_CYCLES_PER_COORDINATE", 0)
+    monkeypatch.setattr(sfm, "_CYCLES_SPARE", cycles)
+
+
 @pytest.fixture
 def corner_oracle():
     # v over [0,10]^2 boxes: values (0, -1/4, 0, -1/3) at the four corners
-    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
-    return sq.IndicatorOracle(quad, np.zeros(2), np.full(2, 10.0), costs=np.array([0.1, 0.1]))
+    return sq.IndicatorOracle(_corner_problem([0.1, 0.1]))
 
 
-def test_greedy_subgradient_example():
-    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
-    oracle = sq.IndicatorOracle(quad, np.zeros(2), np.full(2, 10.0), costs=np.zeros(2))
-    w = sq.greedy_subgradient(oracle, np.array([0.9, 0.1]))
-    assert np.allclose(w, [-0.25, -1.0 / 12.0], atol=1e-10)
-    # <w, z> + v(0) is the extension value
-    assert w @ np.array([0.9, 0.1]) == pytest.approx(-0.9 / 4 - 0.1 / 12, abs=1e-10)
+def test_greedy_subgradient_example(corner_oracle):
+    # F's differences along the order (0, 1): v's (-1/4, -1/12) plus the costs
+    w = sq.greedy_subgradient(corner_oracle, np.array([0.9, 0.1]))
+    assert np.allclose(w, [-0.25 + 0.1, -1.0 / 12.0 + 0.1], atol=1e-10)
+    # <w, z> + F(0) is the extension value
+    assert w @ np.array([0.9, 0.1]) == pytest.approx(-0.9 / 4 - 0.1 / 12 + 0.1, abs=1e-10)
 
 
-def test_greedy_ties_telescope():
-    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
-    oracle = sq.IndicatorOracle(quad, np.zeros(2), np.full(2, 10.0), costs=np.zeros(2))
-    w = sq.greedy_subgradient(oracle, np.array([0.5, 0.5]))
-    assert w.sum() == pytest.approx(-1.0 / 3.0, abs=1e-10)
+def test_greedy_ties_telescope(corner_oracle):
+    w = sq.greedy_subgradient(corner_oracle, np.array([0.5, 0.5]))
+    assert w.sum() == pytest.approx(-1.0 / 3.0 + 0.2, abs=1e-10)
 
 
 def test_greedy_single_coordinate():
@@ -43,7 +54,7 @@ def test_greedy_single_coordinate():
 def test_greedy_prefix_exactness():
     # the minorant is tight on every prefix of the sort order (telescoping)
     prob = sq.InstanceSampler(n=5, regime="mixed", seed=21).draw(0)
-    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    oracle = sq.IndicatorOracle(prob)
     rng = np.random.default_rng(3)
     zf = rng.random(oracle.m)
     order = np.argsort(-zf, kind="stable")
@@ -63,18 +74,19 @@ def test_minimize_exhaustive_corner_instance(corner_oracle):
 
 
 def test_minimize_exhaustive_huge_costs():
-    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
-    oracle = sq.IndicatorOracle(quad, np.zeros(2), np.full(2, 10.0), costs=np.full(2, 100.0))
+    oracle = sq.IndicatorOracle(_corner_problem([100.0, 100.0]))
     res = sq.minimize_exhaustive(oracle)
     assert np.array_equal(res.z, [0, 0])
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_minimize_exhaustive_free_indicators():
-    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
-    oracle = sq.IndicatorOracle(quad, np.zeros(2), np.full(2, 10.0), costs=np.zeros(2))
+    # free indicators on boxes that hold 0 are always open: no coordinate
+    # is left, and the one evaluation is the full box
+    oracle = sq.IndicatorOracle(_corner_problem([0.0, 0.0]))
+    assert oracle.m == 0
     res = sq.minimize_exhaustive(oracle)
-    v_full = boxqp.solve(quad, np.zeros(2), np.full(2, 10.0)).value
+    v_full = boxqp.solve(CORNER_QUAD, np.zeros(2), np.full(2, 10.0)).value
     assert res.value == pytest.approx(v_full, abs=1e-12)
 
 
@@ -109,16 +121,14 @@ def _exhaustive_oracles():
     # a robust chain whose 2^12 codes span four chunks
     inst, _ = sq.generate("chain", (6,), signal_sparsity=0.0, outlier_fraction=0.2,
                           noise_sd=0.25, seed=3, mode="robust", cost=4.0)
-    problem = sq.compile_instance(inst)
-    always_open = (problem.costs == 0) & (problem.lo <= 0) & (problem.up >= 0)
-    yield sq.IndicatorOracle(problem.quad, problem.lo, problem.up, problem.costs, always_open)
+    yield sq.IndicatorOracle(sq.compile_instance(inst))
     for seed in range(6):
         prob = sq.InstanceSampler(n=5, regime=("nonnegative", "mixed", "negative")[seed % 3],
                                   seed=970 + seed).draw(0)
-        yield sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
-    # m = 0: every variable always open
-    yield sq.IndicatorOracle(prob.quad, np.minimum(prob.lo, 0.0), np.maximum(prob.up, 0.0),
-                             np.zeros(prob.n), always_open=np.ones(prob.n, dtype=bool))
+        yield sq.IndicatorOracle(prob)
+    # m = 0: every variable costs nothing and its box holds 0, so it is always open
+    yield sq.IndicatorOracle(sq.IndicatorProblem(
+        prob.quad, np.zeros(prob.n), np.minimum(prob.lo, 0.0), np.maximum(prob.up, 0.0)))
 
 
 def test_minimize_exhaustive_matches_a_one_by_one_scan():
@@ -135,7 +145,7 @@ def test_minimize_exhaustive_matches_a_one_by_one_scan():
 
 def test_indicator_oracle_eval_many_matches_eval():
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=33).draw(0)
-    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    oracle = sq.IndicatorOracle(prob)
     zs = np.random.default_rng(1).integers(0, 2, size=(30, oracle.m))
     got = oracle.eval_many(zs)
     want = np.array([oracle.eval(z) for z in zs])
@@ -201,21 +211,22 @@ def test_minimize_mnp_rounds_ties_from_the_chain(m):
     assert res.converged
 
 
-def test_minimize_mnp_converged_means_certified():
+def test_minimize_mnp_converged_means_certified(monkeypatch):
     # a capped run is converged exactly when its duality gap certifies it:
     # one cycle already certifies most of these instances, none cycles none
     tol = 1e-9
     seen = set()
-    for max_iter in (0, 1):
+    for cycles in (0, 1):
+        _cap_mnp(monkeypatch, cycles)
         for seed in range(6):
             prob = sq.InstanceSampler(n=8, regime="mixed", seed=seed).draw(0)
-            oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
-            res = sq.minimize_mnp(oracle, tol=tol, max_iter=max_iter)
+            oracle = sq.IndicatorOracle(prob)
+            res = sq.minimize_mnp(oracle, tol=tol)
             bound = sfm.gap_tolerance(res.value, tol)
             assert res.converged == (abs(res.certificate) <= bound)
             assert res.certificate >= -bound  # the bound never exceeds a value of F
             assert res.value == oracle.eval(res.z)
-            seen.add((max_iter, bool(res.converged)))
+            seen.add((cycles, bool(res.converged)))
     assert seen == {(0, False), (1, False), (1, True)}
 
 
@@ -224,14 +235,16 @@ def test_gap_tolerance_follows_tol_down_to_the_tie_noise():
     assert sfm.gap_tolerance(-3.0, 1e-12) == sfm.BRUTE_TIE_TOL * 4.0
 
 
-def test_minimize_mnp_capped_gap_above_tol_is_not_converged():
+def test_minimize_mnp_capped_gap_above_tol_is_not_converged(monkeypatch):
     # one cycle at tol=1e-6 leaves a duality gap of about 4.6e-5 on this
     # draw: a looser tolerance (1e3 * tol, relative) would certify it, but
     # the value is not known to tol
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=38).draw(0)
-    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    oracle = sq.IndicatorOracle(prob)
     tol = 1e-6
-    res = sq.minimize_mnp(oracle, tol=tol, max_iter=1)
+    with monkeypatch.context() as capped:
+        _cap_mnp(capped, 1)
+        res = sq.minimize_mnp(oracle, tol=tol)
     scale = 1.0 + abs(res.value)
     assert tol * scale < res.certificate <= 1e3 * tol * scale
     assert not res.converged
@@ -259,7 +272,7 @@ def test_minimize_mnp_zero_function():
 def test_oracle_chain_endpoints_match_eval():
     for seed in range(5):
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=400 + seed).draw(0)
-        oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+        oracle = sq.IndicatorOracle(prob)
         rng = np.random.default_rng(seed)
         order = rng.permutation(oracle.m)
         values = oracle.chain(order)
@@ -276,13 +289,13 @@ def _naive_chain(quad, lo, up, costs, order):
 
 
 def test_oracle_traces_infinite_bounds(monkeypatch):
-    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
-    lo, up = np.zeros(2), np.array([np.inf, 10.0])
-    oracle = sq.IndicatorOracle(quad, lo, up, costs=np.zeros(2))
+    problem = _corner_problem([0.1, 0.1], up=(np.inf, 10.0))
+    oracle = sq.IndicatorOracle(problem)
     monkeypatch.setattr(oracle, "chain_naive", None)  # the oracle must trace
     values = oracle.chain(np.arange(2))
-    assert values[-1] == pytest.approx(-1.0 / 3.0, abs=1e-10)
-    assert np.max(np.abs(values - _naive_chain(quad, lo, up, np.zeros(2), np.arange(2)))) <= 1e-8
+    assert values[-1] == pytest.approx(-1.0 / 3.0 + 0.2, abs=1e-10)
+    naive = _naive_chain(CORNER_QUAD, problem.lo, problem.up, problem.costs, np.arange(2))
+    assert np.max(np.abs(values - naive)) <= 1e-8
 
 
 def _infinite_bound_draw(regime, seed, always_open):
@@ -317,7 +330,8 @@ def test_infinite_bounds_are_traced_exactly(regime, monkeypatch):
         mask = (problem.costs == 0.0) & (lo <= 0.0) & (up >= 0.0)
         assert always_open or not mask.any()
         opened += int(mask.sum())
-        oracle = sq.IndicatorOracle(problem.quad, lo, up, problem.costs, mask)
+        oracle = sq.IndicatorOracle(problem)
+        assert oracle.m == lattice.split(lo, up, problem.costs, mask)[0].binary_dim
         order = np.random.default_rng(seed).permutation(oracle.m)
         chain = oracle.value_chain(order)
         z = np.zeros(oracle.m, dtype=int)
@@ -341,7 +355,7 @@ def test_indicator_oracle_rejects_bounds_that_leave_no_box(bound, monkeypatch):
     lo, up = np.array([bound[0], 0.0]), np.array([bound[1], 1.0])
     monkeypatch.setattr(boxqp, "solve", None)  # rejected before any solve
     with pytest.raises(InputError, match="no finite point"):
-        sq.IndicatorOracle(quad, lo, up)
+        sq.IndicatorOracle(sq.IndicatorProblem(quad, np.ones(2), lo, up))
 
 
 def test_robust_instance_with_no_finite_bound_matches_brute_force():
@@ -551,15 +565,16 @@ def _coords(smap):
     return list(zip(smap.var.tolist(), smap.plus.tolist()))
 
 
-def _embed(full, oracle, mask, z):
-    """The full-cube vector for an always-open oracle's z: z+ = 1 and z- = 0
-    for the open variables, the oracle's bits for the others."""
-    where = {c: k for k, c in enumerate(_coords(oracle.smap))}
+def _embed(full, smap, mask, z):
+    """The full-cube vector for z over a split with always-open variables:
+    z+ = 1 and z- = 0 for the open variables, z's bits for the others."""
+    where = {c: k for k, c in enumerate(_coords(smap))}
     return np.array([plus if mask[i] else z[where[i, plus]]
-                     for i, plus in _coords(full.smap)], dtype=int)
+                     for i, plus in _coords(full)], dtype=int)
 
 
 def test_indicator_oracle_with_always_open_matches_full_cube():
+    # the references evaluate the full split, where no variable is open
     rng = np.random.default_rng(4)
     for trial in range(6):
         prob = sq.InstanceSampler(n=6, regime="mixed", seed=31 + trial).draw(0)
@@ -567,28 +582,35 @@ def test_indicator_oracle_with_always_open_matches_full_cube():
         prob = sq.IndicatorProblem(prob.quad, costs, prob.lo, prob.up)
         mask = (prob.costs == 0) & (prob.lo <= 0) & (prob.up >= 0)
         assert mask.any() and not mask.all()
-        oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs, always_open=mask)
-        full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
-        assert oracle.m == sum(1 for i, _ in _coords(full.smap) if not mask[i])
+        oracle = sq.IndicatorOracle(prob)
+        full, full_cost = lattice.split(prob.lo, prob.up, prob.costs)
+        assert oracle.m == sum(1 for i, _ in _coords(full) if not mask[i])
         order = rng.permutation(oracle.m)
         assert np.max(np.abs(oracle.chain(order) - oracle.chain_naive(order))) <= 1e-8
         for _ in range(4):
             z = rng.integers(0, 2, size=oracle.m)
-            zfull = _embed(full, oracle, mask, z)
-            assert oracle.eval(z) == pytest.approx(full.eval(zfull), abs=1e-12)
-            assert np.array_equal(oracle.recover_x(z), full.recover_x(zfull))
+            zfull = _embed(full, oracle.smap, mask, z)
+            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, full, zfull) + full_cost(zfull)
+            assert oracle.eval(z) == pytest.approx(ref, abs=1e-12)
+            blo, bup = lattice.bounds_for_binary(full, zfull, prob.lo, prob.up)
+            assert np.array_equal(oracle.recover_x(z), boxqp.solve(prob.quad, blo, bup).x)
 
 
 def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     prob = sq.InstanceSampler(n=5, regime="nonnegative", seed=32).draw(0)
-    full = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
-    same = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs,
-                              always_open=np.zeros(prob.n, dtype=bool))
-    order = np.arange(full.m)[::-1]
+    oracle = sq.IndicatorOracle(prob)
+    full, full_cost = lattice.split(prob.lo, prob.up, prob.costs)
     for table in ("var", "plus", "lo_bit", "up_bit"):
-        assert np.array_equal(getattr(same.smap, table), getattr(full.smap, table))
-    assert same.value_chain(order).kind == full.value_chain(order).kind == "nonnegative"
-    assert np.array_equal(same.chain(order), full.chain(order))
+        assert np.array_equal(getattr(oracle.smap, table), getattr(full, table))
+    order = np.arange(oracle.m)[::-1]
+    assert oracle.value_chain(order).kind == "nonnegative"
+    values = oracle.chain(order)
+    z = np.zeros(oracle.m, dtype=int)
+    for k in range(oracle.m + 1):
+        if k:
+            z[order[k - 1]] = 1
+        ref = boxqp.value_function(prob.quad, prob.lo, prob.up, full, z) + full_cost(z)
+        assert abs(values[k] - ref) <= 1e-8 * (1.0 + abs(ref))
 
 
 def test_solve_full_rejects_unknown_engine():
@@ -613,7 +635,7 @@ def test_extension_convexity_probe():
     rng = np.random.default_rng(11)
     for seed in range(10):
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=800 + seed).draw(0)
-        oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+        oracle = sq.IndicatorOracle(prob)
         f0 = oracle.eval(np.zeros(oracle.m, dtype=int))
 
         def ext(zf):
@@ -626,7 +648,7 @@ def test_extension_convexity_probe():
 
 def _memo_oracle(seed=5):
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=seed).draw(0)
-    return prob, sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    return prob, sq.IndicatorOracle(prob)
 
 
 def test_chain_with_every_prefix_set_known_traces_no_stage(monkeypatch):
@@ -743,7 +765,7 @@ def test_scalar_box_qp_solves_are_counted():
     sq.minimize_mnp(oracle)
     # stage 0, F(∅), the rounded set's value and its x; chains solve none
     assert (oracle.scalar_solves, oracle.scalar_iterations) == (4, 8)
-    oracle = sq.IndicatorOracle(prob.quad, prob.lo, prob.up, prob.costs)
+    oracle = sq.IndicatorOracle(prob)
     sq.minimize_exhaustive(oracle)
     # enumeration solves in stacks; only the minimizer's x is solved alone
     assert (oracle.scalar_solves, oracle.scalar_iterations) == (1, 1)
