@@ -25,9 +25,9 @@ def main():
             np.zeros(inst.n), np.full(inst.n, 0.9), mode="sparse",
         )
     )
-    smap, _ = split(problem.lo, problem.up, problem.costs)
+    smap, _ = split(problem)
 
-    chain = pathtrace.chain_nonnegative(problem.quad, problem.lo, problem.up)
+    chain = pathtrace.chain_nonnegative(problem)
     print("traced chain of optimal values:")
     for k, v in enumerate(chain.values):
         print(f"  v(first {k} on) = {v:10.5f}")
@@ -41,7 +41,7 @@ def main():
     for k in range(problem.n + 1):
         if k:
             z[k - 1] = 1
-        ref = boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z)
+        ref = boxqp.value_function(problem.quad, smap, z)
         worst = max(worst, abs(ref - chain.values[k]))
     print(f"\nmax gap vs {problem.n + 1} independent box-QP solves: {worst:.2e}")
 

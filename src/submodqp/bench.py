@@ -35,7 +35,7 @@ _NAIVE_RUNS = 2
 
 def _time_chain(problem):
     t0 = time.perf_counter()
-    chain = pathtrace.chain_nonnegative(problem.quad, problem.lo, problem.up)
+    chain = pathtrace.chain_nonnegative(problem)
     return time.perf_counter() - t0, chain
 
 
@@ -46,7 +46,7 @@ def _time_naive(problem, smap):
     iterations = 0
     for j in range(problem.n + 1):
         z[:j] = 1
-        blo, bup = bounds_for_binary(smap, z, problem.lo, problem.up)
+        blo, bup = bounds_for_binary(smap, z)
         iterations += boxqp.solve(problem.quad, blo, bup).iterations
     return time.perf_counter() - t0, iterations
 
@@ -76,7 +76,7 @@ def bench_rows(sizes, reps=3, seed=0):
     cases = []
     for n in sizes:
         problem = _bench_problem(n, seed)
-        smap, _ = split(problem.lo, problem.up, problem.costs)
+        smap, _ = split(problem)
         cases.append((problem, smap))
     t_chain = [[] for _ in sizes]
     t_naive = [[] for _ in sizes]

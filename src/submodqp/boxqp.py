@@ -326,7 +326,7 @@ def _newton_step(quad, x, lo, up, value, known, rows, g, d, offset):
     known[rows] = True
 
 
-def value_function(quad, lo, up, smap, zbin):
-    """v(z): optimal objective under the indicator assignment zbin."""
-    blo, bup = bounds_for_binary(smap, zbin, lo, up)
+def value_function(quad, smap, zbin):
+    """v(z): optimal objective under the split assignment zbin of ``smap``."""
+    blo, bup = bounds_for_binary(smap, zbin)
     return solve(quad, blo, bup).value

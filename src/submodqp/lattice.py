@@ -8,8 +8,8 @@ variable falls in one of four regimes:
 * ``0 <= l <= u``:  one bit z+, box [l*z+, u*z+]
 * ``l <= u <= 0``:  one bit z-, box [l*(1-z-), u*(1-z-)]
 * ``l < 0 < u``:    two bits, box [l*(1-z-), u*z+]
-* always open:      no bit, box [l, u], z = 1 (marked by the caller, see
-  ``submodqp.sfm.IndicatorOracle(problem)``)
+* always open:      no bit, box [l, u], z = 1 (the open rule of
+  :func:`split`)
 
 Every bit opens or closes bounds of its variable: a z+ bit is open when set
 and opens u (and, alone, l too); a z- bit is open when clear and opens l
@@ -19,7 +19,9 @@ variable, and ``plus[k]``, True for a z+ bit.  Per variable i: ``lo_bit[i]``
 and ``up_bit[i]``, the coordinates whose open state opens l_i and u_i.  A
 one-bit variable points both at its bit, a straddling one at its z- and its
 z+ bit, and an always-open one at ``binary_dim``, which stands for "always
-open".
+open".  The map also holds ``lo`` and ``up``, the problem's unsplit bounds
+that the table opens, so every box it implies comes from the bounds it was
+built from.
 
 The coupling constraint ``z_minus >= z_plus`` can be dropped because costs are
 nonnegative: any optimum using the spurious corner (1, 0), where both bounds
@@ -61,6 +63,8 @@ class SignSplitMap:
     plus: np.ndarray  # per coordinate: True for z+ (open when set), False for z-
     lo_bit: np.ndarray  # per variable: coordinate opening l, binary_dim if always
     up_bit: np.ndarray  # per variable: coordinate opening u, binary_dim if always
+    lo: np.ndarray  # per variable: the unsplit l the table opens (read-only)
+    up: np.ndarray  # per variable: the unsplit u the table opens (read-only)
 
     @property
     def n(self):
@@ -85,14 +89,14 @@ class SignSplitMap:
         is_open[..., m] = True
         return is_open[..., self.lo_bit], is_open[..., self.up_bit]
 
-    def stage_bounds(self, order, lo, up):
+    def stage_bounds(self, order):
         """Per stage of a chain that sets the coordinates in ``order`` one at
         a time from all clear: (variable, its new lower, its new upper
         bound), as Python scalars."""
         plus = self.plus.tolist()
         is_open = [not p for p in plus] + [True]  # all clear
         var, lo_bit, up_bit = self.var.tolist(), self.lo_bit.tolist(), self.up_bit.tolist()
-        lo, up = lo.tolist(), up.tolist()
+        lo, up = self.lo.tolist(), self.up.tolist()
         stages = []
         for c in order:
             is_open[c] = plus[c]
@@ -134,34 +138,34 @@ class SignSplitMap:
         return zbin
 
 
-def split(lo, up, costs=None, always_open=None):
-    """Build the sign-split map and the binary cost for bounds (lo, up).
+def split(problem):
+    """Build the sign-split map and the binary cost of an
+    :class:`~submodqp.model.IndicatorProblem`.
 
     Boundary cases take one z+ bit whenever 0 <= lo (including lo = u = 0),
     and one z- bit when up <= 0 < -lo; a variable is split only when
-    l < 0 < u.  Variables marked in the boolean mask ``always_open`` get no
-    coordinate, and their cost, paid at z = 1, joins the constant.  Bounds
-    may be infinite, but a lower bound of +inf or an upper bound of -inf
-    admits no point and raises :class:`InputError`.
+    l < 0 < u.  Bounds may be infinite, but a lower bound of +inf or an
+    upper bound of -inf admits no point and raises :class:`InputError`.
+
+    The open rule: a variable is always open, with no coordinate and the
+    box [l_i, u_i] under every assignment, when it has no indicator (see
+    ``problem.indicated``), or when (a) it costs nothing and (b) 0 lies in
+    [l_i, u_i].  Then its feasible set [l_i, u_i] ∪ {0} is [l_i, u_i]:
+    opening a box never raises v and a zero cost never changes the cost
+    term, so F with the indicator open is at most F with it closed, and the
+    restriction of F to the open indicators is submodular with the same
+    minimum (Bach 2013, *Learning with Submodular Functions*, on
+    restriction).  Condition (b) matters: a zero-cost semi-continuous
+    variable (0 < l_i) chooses between {0} and [l_i, u_i], which do not
+    nest.  An always-open variable's cost, paid at z = 1, joins the
+    constant.
     """
-    lo = np.asarray(lo, dtype=float)
-    up = np.asarray(up, dtype=float)
-    n = lo.shape[0]
-    if up.shape != (n,):
-        raise InputError("bounds shape mismatch")
-    if costs is None:
-        costs = np.zeros(n)
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (n,):
-        raise InputError("costs shape mismatch")
-    always_open = np.zeros(n, dtype=bool) if always_open is None else np.asarray(always_open)
-    if always_open.shape != (n,) or always_open.dtype != bool:
-        raise InputError(f"always_open must be a boolean mask of {n} variables")
-    if (lo > up).any():
-        raise InputError("lo > up")
+    lo, up, costs = problem.lo, problem.up, problem.costs
     if (lo == np.inf).any() or (up == -np.inf).any():
         raise InputError("a lower bound of +inf or an upper bound of -inf admits no finite point")
+    always_open = ~problem.indicated | ((costs == 0.0) & (lo <= 0.0) & (up >= 0.0))
 
+    n = lo.shape[0]
     nonneg = 0.0 <= lo
     minus = ~always_open & ~nonneg & (up <= 0.0)
     both = ~always_open & ~nonneg & ~(up <= 0.0)
@@ -181,19 +185,17 @@ def split(lo, up, costs=None, always_open=None):
     const = 0.0
     for c in costs[always_open | ~nonneg].tolist():
         const += c
-    return SignSplitMap(var, plus, lo_bit, up_bit), BinaryCost(linear, const)
+    return SignSplitMap(var, plus, lo_bit, up_bit, lo, up), BinaryCost(linear, const)
 
 
-def bounds_for_binary(smap, zbin, lo, up):
+def bounds_for_binary(smap, zbin):
     """Per-variable box implied by a split binary assignment.
 
-    A bound is l_i or u_i where the table opens it and 0 where it is closed
-    (the usual 0*inf = 0 convention for infinite bounds).  Straddling boxes
-    are never empty since l < 0 < u.  A stack of assignments (coordinates on
-    the last axis) gives the stack of their boxes in one gather.
+    A bound is l_i or u_i (``smap.lo``, ``smap.up``) where the table opens
+    it and 0 where it is closed (the usual 0*inf = 0 convention for
+    infinite bounds).  Straddling boxes are never empty since l < 0 < u.  A
+    stack of assignments (coordinates on the last axis) gives the stack of
+    their boxes in one gather.
     """
     lo_open, up_open = smap._open_bounds(zbin)
-    return (
-        np.where(lo_open, np.asarray(lo, dtype=float), 0.0),
-        np.where(up_open, np.asarray(up, dtype=float), 0.0),
-    )
+    return np.where(lo_open, smap.lo, 0.0), np.where(up_open, smap.up, 0.0)

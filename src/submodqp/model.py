@@ -247,8 +247,10 @@ class IndicatorProblem:
     The mode fixes which variables carry an indicator (:attr:`indicated`):
     every one in sparse mode, only the slacks of (x_1..x_n, w_1..w_n) in
     robust mode.  A variable with no indicator has z = 1, so it always lies
-    in [l, u]; the solver gives it no binary coordinate (see
-    ``submodqp.sfm.IndicatorOracle(problem)``).
+    in [l, u]; the solver gives it no binary coordinate.  The problem alone
+    fixes the solver's ground set: ``submodqp.lattice.split(problem)``
+    applies the open rule, which also leaves without a coordinate an
+    indicator that costs nothing on a box holding 0.
     """
 
     quad: QuadraticForm
@@ -401,11 +403,13 @@ def generate(
     (exact count, rounded).  ``outlier_fraction`` picks round(frac*n) vertices
     whose observation is shifted by ``OUTLIER_SCALE`` times a random sign.
     Deterministic in the seed.  Returns ``(instance, truth)`` where truth
-    records the planted signal and outlier set.
+    records the planted signal and outlier set.  ``dims`` is one integral
+    number or a sequence of them; a bool or a number such as 3.9 raises
+    :class:`InputError`.
     """
     if topology not in TOPOLOGIES:
         raise InputError(f"unknown topology {topology!r}")
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    dims = tuple(_as_int(d, "a dimension") for d in ((dims,) if np.ndim(dims) == 0 else dims))
     if any(d <= 0 for d in dims):
         raise InputError("dims must be positive")
     if not (0.0 <= signal_sparsity <= 1.0 and 0.0 <= outlier_fraction <= 1.0):

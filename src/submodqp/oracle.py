@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import boxqp, pathtrace, sfm
-from .exceptions import InputError
+from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
 from .model import IndicatorProblem, QuadraticForm
 from .sfm import BRUTE_TIE_TOL, IndicatorOracle, SfmResult
@@ -264,7 +264,7 @@ def _check_chain_matches_oracle(problem, rng):
     for k in range(len(order) + 1):
         if k:
             z[order[k - 1]] = 1
-        ref = boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z)
+        ref = boxqp.value_function(problem.quad, smap, z)
         gap = abs(ref - vc.values[k])
         if gap > worst:
             worst, at = gap, k
@@ -289,7 +289,7 @@ def _check_chain_memo(problem, rng):
         for k, f in enumerate(values.tolist()):
             if k:
                 z[order[k - 1]] = 1
-            ref = boxqp.value_function(problem.quad, problem.lo, problem.up, oracle.smap, z)
+            ref = boxqp.value_function(problem.quad, oracle.smap, z)
             ref += oracle.bincost(z)
             if abs(f - ref) > 1e-9 * (1.0 + abs(ref)):
                 return False, {"order": order.tolist(), "stage": k, "value": f, "ref": ref}
@@ -318,14 +318,14 @@ def _check_breakpoint_budget(problem, rng):
 
 
 def _check_value_submodular(problem, rng):
-    smap, bincost = split(problem.lo, problem.up, problem.costs)
+    smap, _ = split(problem)
     m = smap.binary_dim
     if m > 10:
         return True, None  # too large to enumerate here; covered at small dims
     vals = np.empty(2**m)
     for code in range(2**m):
         z = np.array([(code >> (m - 1 - b)) & 1 for b in range(m)], dtype=int)
-        vals[code] = boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z)
+        vals[code] = boxqp.value_function(problem.quad, smap, z)
     for p in range(2**m):
         for q in range(p + 1, 2**m):
             meet, join = p & q, p | q
@@ -369,8 +369,7 @@ def _check_lovasz_convexity(problem, rng):
 
 
 def _check_mnp_matches_exhaustive(problem, rng):
-    smap, _ = split(problem.lo, problem.up, problem.costs)
-    if smap.binary_dim > 12:
+    if split(problem)[0].binary_dim > 12:
         return True, None
     ex = sfm.solve_full(problem, engine="exhaustive")
     mn = sfm.solve_full(problem, engine="mnp")
@@ -426,7 +425,7 @@ def _check_segment_affine(problem, rng):
         (b0, p0), (b1, p1) = stage_bps[0], stage_bps[1]
         if b1.x - b0.x <= 1e-9:
             continue
-        blo, bup = bounds_for_binary(smap, z, problem.lo, problem.up)
+        blo, bup = bounds_for_binary(smap, z)
         for frac in (0.25, 0.5, 0.75):
             xs = b0.x + frac * (b1.x - b0.x)
             blo2, bup2 = blo.copy(), bup.copy()
@@ -457,14 +456,24 @@ CHECKS = {
 }
 
 
+def _run_check(check, problem, rng):
+    """``check``'s (ok, detail); a typed error fails it, its message the detail."""
+    try:
+        return check(problem, rng)
+    except (InputError, NumericalError) as e:
+        return False, {"error": f"{type(e).__name__}: {e}"}
+
+
 def run_property_suite(sampler, trials):
     """Run every registered invariant on ``trials`` sampled instances.
 
     Failures never raise: each produces a replayable witness (instance JSON
-    plus check name and detail) in the report.  Every check runs on every
-    draw: a drawn Q is Stieltjes because :class:`QuadraticForm` admits no
-    other, and a sampler that draws one that is not raises
-    :class:`InputError` at the draw.
+    plus check name and detail) in the report.  A check that raises
+    :class:`InputError` or :class:`NumericalError` fails with the detail
+    ``{"error": "<type>: <message>"}``, and the remaining checks still run.
+    Every check runs on every draw: a drawn Q is Stieltjes because
+    :class:`QuadraticForm` admits no other, and a sampler that draws one
+    that is not raises :class:`InputError` at the draw.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -474,7 +483,7 @@ def run_property_suite(sampler, trials):
         problem = sampler.draw(t)
         rng = np.random.default_rng([seed, t, 7])
         for name, check in CHECKS.items():
-            ok, detail = check(problem, rng)
+            ok, detail = _run_check(check, problem, rng)
             if ok:
                 report.checks[name].passes += 1
             else:
@@ -485,10 +494,17 @@ def run_property_suite(sampler, trials):
 
 
 def replay_witness(witness):
-    """Re-run the named check on a witness payload; returns (ok, detail)."""
+    """Re-run the named check on a witness payload; returns (ok, detail).
+
+    A payload that is not a dict, or has no ``"instance"``, raises
+    :class:`InputError`; a check that raises fails as it does in
+    :func:`run_property_suite`.
+    """
+    if not isinstance(witness, dict) or "instance" not in witness:
+        raise InputError("a witness must be a JSON object with an \"instance\"")
     name = witness.get("check")
     if name not in CHECKS:
         raise InputError(f"unknown check {name!r}")
     problem = IndicatorProblem.from_json_dict(witness["instance"])
     rng = np.random.default_rng([witness.get("seed", 0), witness.get("trial", 0), 7])
-    return CHECKS[name](problem, rng)
+    return _run_check(CHECKS[name], problem, rng)

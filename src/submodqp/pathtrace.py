@@ -40,11 +40,12 @@ with l < 0 may start negative, at most 4n breakpoints; always-open
 variables keep [l, u]), and each stage switches one coordinate on.  The
 order may stop short of a permutation: a prefix order traces only its own
 stages, which match the first stages of the full chain bit for bit, because
-the trace is sequential.  :func:`chain_nonnegative` is its entry point for
-l >= 0, indexed by variable.  Infinite bounds are traced as given: an
-infinite bound is never a breakpoint, because its ratio-test gap is
-infinite, and every stage target min(max(l_j, root), u_j) is finite,
-because the stationarity root is.  :func:`lovasz` evaluates the piecewise
+the trace is sequential.  It takes the sign-split map alone: the map holds
+the unsplit bounds it opens.  :func:`chain_nonnegative` traces a problem
+with l >= 0 over its own split, in ascending coordinate order.  Infinite
+bounds are traced as given: an infinite bound is never a breakpoint,
+because its ratio-test gap is infinite, and every stage target
+min(max(l_j, root), u_j) is finite, because the stationarity root is.  :func:`lovasz` evaluates the piecewise
 linear extension from a chain over a whole permutation.
 """
 
@@ -129,57 +130,47 @@ class ValueChain:
 class PathState:
     """Mutable state of one parametric trace.
 
-    Holds the current point ``y``, the per-variable effective bounds, the
-    active-set statuses, the maintained factor over the free set and the
-    parametric coordinate ``param`` of the open stage (its current value
-    is ``y[param]``; None between stages).  The factor's index set is
-    always the set of free statuses.  ``free`` and ``eligible`` are the
-    masks of the last :func:`trace_path` call.
+    Holds the sign-split map ``smap`` of the chain (whose unsplit bounds
+    name the events that cross 0), the current point ``y``, the
+    per-variable effective bounds, the active-set statuses, the maintained
+    factor over the free set and the parametric coordinate ``param`` of the
+    open stage (its current value is ``y[param]``; None between stages).
+    The factor's index set is always the set of free statuses.  ``free``
+    and ``eligible`` are the masks of the last :func:`trace_path` call.
     """
 
-    def __init__(self, quad, lo, up, y, status, chol, orig_lo, orig_up):
+    def __init__(self, quad, smap, lo, up, y, status, chol):
         self.quad = quad
+        self.smap = smap
         self.lo = lo
         self.up = up
         self.y = y
         self.status = status
         self.chol = chol
         self.param = None
-        self.orig_lo = orig_lo
-        self.orig_up = orig_up
         self.stage = 0
         self.free = self.eligible = None
         self.breakpoints = []
         self.points = []
 
     @classmethod
-    def from_point(cls, quad, lo, up, y, orig_lo, orig_up):
-        """Build a state from a point, classifying the partition positionally.
+    def from_point(cls, quad, smap, y):
+        """Build the stage-0 state of a chain over ``smap`` from a point,
+        classifying the partition positionally.
 
-        Variables sitting exactly on a bound go to the bound sets (never to
-        the free set), matching the oracle's degenerate-KKT convention.  The
-        point must be the minimizer over [lo, up]; no stage is open.
-        ``orig_lo`` and ``orig_up`` are the unsplit bounds, which name the
-        events that cross 0.
+        The bounds are ``smap``'s stage-0 box, every coordinate off, and the
+        point must be its minimizer; no stage is open.  Variables sitting
+        exactly on a bound go to the bound sets (never to the free set),
+        matching the oracle's degenerate-KKT convention.
         """
         n = quad.n
-        lo = np.array(lo, dtype=float)
-        up = np.array(up, dtype=float)
+        lo, up = bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int))
         y = np.array(y, dtype=float)
         status = np.full(n, _FREE, dtype=np.int8)
         status[y >= up] = _HI
         status[y <= lo] = _LO
         chol = UpdatableCholesky(quad.Q, np.flatnonzero(status == _FREE))
-        return cls(
-            quad,
-            lo,
-            up,
-            y,
-            status,
-            chol,
-            np.asarray(orig_lo, dtype=float),
-            np.asarray(orig_up, dtype=float),
-        )
+        return cls(quad, smap, lo, up, y, status, chol)
 
     # -- stage plumbing -----------------------------------------------------
 
@@ -300,7 +291,7 @@ def trace_path(state):
                 chol.remove(istar)
                 event = (
                     EVENT_HIT_ZERO
-                    if up[istar] == 0.0 and state.orig_up[istar] > 0.0
+                    if up[istar] == 0.0 and state.smap.up[istar] > 0.0
                     else EVENT_HIT_UPPER
                 )
             else:
@@ -309,7 +300,7 @@ def trace_path(state):
                 chol.insert(istar)
                 event = (
                     EVENT_LEAVE_ZERO
-                    if lo[istar] == 0.0 and state.orig_lo[istar] < 0.0
+                    if lo[istar] == 0.0 and state.smap.lo[istar] < 0.0
                     else EVENT_LEAVE_LOWER
                 )
             state.breakpoints.append(Breakpoint(state.stage, x0, istar, event))
@@ -350,52 +341,51 @@ def _stage_is_noop(state, j, lo_new, up_new):
 
 
 def _check_order(order, m):
-    order = list(range(m)) if order is None else [int(i) for i in order]
+    order = [int(i) for i in order]
     if len(set(order)) != len(order) or not all(0 <= i < m for i in order):
         raise InputError(f"order must list distinct coordinates of 0..{m - 1}")
     return order
 
 
-def chain_nonnegative(quad, lo, up, order=None):
-    """:func:`chain_general` for l >= 0: stage k releases variable order[k-1] to [l, u]."""
-    if np.any(np.asarray(lo) < 0):
+def chain_nonnegative(problem):
+    """:func:`chain_general` for a problem with l >= 0, over its own sign
+    split in ascending coordinate order: stage k releases the variable of
+    coordinate k-1 to [l, u]."""
+    if np.any(problem.lo < 0):
         raise InputError("chain_nonnegative needs l >= 0 (use chain_general)")
-    return chain_general(quad, lo, up, order=order)
+    smap, _ = split(problem)
+    return chain_general(problem.quad, smap, range(smap.binary_dim))
 
 
-def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
+def chain_general(quad, smap, order, stage0=None):
     """Value chain over sign-split coordinates (lower bounds may be negative).
 
-    Stage 0 solves the all-off box (negative variables may start strictly
-    below zero; with l >= 0 it is the zero box; always-open variables of
-    ``smap`` keep [l, u]) with the box-QP oracle; each following stage flips
-    one split coordinate on, in the given ``order`` (default: every
-    coordinate, ascending).  ``order`` may be a prefix of a permutation, any
-    distinct coordinates: the chain then has ``len(order) + 1`` values, and
-    they, the minimizers and the breakpoints are bit for bit the first
-    stages of the chain of any permutation that starts with it.  Repeated or
-    out-of-range coordinates raise :class:`InputError`.
+    Stage 0 solves the all-off box of ``smap`` (negative variables may
+    start strictly below zero; with l >= 0 it is the zero box; always-open
+    variables keep [l, u]) with the box-QP oracle; each following stage
+    flips one split coordinate on, in the given ``order``.  ``order`` may be
+    a prefix of a permutation, any distinct coordinates: the chain then has
+    ``len(order) + 1`` values, and they, the minimizers and the breakpoints
+    are bit for bit the first stages of the chain of any permutation that
+    starts with it.  Repeated or out-of-range coordinates raise
+    :class:`InputError`.
     Flipping a minus-coordinate raises the variable's lower bound to 0;
     flipping a plus-coordinate opens its upper range.  Both move the
     minimizer monotonically upward.  The chain's ``kind`` is
-    ``"nonnegative"`` when every l >= 0 and ``"general"`` otherwise.
-    ``stage0`` is the box-QP solution of the stage-0 box when the caller
-    already has it; every chain of one minimization starts there, so the
-    caller can solve it once.
+    ``"nonnegative"`` when every l of ``smap`` is >= 0 and ``"general"``
+    otherwise.  ``stage0`` is the box-QP solution of the stage-0 box when
+    the caller already has it; every chain of one minimization starts
+    there, so the caller can solve it once.
     """
-    lo = np.asarray(lo, dtype=float)
-    up = np.asarray(up, dtype=float)
-    if smap is None:
-        smap, _ = split(lo, up)
     order = _check_order(order, smap.binary_dim)
 
-    lo0, up0 = bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int), lo, up)
-    sol = boxqp.solve(quad, lo0, up0) if stage0 is None else stage0
-    state = PathState.from_point(quad, lo0, up0, sol.x, lo, up)
+    if stage0 is None:
+        stage0 = boxqp.solve(quad, *bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int)))
+    state = PathState.from_point(quad, smap, stage0.x)
 
-    values = [sol.value]
+    values = [stage0.value]
     minimizers = [state.y.copy()]
-    for k, (j, lo_j, up_j) in enumerate(smap.stage_bounds(order, lo, up), start=1):
+    for k, (j, lo_j, up_j) in enumerate(smap.stage_bounds(order), start=1):
         state.stage = k
         if _stage_is_noop(state, j, lo_j, up_j):
             state.lo[j] = lo_j
@@ -414,7 +404,7 @@ def chain_general(quad, lo, up, smap=None, order=None, stage0=None):
         breakpoints=tuple(state.breakpoints),
         breakpoint_points=tuple(state.points),
         order=tuple(order),
-        kind="nonnegative" if np.all(lo >= 0) else "general",
+        kind="nonnegative" if np.all(smap.lo >= 0) else "general",
         pivot_work=state.chol.update_work,
     )
 

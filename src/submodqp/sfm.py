@@ -28,8 +28,8 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
 problem: oracle construction (with its sign split), minimization, and
 recovery of the original indicator vector and continuous minimizer.
 Variables with no indicator (the signals of a robust problem) and those
-whose indicator cannot change the optimum get no binary coordinate (see
-:func:`always_open`).
+whose indicator cannot change the optimum get no binary coordinate (the
+open rule of :func:`submodqp.lattice.split`).
 """
 
 from __future__ import annotations
@@ -165,10 +165,11 @@ class IndicatorOracle(SubmodularOracle):
     ones included: no box-QP minimizer or traced point reaches an infinite
     bound.  A lower bound of +inf or an upper bound of -inf admits no point
     and raises :class:`InputError` here, in the sign split.  The ground set
-    is the oracle's own sign split of ``problem`` (``smap``, with binary
-    cost ``bincost``): the variables of :func:`always_open` get no
-    coordinate and keep their box [l, u] under every assignment; every
-    other variable has one or two coordinates.
+    is the oracle's own sign split of ``problem`` (``smap``, which holds the
+    bounds, with binary cost ``bincost``): the always-open variables of
+    :func:`submodqp.lattice.split` get no coordinate and keep their box
+    [l, u] under every assignment; every other variable has one or two
+    coordinates.
 
     :meth:`chain` remembers F by prefix set.  ``memo`` maps each set, keyed
     exactly as the int bitmask of its coordinates (never a hash, whose
@@ -185,15 +186,13 @@ class IndicatorOracle(SubmodularOracle):
 
     def __init__(self, problem):
         self.quad = problem.quad
-        self.lo = problem.lo
-        self.up = problem.up
-        self.smap, self.bincost = split(self.lo, self.up, problem.costs, always_open(problem))
+        self.smap, self.bincost = split(problem)
         self.m = self.smap.binary_dim
         self.memo = {}
 
     def _solve(self, zbin):
         """The box QP under ``zbin``, solved alone and counted."""
-        blo, bup = bounds_for_binary(self.smap, zbin, self.lo, self.up)
+        blo, bup = bounds_for_binary(self.smap, zbin)
         sol = boxqp.solve(self.quad, blo, bup)
         self.scalar_solves += 1
         self.scalar_iterations += sol.iterations
@@ -212,7 +211,7 @@ class IndicatorOracle(SubmodularOracle):
     def eval_many(self, zbins):
         """F on each row of ``zbins``, by one stacked box-QP solve."""
         zbins = np.asarray(zbins)
-        blo, bup = bounds_for_binary(self.smap, zbins, self.lo, self.up)
+        blo, bup = bounds_for_binary(self.smap, zbins)
         sol = boxqp.solve_many(self.quad, blo, bup)
         self.stacked_rows += sol.iterations.size
         self.stacked_iterations += int(sol.iterations.sum())
@@ -251,9 +250,7 @@ class IndicatorOracle(SubmodularOracle):
 
     def value_chain(self, order):
         """Raw v-chain (no costs) as a :class:`pathtrace.ValueChain`."""
-        return pathtrace.chain_general(
-            self.quad, self.lo, self.up, self.smap, order, stage0=self.stage0
-        )
+        return pathtrace.chain_general(self.quad, self.smap, order, stage0=self.stage0)
 
     def recover_x(self, zbin):
         return self._solve(zbin).x
@@ -428,29 +425,11 @@ def minimize_mnp(oracle, tol=1e-9):
     return res
 
 
-def always_open(problem):
-    """Boolean mask of the variables that get no binary coordinate.
-
-    A variable is always open, with the box [l_i, u_i] under every
-    assignment, when it has no indicator (see ``problem.indicated``), or
-    when (a) it costs nothing and (b) 0 lies in [l_i, u_i].  Then its
-    feasible set [l_i, u_i] ∪ {0} is [l_i, u_i]: opening a box never raises
-    v and a zero cost never changes the cost term, so F with the indicator
-    open is at most F with it closed, and the restriction of F to the open
-    indicators is submodular with the same minimum (Bach 2013, *Learning
-    with Submodular Functions*, on restriction).  Condition (b) matters: a
-    zero-cost semi-continuous variable (0 < l_i) chooses between {0} and
-    [l_i, u_i], which do not nest.
-    """
-    zero_cost_open = (problem.costs == 0.0) & (problem.lo <= 0.0) & (problem.up >= 0.0)
-    return ~problem.indicated | zero_cost_open
-
-
 def solve_full(problem, engine="mnp", tol=1e-9):
     """End-to-end minimization of f(x) + c^T z over the indicator feasible set.
 
-    The oracle is ``IndicatorOracle(problem)``, so the variables of
-    :func:`always_open` get no binary coordinate.  The requested engine
+    The oracle is ``IndicatorOracle(problem)``, so the always-open
+    variables of :func:`submodqp.lattice.split` get no binary coordinate.  The requested engine
     minimizes the (submodular) value-plus-cost function over the remaining
     split coordinates; when none is left, one box-QP solve is the whole
     minimization.  Finally it repairs any spurious split corner: that

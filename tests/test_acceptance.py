@@ -24,7 +24,7 @@ import pytest
 import submodqp as sq
 from submodqp import boxqp, model, pathtrace
 from submodqp.bench import bench_rows
-from submodqp.lattice import bounds_for_binary, split
+from submodqp.lattice import split
 
 
 def _report(num, name, ok, detail=""):
@@ -90,13 +90,13 @@ def test_criterion_2_value_function_submodularity():
     violations = 0
     for seed in range(50):
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=seed).draw(0)
-        smap, _ = split(prob.lo, prob.up)
+        smap, _ = split(prob)
         m = smap.binary_dim
         assert m <= 8
         vals = np.empty(2**m)
         for code in range(2**m):
             z = np.array([(code >> (m - 1 - b)) & 1 for b in range(m)], dtype=int)
-            vals[code] = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
+            vals[code] = boxqp.value_function(prob.quad, smap, z)
         codes = np.arange(2**m)
         p, q = np.meshgrid(codes, codes, indexing="ij")
         lhs = vals[p] + vals[q]
@@ -114,14 +114,14 @@ def chain_runs():
     for seed in range(50):
         n = 5 + (seed * 7) % 46
         prob = sq.InstanceSampler(n=n, regime="nonnegative", seed=seed, density=0.4).draw(0)
-        smap, _ = split(prob.lo, prob.up)
-        chain = pathtrace.chain_nonnegative(prob.quad, prob.lo, prob.up)
+        smap, _ = split(prob)
+        chain = pathtrace.chain_nonnegative(prob)
         runs.append((prob, smap, chain, "nonnegative"))
 
         ng = 3 + (seed * 5) % 23
         prob = sq.InstanceSampler(n=ng, regime="mixed", seed=1000 + seed, density=0.4).draw(0)
-        smap, _ = split(prob.lo, prob.up)
-        chain = pathtrace.chain_general(prob.quad, prob.lo, prob.up, smap)
+        smap, _ = split(prob)
+        chain = pathtrace.chain_general(prob.quad, smap, range(smap.binary_dim))
         runs.append((prob, smap, chain, "general"))
     return runs
 
@@ -133,7 +133,7 @@ def test_criterion_3_chain_matches_oracle(chain_runs):
         for k in range(chain.m + 1):
             if k:
                 z[chain.order[k - 1]] = 1
-            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
+            ref = boxqp.value_function(prob.quad, smap, z)
             worst = max(worst, abs(ref - chain.values[k]))
     ok = worst <= 1e-8
     _report(3, "chain correctness", ok, f"(100 chains, n up to 50, worst gap {worst:.2e})")

@@ -110,10 +110,10 @@ def test_degenerate_gradient_classifies_to_bound():
 
 
 def test_value_function_four_corners(small_quad):
-    smap, _ = lattice.split(np.zeros(2), np.full(2, 10.0))
+    smap, _ = lattice.split(sq.IndicatorProblem(small_quad, np.ones(2), np.zeros(2), np.full(2, 10.0)))
     v = {}
     for z in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        v[tuple(z)] = boxqp.value_function(small_quad, np.zeros(2), np.full(2, 10.0), smap, z)
+        v[tuple(z)] = boxqp.value_function(small_quad, smap, z)
     assert v[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert v[1, 0] == pytest.approx(-0.25, abs=1e-12)
     assert v[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -124,8 +124,8 @@ def test_value_function_four_corners(small_quad):
 
 def test_value_function_all_off_is_constant_term():
     quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0], k0=3.5)
-    smap, _ = lattice.split(np.zeros(2), np.full(2, 10.0))
-    v0 = boxqp.value_function(quad, np.zeros(2), np.full(2, 10.0), smap, [0, 0])
+    smap, _ = lattice.split(sq.IndicatorProblem(quad, np.ones(2), np.zeros(2), np.full(2, 10.0)))
+    v0 = boxqp.value_function(quad, smap, [0, 0])
     assert v0 == pytest.approx(3.5, abs=1e-12)
 
 
@@ -160,9 +160,9 @@ def _row_stack(prob, rng, repeat=1, rows=40):
     pinned, so that their Newton steps solve blocks of every size 1..n-1.
     The rows with n - 1 unbounded variables come ``repeat`` times each."""
     n = prob.n
-    smap, _ = lattice.split(prob.lo, prob.up)
+    smap, _ = lattice.split(prob)
     z = rng.integers(0, 2, size=(rows, smap.binary_dim))
-    lo, up = lattice.bounds_for_binary(smap, z, prob.lo, prob.up)
+    lo, up = lattice.bounds_for_binary(smap, z)
     mid = 0.5 * (prob.lo + prob.up)
     pinned = rng.random(n) < 0.5
     extra_lo = [np.where(pinned, mid, prob.lo), mid,

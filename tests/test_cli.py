@@ -205,9 +205,9 @@ def test_trace_infinite_bounds_matches_naive_chain(tmp_path):
     assert _run(["trace", str(path), "--output", str(out)]) == cli.EXIT_OK
     d = json.loads(out.read_text())
     problem = model.compile_instance(inst)
-    smap, _ = lattice.split(problem.lo, problem.up)
+    smap, _ = lattice.split(problem)
     naive = sq.FunctionOracle(
-        lambda z: boxqp.value_function(problem.quad, problem.lo, problem.up, smap, z),
+        lambda z: boxqp.value_function(problem.quad, smap, z),
         smap.binary_dim,
     ).chain_naive(d["order"])
     assert d["kind"] == "general"
@@ -277,6 +277,21 @@ def test_verify_ok(tmp_path):
     code = _run(["verify", "--trials", "2", "--n", "4", "--seed", "0", "--output", str(out)])
     assert code == cli.EXIT_OK
     assert json.loads(out.read_text())["ok"] is True
+
+
+def test_verify_records_a_check_that_raises_as_a_witness(tmp_path, monkeypatch):
+    def broken(problem, rng):
+        raise sq.NumericalError("nonpositive Schur complement on parametric coordinate")
+
+    monkeypatch.setitem(sq.oracle.CHECKS, "monotone_path", broken)
+    out = tmp_path / "report.json"
+    code = _run(["verify", "--trials", "1", "--n", "4", "--seed", "0", "--output", str(out)])
+    assert code == cli.EXIT_VERIFY
+    checks = json.loads(out.read_text())["checks"]
+    (witness,) = checks["monotone_path"]["failures"]
+    assert witness["detail"]["error"].startswith("NumericalError: nonpositive Schur")
+    assert witness["check"] == "monotone_path" and "instance" in witness
+    assert all(c["passes"] == 1 for name, c in checks.items() if name != "monotone_path")
 
 
 def test_console_entry_point_runs():

@@ -20,6 +20,15 @@ _bound_pairs = st.lists(
 )
 
 
+def _problem(lo, up, costs=None, mode="sparse"):
+    """An indicator problem on the bounds (lo, up), with Q the identity.
+    Every indicator costs 1 unless ``costs`` says otherwise, so the open
+    rule leaves none without a coordinate."""
+    n = len(lo)
+    costs = np.ones(n) if costs is None else costs
+    return sq.IndicatorProblem(sq.QuadraticForm(np.eye(n), np.zeros(n)), costs, lo, up, mode)
+
+
 # --- checkers of the lattice-closure and submodularity lemmas ----------------
 #
 # The sign split exists because these lemmas hold for the split sets and fail
@@ -129,7 +138,7 @@ def check_lattice_membership(kind, lo, up, point_a, point_b):
 def test_split_partitions_every_index(pairs):
     lo = np.array([a for a, _ in pairs])
     up = np.array([a + w for a, w in pairs])
-    smap, _ = lattice.split(lo, up)
+    smap, _ = lattice.split(_problem(lo, up))
     # every variable owns one or two consecutive coordinates, ascending
     assert smap.n == len(pairs)
     assert np.all(np.diff(smap.var) >= 0)
@@ -144,16 +153,16 @@ def test_split_partitions_every_index(pairs):
 def test_bounds_for_binary_never_empty(pairs, code):
     lo = np.array([a for a, _ in pairs])
     up = np.array([a + w for a, w in pairs])
-    smap, _ = lattice.split(lo, up)
+    smap, _ = lattice.split(_problem(lo, up))
     z = np.array([(code >> b) & 1 for b in range(smap.binary_dim)], dtype=int)
-    blo, bup = lattice.bounds_for_binary(smap, z, lo, up)
+    blo, bup = lattice.bounds_for_binary(smap, z)
     assert np.all(blo <= bup)
 
 
 def test_split_regimes_example():
     # a straddling variable (z+ then z-), a nonnegative one (z+) and a
     # nonpositive one (z-)
-    smap, _ = lattice.split(np.array([-1.0, 0.0, -2.0]), np.array([2.0, 3.0, -1.0]))
+    smap, _ = lattice.split(_problem(np.array([-1.0, 0.0, -2.0]), np.array([2.0, 3.0, -1.0])))
     assert smap.var.tolist() == [0, 0, 1, 2]
     assert smap.plus.tolist() == [True, False, True, False]
     assert smap.lo_bit.tolist() == [1, 2, 3]
@@ -163,43 +172,43 @@ def test_split_regimes_example():
 
 def test_split_unit_box_is_identity():
     n = 5
-    smap, cost = lattice.split(np.zeros(n), np.ones(n), np.arange(n, dtype=float))
+    smap, cost = lattice.split(_problem(np.zeros(n), np.ones(n), np.arange(1.0, n + 1)))
     assert smap.var.tolist() == list(range(n)) and smap.plus.all()
     assert smap.binary_dim == n
     z = np.array([1, 0, 1, 0, 1])
     assert np.array_equal(smap.forward(z), z)
-    assert cost(z) == pytest.approx(0 + 2 + 4)
+    assert cost(z) == pytest.approx(1 + 3 + 5)
 
 
 def test_binary_cost_straddling_example():
     # cost 3 * (z+ + 1 - z-) evaluated at the three relevant corners
-    _, cost = lattice.split(np.array([-1.0]), np.array([1.0]), np.array([3.0]))
+    _, cost = lattice.split(_problem(np.array([-1.0]), np.array([1.0]), np.array([3.0])))
     assert cost([1, 1]) == pytest.approx(3.0)
     assert cost([0, 0]) == pytest.approx(3.0)
     assert cost([0, 1]) == pytest.approx(0.0)
 
 
 def test_bounds_for_binary_straddle():
-    smap, _ = lattice.split(np.array([-1.0]), np.array([2.0]))
-    lo, up = lattice.bounds_for_binary(smap, [0, 1], [-1.0], [2.0])
+    smap, _ = lattice.split(_problem(np.array([-1.0]), np.array([2.0])))
+    lo, up = lattice.bounds_for_binary(smap, [0, 1])
     assert (lo[0], up[0]) == (0.0, 0.0)
-    lo, up = lattice.bounds_for_binary(smap, [1, 0], [-1.0], [2.0])
+    lo, up = lattice.bounds_for_binary(smap, [1, 0])
     assert (lo[0], up[0]) == (-1.0, 2.0)
 
 
 def test_bounds_for_binary_positive_lower_bound():
-    smap, _ = lattice.split(np.array([1.0]), np.array([3.0]))
-    lo, up = lattice.bounds_for_binary(smap, [1], [1.0], [3.0])
+    smap, _ = lattice.split(_problem(np.array([1.0]), np.array([3.0])))
+    lo, up = lattice.bounds_for_binary(smap, [1])
     assert (lo[0], up[0]) == (1.0, 3.0)
-    lo, up = lattice.bounds_for_binary(smap, [0], [1.0], [3.0])
+    lo, up = lattice.bounds_for_binary(smap, [0])
     assert (lo[0], up[0]) == (0.0, 0.0)
 
 
 def test_bounds_for_binary_infinite_upper():
-    smap, _ = lattice.split(np.array([0.0]), np.array([np.inf]))
-    lo, up = lattice.bounds_for_binary(smap, [0], [0.0], [np.inf])
+    smap, _ = lattice.split(_problem(np.array([0.0]), np.array([np.inf])))
+    lo, up = lattice.bounds_for_binary(smap, [0])
     assert (lo[0], up[0]) == (0.0, 0.0)  # 0 * inf = 0 convention
-    lo, up = lattice.bounds_for_binary(smap, [1], [0.0], [np.inf])
+    lo, up = lattice.bounds_for_binary(smap, [1])
     assert up[0] == np.inf
 
 
@@ -264,9 +273,9 @@ def test_split_value_function_submodular_all_pairs():
     # v(z+, z-) over the split cube satisfies the lattice inequality everywhere
     for seed in range(6):
         prob = sq.InstanceSampler(n=3, regime="mixed", seed=seed).draw(0)
-        smap, _ = lattice.split(prob.lo, prob.up)
+        smap, _ = lattice.split(prob)
         vecs = _all_binary(smap.binary_dim)
-        vals = {tuple(z): boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z) for z in vecs}
+        vals = {tuple(z): boxqp.value_function(prob.quad, smap, z) for z in vecs}
         for z1, z2 in itertools.combinations(vecs, 2):
             meet = np.minimum(z1, z2)
             join = np.maximum(z1, z2)
@@ -280,10 +289,10 @@ def test_dropping_coupling_constraint_preserves_optimum():
     # same optimal value (the spurious corners are never strictly better)
     for seed in range(8):
         prob = sq.InstanceSampler(n=3, regime="mixed", seed=100 + seed).draw(0)
-        smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
+        smap, bincost = lattice.split(prob)
         best_full, best_coupled = np.inf, np.inf
         for z in _all_binary(smap.binary_dim):
-            val = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z) + bincost(z)
+            val = boxqp.value_function(prob.quad, smap, z) + bincost(z)
             best_full = min(best_full, val)
             coupled = np.all(z[smap.lo_bit] >= z[smap.up_bit])  # z- >= z+
             if coupled:
@@ -294,7 +303,7 @@ def test_dropping_coupling_constraint_preserves_optimum():
 def test_forward_map_and_cost():
     for seed in range(10):
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=200 + seed).draw(0)
-        smap, bincost = lattice.split(prob.lo, prob.up, prob.costs)
+        smap, bincost = lattice.split(prob)
         for z in _all_binary(smap.binary_dim):
             coupled = np.all(z[smap.lo_bit] >= z[smap.up_bit])  # z- >= z+
             if not coupled:
@@ -305,25 +314,26 @@ def test_forward_map_and_cost():
 
 
 def test_forward_rejects_spurious_corner():
-    smap, _ = lattice.split(np.array([-1.0]), np.array([1.0]))
+    smap, _ = lattice.split(_problem(np.array([-1.0]), np.array([1.0])))
     with pytest.raises(InputError):
         smap.forward(np.array([1, 0]))
 
 
 def test_split_always_open_layout():
-    # the open variables (0, 2, 3) get no coordinate and keep [l, u]
+    # the zero-cost variables whose box holds 0 (0, 2, 3) get no coordinate
+    # and keep [l, u]; variable 1 costs nothing too, but 0 < l (rule (b))
     lo = np.array([0.0, 0.5, -1.0, -2.0, -1.0])
     up = np.array([2.0, 2.0, 1.0, 0.0, 1.0])
     costs = np.array([0.0, 0.0, 0.0, 0.0, 0.3])
     mask = np.array([True, False, True, True, False])
-    smap, cost = lattice.split(lo, up, costs, always_open=mask)
+    smap, cost = lattice.split(_problem(lo, up, costs))
     assert smap.var.tolist() == [1, 4, 4]
     assert smap.plus.tolist() == [True, True, False]
     assert smap.lo_bit.tolist() == [3, 0, 3, 3, 2]
     assert smap.up_bit.tolist() == [3, 0, 3, 3, 1]
     assert smap.binary_dim == 3
     for z in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
-        blo, bup = lattice.bounds_for_binary(smap, z, lo, up)
+        blo, bup = lattice.bounds_for_binary(smap, z)
         assert np.array_equal(blo[mask], lo[mask]) and np.array_equal(bup[mask], up[mask])
     assert smap.forward(np.array([0, 0, 1])).tolist() == [1, 0, 1, 1, 0]
     assert smap.forward(np.array([1, 1, 1])).tolist() == [1, 1, 1, 1, 1]
@@ -335,21 +345,23 @@ def test_split_always_open_layout():
 
 
 def test_split_with_every_variable_open():
-    lo, up = np.array([-1.0, 0.0, -3.0]), np.array([2.0, 1.0, 0.0])
-    smap, cost = lattice.split(lo, up, np.array([0.0, 0.5, 0.0]), always_open=np.ones(3, bool))
+    # robust mode: variables 0 and 1 carry no indicator, and 2 and 3 cost
+    # nothing on a box that holds 0
+    lo, up = np.array([-1.0, 0.0, -3.0, 0.0]), np.array([2.0, 1.0, 0.0, 0.5])
+    problem = _problem(lo, up, np.array([0.0, 0.5, 0.0, 0.0]), mode="robust")
+    smap, cost = lattice.split(problem)
     assert smap.binary_dim == 0
-    blo, bup = lattice.bounds_for_binary(smap, np.zeros(0, dtype=int), lo, up)
+    assert smap.lo is problem.lo and smap.up is problem.up  # the problem's own bounds
+    blo, bup = lattice.bounds_for_binary(smap, np.zeros(0, dtype=int))
     assert np.array_equal(blo, lo) and np.array_equal(bup, up)
-    assert smap.forward(np.zeros(0, dtype=int)).tolist() == [1, 1, 1]
+    assert smap.forward(np.zeros(0, dtype=int)).tolist() == [1, 1, 1, 1]
     assert cost(np.zeros(0)) == pytest.approx(0.5)  # an open variable pays at z = 1
 
 
-def test_split_rejects_bad_always_open():
-    lo, up = np.full(2, -1.0), np.ones(2)
-    with pytest.raises(InputError):
-        lattice.split(lo, up, always_open=[True, False, True])
-    with pytest.raises(InputError):
-        lattice.split(lo, up, always_open=[1, 0])
+def test_split_rejects_bounds_that_admit_no_point():
+    for lo, up in (([np.inf], [np.inf]), ([-np.inf], [-np.inf])):
+        with pytest.raises(InputError, match="admits no finite point"):
+            lattice.split(_problem(np.array(lo), np.array(up)))
 
 
 # --- the bound table against the four box formulas --------------------------
@@ -431,15 +443,20 @@ def test_bound_table_matches_the_four_box_formulas():
         pairs = [sorted(rng.choice(values, 2)) for _ in range(n)]
         lo = np.array([min(a, 1.0) for a, _ in pairs])  # l < +inf
         up = np.array([max(b, -1.0) for _, b in pairs])  # u > -inf
-        mask = rng.random(n) < 0.3 if trial % 2 else np.zeros(n, dtype=bool)
-        smap, _ = lattice.split(lo, up, always_open=mask)
+        # on odd trials about 30 % of the indicators cost nothing, and those
+        # whose box holds 0 are always open; one trial in four with an even
+        # n is robust, so its first half carries no indicator, whatever its box
+        costs = np.where(rng.random(n) < 0.3, 0.0, 1.0) if trial % 2 else np.ones(n)
+        problem = _problem(lo, up, costs, "robust" if trial % 4 == 3 and n % 2 == 0 else "sparse")
+        mask = ~problem.indicated | ((costs == 0.0) & (lo <= 0.0) & (up >= 0.0))
+        smap, _ = lattice.split(problem)
         layout, m = _reference_layout(lo, up, mask)
         assert smap.binary_dim == m
         # a stack of assignments gathers every box at once
         zs = np.array(_all_binary(m)).reshape(2**m, m)
-        blo_all, bup_all = lattice.bounds_for_binary(smap, zs, lo, up)
+        blo_all, bup_all = lattice.bounds_for_binary(smap, zs)
         for z, blo_row, bup_row in zip(zs, blo_all, bup_all):
-            blo, bup = lattice.bounds_for_binary(smap, z, lo, up)
+            blo, bup = lattice.bounds_for_binary(smap, z)
             assert list(zip(blo.tolist(), bup.tolist())) == _reference_box(layout, z, lo, up)
             assert np.array_equal(blo_row, blo) and np.array_equal(bup_row, bup)
             ref = _reference_forward(layout, z)

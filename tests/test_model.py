@@ -308,6 +308,22 @@ def test_generate_rejects_bad_dims():
         model.generate("tube", (3,))
 
 
+@pytest.mark.parametrize("topology, dims", [
+    ("chain", 3.9), ("chain", True), ("chain", (np.True_,)), ("chain", "3"),
+    ("grid2d", (2.5, 3)), ("grid2d", [True, 3]),
+])
+def test_generate_rejects_non_integral_dims(topology, dims):
+    # truncating each with int() built 3, 1, 1, 3, 6 and 3 vertices
+    with pytest.raises(InputError, match="a dimension must be an integer"):
+        model.generate(topology, dims)
+
+
+def test_generate_takes_integral_dims_of_any_number_type():
+    for dims in (4, 4.0, (4,), [np.int64(4)], np.array([4])):
+        assert model.generate("chain", dims)[0].n == 4
+    assert model.generate("grid2d", (2.0, 3))[0].n == 6
+
+
 def test_instance_json_round_trip(tmp_path):
     inst = sq.ProblemInstance(
         sq.chain_graph(3), a=[1, -2, 0.5], node_weights=[1, 2, 1],

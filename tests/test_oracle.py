@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import oracle, sfm
-from submodqp.exceptions import InputError
+from submodqp import boxqp, oracle, sfm
+from submodqp.exceptions import InputError, NumericalError
 from submodqp.lattice import split
 
 
@@ -104,6 +104,55 @@ def test_every_check_passes_on_compiled_robust_chains(vertices):
             assert ok, (name, seed, detail)
 
 
+@pytest.mark.parametrize("vertices, m", [(4, 8), (5, 10)])
+def test_size_limited_checks_use_the_ground_set_of_solve(vertices, m, monkeypatch):
+    # the open signals get no coordinate, so the checks size these chains
+    # at m, within their limits (12 and 10), not at the 2m of a split that
+    # gives every variable coordinates
+    problem = _robust_chain(vertices, 0)
+    solves, values = [], []
+    solve_full, value_function = sfm.solve_full, boxqp.value_function
+
+    def counted_solve(*args, **kwargs):
+        solves.append(kwargs.get("engine"))
+        return solve_full(*args, **kwargs)
+
+    def counted_value(*args):
+        values.append(args)
+        return value_function(*args)
+
+    monkeypatch.setattr(sfm, "solve_full", counted_solve)
+    monkeypatch.setattr(boxqp, "value_function", counted_value)
+    rng = np.random.default_rng(0)
+    assert oracle.CHECKS["mnp_matches_exhaustive"](problem, rng) == (True, None)
+    assert solves == ["exhaustive", "mnp"]
+    assert oracle.CHECKS["value_function_submodular"](problem, rng) == (True, None)
+    assert len(values) == 2**m
+
+
+@pytest.mark.parametrize("error", [NumericalError, InputError])
+def test_a_check_that_raises_leaves_a_witness(error, monkeypatch):
+    def broken(problem, rng):
+        raise error("pivot budget exceeded inside one trace")
+
+    monkeypatch.setitem(oracle.CHECKS, "monotone_path", broken)
+    report = sq.run_property_suite(sq.InstanceSampler(n=4, seed=0), trials=2)
+    failures = report.checks["monotone_path"].failures
+    assert [w["trial"] for w in failures] == [0, 1]
+    message = f"{error.__name__}: pivot budget exceeded inside one trace"
+    assert all(w["detail"] == {"error": message} and "instance" in w for w in failures)
+    assert report.checks["monotone_path"].passes == 0 and not report.ok
+    others = [c for name, c in report.checks.items() if name != "monotone_path"]
+    assert all(c.ok and c.passes == 2 for c in others)
+    assert sq.replay_witness(json.loads(json.dumps(failures[1]))) == (False, {"error": message})
+
+
+@pytest.mark.parametrize("payload", [{"check": "boxqp_kkt"}, ["boxqp_kkt"], "boxqp_kkt", None])
+def test_witness_replay_rejects_a_payload_without_an_instance(payload):
+    with pytest.raises(InputError, match="instance"):
+        sq.replay_witness(payload)
+
+
 def test_property_suite_and_solve_share_a_ground_set(monkeypatch):
     built = []
     init = sfm.IndicatorOracle.__init__
@@ -122,8 +171,9 @@ def test_property_suite_and_solve_share_a_ground_set(monkeypatch):
         assert np.array_equal(getattr(suite, table), getattr(built[0].smap, table))
     # a sparse draw prices every variable, so no variable is open
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=0).draw(0)
-    full, _ = split(prob.lo, prob.up, prob.costs)
+    full, _ = split(prob)
     suite = oracle._chain_for(prob)[0].smap
+    assert not np.any(suite.lo_bit == suite.binary_dim)
     for table in ("var", "plus", "lo_bit", "up_bit"):
         assert np.array_equal(getattr(suite, table), getattr(full, table))
 
@@ -308,7 +358,7 @@ def test_brute_force_judges_mnp_on_robust_chains_at_m_24(seed, bounds):
     # (0.5, 4.0) no signal may be 0
     inst, _ = sq.generate("chain", 12, mode="robust", outlier_fraction=0.2, bounds=bounds, seed=seed)
     problem = sq.compile_instance(inst)
-    assert split(problem.lo, problem.up, None, ~problem.indicated)[0].binary_dim == 24
+    assert split(problem)[0].binary_dim == 24
     mnp = sq.solve_full(problem, engine="mnp")
     bf = sq.brute_force(problem)
     assert mnp.converged

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,10 +16,33 @@ def small_quad():
     return sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
 
 
+def _problem(quad, lo, up):
+    """An indicator problem on ``quad`` and the bounds (lo, up) in which
+    every indicator costs 1, so each variable has its coordinates."""
+    return sq.IndicatorProblem(quad, np.ones(quad.n), lo, up)
+
+
+def _with_open(prob, mask):
+    """``prob`` with the indicators of ``mask`` free of cost: those whose box
+    holds 0 are always open."""
+    return dataclasses.replace(prob, costs=np.where(mask, 0.0, prob.costs))
+
+
+def _chain(prob, order=None):
+    """:func:`chain_general` over the split of ``prob``, in ``order`` (by
+    default every coordinate, ascending)."""
+    smap, _ = lattice.split(prob)
+    return chain_general(prob.quad, smap, range(smap.binary_dim) if order is None else order)
+
+
 def _stage_state(quad, lo, up, y, param, stage_lo=None, stage_up=None):
     """A state at y, the minimizer over [lo, up] off ``param``, with a stage
-    open on ``param``: its box is [stage_lo, stage_up], by default [lo, up]'s."""
-    state = PathState.from_point(quad, lo, up, y, lo, up)
+    open on ``param``: its box is [stage_lo, stage_up], by default [lo, up]'s.
+    Every indicator costs nothing and every box holds 0, so every variable is
+    always open and the stage-0 box is [lo, up]."""
+    smap, _ = lattice.split(sq.IndicatorProblem(quad, np.zeros(quad.n), lo, up))
+    assert smap.binary_dim == 0
+    state = PathState.from_point(quad, smap, y)
     state.begin_stage(
         param,
         lo[param] if stage_lo is None else stage_lo,
@@ -87,30 +111,30 @@ def test_backward_target_beyond_the_float_guard_raises(small_quad):
 
 
 def test_chain_natural_order(small_quad):
-    chain = chain_nonnegative(small_quad, np.zeros(2), np.array([10.0, 10.0]))
+    chain = chain_nonnegative(_problem(small_quad, np.zeros(2), np.array([10.0, 10.0])))
     assert np.allclose(chain.values, [0.0, -0.25, -1.0 / 3.0], atol=1e-12)
     assert np.allclose(chain.minimizers[2], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
 def test_chain_reversed_order(small_quad):
-    chain = chain_nonnegative(small_quad, np.zeros(2), np.array([10.0, 10.0]), order=[1, 0])
+    chain = _chain(_problem(small_quad, np.zeros(2), np.array([10.0, 10.0])), [1, 0])
     assert np.allclose(chain.values, [0.0, 0.0, -1.0 / 3.0], atol=1e-12)
 
 
 def test_chain_scalar():
     quad = sq.QuadraticForm([[2.0]], [3.0])
-    chain = chain_nonnegative(quad, np.zeros(1), np.array([10.0]))
+    chain = chain_nonnegative(_problem(quad, np.zeros(1), np.array([10.0])))
     assert np.allclose(chain.values, [0.0, -2.25], atol=1e-12)
     assert chain.minimizers[1][0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_chain_rejects_bad_inputs(small_quad):
     with pytest.raises(InputError, match="no finite point"):
-        chain_nonnegative(small_quad, np.array([np.inf, 0.0]), np.array([np.inf, 1.0]))
+        chain_nonnegative(_problem(small_quad, np.array([np.inf, 0.0]), np.array([np.inf, 1.0])))
     with pytest.raises(InputError):
-        chain_nonnegative(small_quad, np.array([-0.5, 0.0]), np.ones(2))
+        chain_nonnegative(_problem(small_quad, np.array([-0.5, 0.0]), np.ones(2)))
     with pytest.raises(InputError):
-        chain_nonnegative(small_quad, np.zeros(2), np.ones(2), order=[0, 0])
+        _chain(_problem(small_quad, np.zeros(2), np.ones(2)), [0, 0])
 
 
 def test_chain_general_scalar_negative_pull():
@@ -118,15 +142,14 @@ def test_chain_general_scalar_negative_pull():
     # forcing the variable up to 0 (minus-bit) gives 0; opening the upper
     # range afterwards leaves it at 0 since the gradient is nonnegative
     quad = sq.QuadraticForm([[2.0]], [-3.0])
-    smap, _ = lattice.split(np.array([-5.0]), np.array([5.0]))
-    chain = chain_general(quad, np.array([-5.0]), np.array([5.0]), smap, order=[1, 0])
+    chain = _chain(_problem(quad, np.array([-5.0]), np.array([5.0])), [1, 0])
     assert np.allclose(chain.values, [-2.25, 0.0, 0.0], atol=1e-12)
 
 
 def test_chain_general_scalar_boundary_start():
     # f = -3x + x^2 on [-5, 0]: the all-off optimum sits on the boundary x=0
     quad = sq.QuadraticForm([[2.0]], [3.0])
-    chain = chain_general(quad, np.array([-5.0]), np.array([5.0]))
+    chain = _chain(_problem(quad, np.array([-5.0]), np.array([5.0])))
     assert chain.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -139,28 +162,29 @@ def test_chain_general_endpoint_boxes():
         prob = sq.InstanceSampler(n=5, regime="mixed", seed=seed).draw(0)
         lo = -rng.uniform(0.3, 2.0, size=prob.n)
         up = rng.uniform(0.3, 2.0, size=prob.n)
-        smap, _ = lattice.split(lo, up)
-        chain = chain_general(prob.quad, lo, up, smap)
+        smap, _ = lattice.split(_problem(prob.quad, lo, up))
+        chain = chain_general(prob.quad, smap, range(smap.binary_dim))
         nonneg = boxqp.solve(prob.quad, np.zeros(prob.n), up)
         assert chain.values[-1] == pytest.approx(nonneg.value, abs=1e-9)
         zfull = smap.plus.astype(int)
         full = boxqp.solve(prob.quad, lo, up)
-        vfull = boxqp.value_function(prob.quad, lo, up, smap, zfull)
+        vfull = boxqp.value_function(prob.quad, smap, zfull)
         assert vfull == pytest.approx(full.value, abs=1e-9)
 
 
 def test_chain_general_with_always_open_matches_boxqp_prefixes():
     # always-open variables keep [l, u] at every stage; the reference boxes
-    # come from the full split with their z+ bits on and z- bits off
+    # come from the full split (every indicator costed) with their z+ bits
+    # on and z- bits off
     rng = np.random.default_rng(8)
     for seed in range(6):
         prob = sq.InstanceSampler(n=6, regime="mixed", seed=60 + seed).draw(0)
-        mask = rng.random(prob.n) < 0.5
+        mask = (rng.random(prob.n) < 0.7) & (prob.lo <= 0.0) & (prob.up >= 0.0)
         mask[rng.integers(prob.n)] = False
-        smap, _ = lattice.split(prob.lo, prob.up, always_open=mask)
-        full, _ = lattice.split(prob.lo, prob.up)
+        smap, _ = lattice.split(_with_open(prob, mask))
+        full, _ = lattice.split(prob)
         order = rng.permutation(smap.binary_dim)
-        chain = chain_general(prob.quad, prob.lo, prob.up, smap, order)
+        chain = chain_general(prob.quad, smap, order)
         coords = list(zip(smap.var.tolist(), smap.plus.tolist()))
         full_coords = list(zip(full.var.tolist(), full.plus.tolist()))
         assert chain.m == sum(1 for i, _ in full_coords if not mask[i])
@@ -168,18 +192,18 @@ def test_chain_general_with_always_open_matches_boxqp_prefixes():
         for k in range(smap.binary_dim + 1):
             if k:
                 z[full_coords.index(coords[order[k - 1]])] = 1
-            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, full, z)
+            ref = boxqp.value_function(prob.quad, full, z)
             assert abs(chain.values[k] - ref) <= 1e-8
 
 
 def test_chain_general_given_stage0_is_bit_identical():
     prob = sq.InstanceSampler(n=8, regime="mixed", seed=12).draw(0)
-    smap, _ = lattice.split(prob.lo, prob.up)
-    lo0, up0 = lattice.bounds_for_binary(smap, np.zeros(smap.binary_dim), prob.lo, prob.up)
+    smap, _ = lattice.split(prob)
+    lo0, up0 = lattice.bounds_for_binary(smap, np.zeros(smap.binary_dim))
     stage0 = boxqp.solve(prob.quad, lo0, up0)
     order = np.random.default_rng(1).permutation(smap.binary_dim)
-    ref = chain_general(prob.quad, prob.lo, prob.up, smap, order)
-    got = chain_general(prob.quad, prob.lo, prob.up, smap, order, stage0=stage0)
+    ref = chain_general(prob.quad, smap, order)
+    got = chain_general(prob.quad, smap, order, stage0=stage0)
     assert np.array_equal(got.values, ref.values)
     assert np.array_equal(got.minimizers, ref.minimizers)
     assert got.breakpoints == ref.breakpoints
@@ -189,14 +213,14 @@ def test_chain_general_given_stage0_is_bit_identical():
 def test_chain_matches_boxqp_prefixes(regime):
     for seed in range(8):
         prob = sq.InstanceSampler(n=7, regime=regime, seed=40 + seed).draw(0)
-        smap, _ = lattice.split(prob.lo, prob.up)
-        chain = chain_general(prob.quad, prob.lo, prob.up, smap)
+        smap, _ = lattice.split(prob)
+        chain = chain_general(prob.quad, smap, range(smap.binary_dim))
         assert chain.kind == ("nonnegative" if regime == "nonnegative" else "general")
         z = np.zeros(smap.binary_dim, dtype=int)
         for k in range(smap.binary_dim + 1):
             if k:
                 z[k - 1] = 1
-            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, smap, z)
+            ref = boxqp.value_function(prob.quad, smap, z)
             assert abs(chain.values[k] - ref) <= 1e-8
 
 
@@ -206,14 +230,13 @@ def test_prefix_order_gives_the_first_stages_bit_for_bit(regime, always_open):
     rng = np.random.default_rng(13)
     for seed in range(4):
         prob = sq.InstanceSampler(n=7, regime=regime, seed=90 + seed).draw(0)
-        mask = None
         if always_open:
-            mask = (rng.random(prob.n) < 0.5) & (prob.lo <= 0) & (prob.up >= 0)
-        smap, _ = lattice.split(prob.lo, prob.up, always_open=mask)
+            prob = _with_open(prob, rng.random(prob.n) < 0.5)
+        smap, _ = lattice.split(prob)
         order = rng.permutation(smap.binary_dim)
-        full = chain_general(prob.quad, prob.lo, prob.up, smap, order)
+        full = chain_general(prob.quad, smap, order)
         for k in range(smap.binary_dim + 1):
-            head = chain_general(prob.quad, prob.lo, prob.up, smap, order[:k])
+            head = chain_general(prob.quad, smap, order[:k])
             assert head.m == k and head.order == tuple(order[:k].tolist())
             assert head.kind == full.kind
             assert np.array_equal(head.values, full.values[: k + 1])
@@ -228,22 +251,22 @@ def test_prefix_order_gives_the_first_stages_bit_for_bit(regime, always_open):
 
 def test_order_rejects_repeated_or_out_of_range_coordinates():
     prob = sq.InstanceSampler(n=4, regime="mixed", seed=3).draw(0)
-    smap, _ = lattice.split(prob.lo, prob.up)
+    smap, _ = lattice.split(prob)
     m = smap.binary_dim
     for order in ([0, 1, 0], [0, m], [-1, 0], list(range(m)) + [0]):
         with pytest.raises(InputError, match="distinct coordinates"):
-            chain_general(prob.quad, prob.lo, prob.up, smap, order)
+            chain_general(prob.quad, smap, order)
 
 
 def test_chain_minimizers_pass_kkt_audit():
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=77).draw(0)
-    smap, _ = lattice.split(prob.lo, prob.up)
-    chain = chain_general(prob.quad, prob.lo, prob.up, smap)
+    smap, _ = lattice.split(prob)
+    chain = chain_general(prob.quad, smap, range(smap.binary_dim))
     z = np.zeros(smap.binary_dim, dtype=int)
     for k in range(smap.binary_dim + 1):
         if k:
             z[k - 1] = 1
-        blo, bup = lattice.bounds_for_binary(smap, z, prob.lo, prob.up)
+        blo, bup = lattice.bounds_for_binary(smap, z)
         res = boxqp.kkt_residual(prob.quad, blo, bup, chain.minimizers[k])
         assert res <= 1e-8
 
@@ -251,7 +274,7 @@ def test_chain_minimizers_pass_kkt_audit():
 def test_monotone_path_and_budget():
     for seed in range(10):
         prob = sq.InstanceSampler(n=8, regime="mixed", seed=300 + seed).draw(0)
-        chain = chain_general(prob.quad, prob.lo, prob.up)
+        chain = _chain(prob)
         pts = chain.iterate_sequence()
         for t in range(1, len(pts)):
             assert np.all(pts[t] >= pts[t - 1] - 1e-10)
@@ -261,7 +284,7 @@ def test_monotone_path_and_budget():
 def test_each_event_fires_at_most_once_per_variable():
     for seed in range(10):
         prob = sq.InstanceSampler(n=8, regime="mixed", seed=500 + seed).draw(0)
-        chain = chain_general(prob.quad, prob.lo, prob.up)
+        chain = _chain(prob)
         seen = collections.Counter((b.index, b.event) for b in chain.breakpoints)
         assert all(v == 1 for v in seen.values())
 
@@ -271,7 +294,7 @@ def test_upper_bound_condition_persists_after_entering():
     # at every later breakpoint and stage end
     for seed in range(6):
         prob = sq.InstanceSampler(n=7, regime="mixed", seed=900 + seed).draw(0)
-        chain = chain_general(prob.quad, prob.lo, prob.up)
+        chain = _chain(prob)
         entered = {}
         pts = chain.iterate_sequence()
         for b, p in zip(chain.breakpoints, chain.breakpoint_points):
@@ -333,23 +356,23 @@ def test_maintained_indices_and_masks_match_the_statuses(monkeypatch):
         for seed in range(6):
             prob = sq.InstanceSampler(n=16, regime=regime, seed=700 + seed).draw(0)
             rng = np.random.default_rng(seed)
-            mask = (rng.random(prob.n) < 0.3) & (prob.lo <= 0.0) & (prob.up >= 0.0)
-            smap, _ = lattice.split(prob.lo, prob.up, always_open=mask)
-            chain_general(prob.quad, prob.lo, prob.up, smap, rng.permutation(smap.binary_dim))
+            prob = _with_open(prob, rng.random(prob.n) < 0.3)
+            smap, _ = lattice.split(prob)
+            chain_general(prob.quad, smap, rng.permutation(smap.binary_dim))
     events = (pathtrace.EVENT_LEAVE_LOWER, pathtrace.EVENT_HIT_UPPER,
               pathtrace.EVENT_LEAVE_ZERO, pathtrace.EVENT_HIT_ZERO)
     assert all(seen[e] for e in events) and seen["stages"] > 100
 
 
 def test_lovasz_examples(small_quad):
-    chain = chain_nonnegative(small_quad, np.zeros(2), np.array([10.0, 10.0]))
+    chain = chain_nonnegative(_problem(small_quad, np.zeros(2), np.array([10.0, 10.0])))
     assert lovasz(chain, np.array([0.5, 0.25])) == pytest.approx(-7.0 / 48.0, abs=1e-12)
     assert lovasz(chain, np.ones(2)) == pytest.approx(chain.values[-1], abs=1e-12)
     assert lovasz(chain, np.zeros(2)) == pytest.approx(chain.values[0], abs=1e-12)
 
 
 def test_lovasz_rejects_incompatible_order(small_quad):
-    chain = chain_nonnegative(small_quad, np.zeros(2), np.array([10.0, 10.0]))
+    chain = chain_nonnegative(_problem(small_quad, np.zeros(2), np.array([10.0, 10.0])))
     with pytest.raises(InputError):
         lovasz(chain, np.array([0.25, 0.5]))
     with pytest.raises(InputError):
@@ -357,7 +380,7 @@ def test_lovasz_rejects_incompatible_order(small_quad):
 
 
 def test_chain_serialization(small_quad):
-    chain = chain_nonnegative(small_quad, np.zeros(2), np.array([0.6, 10.0]), order=[0, 1])
+    chain = chain_nonnegative(_problem(small_quad, np.zeros(2), np.array([0.6, 10.0])))
     d = chain.to_json_dict()
     assert set(d) == {"kind", "order", "values", "breakpoints"}
     assert d["values"][0] == pytest.approx(0.0)
@@ -375,7 +398,7 @@ def test_tiny_rate_does_not_overflow_ratio_test():
     quad = sq.QuadraticForm([[1.0, -1e-300], [-1e-300, 1.0]], [1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        chain = chain_nonnegative(quad, np.zeros(2), np.array([1e10, 1e10]), order=[1, 0])
+        chain = _chain(_problem(quad, np.zeros(2), np.array([1e10, 1e10])), [1, 0])
     assert chain.breakpoints == ()
     assert np.allclose(chain.values, [0.0, -0.5, -1.0], atol=1e-12)
     assert np.allclose(chain.minimizers[2], [1.0, 1.0], atol=1e-12)

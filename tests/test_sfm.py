@@ -280,11 +280,11 @@ def test_oracle_chain_endpoints_match_eval():
         assert np.max(np.abs(values - naive)) <= 1e-8
 
 
-def _naive_chain(quad, lo, up, costs, order):
-    """m+1 box-QP evaluations over the given (possibly infinite) bounds."""
-    smap, bincost = lattice.split(lo, up, costs)
+def _naive_chain(problem, order):
+    """m+1 box-QP evaluations over the problem's (possibly infinite) bounds."""
+    smap, bincost = lattice.split(problem)
     return sq.FunctionOracle(
-        lambda z: boxqp.value_function(quad, lo, up, smap, z) + bincost(z), smap.binary_dim
+        lambda z: boxqp.value_function(problem.quad, smap, z) + bincost(z), smap.binary_dim
     ).chain_naive(order)
 
 
@@ -294,7 +294,7 @@ def test_oracle_traces_infinite_bounds(monkeypatch):
     monkeypatch.setattr(oracle, "chain_naive", None)  # the oracle must trace
     values = oracle.chain(np.arange(2))
     assert values[-1] == pytest.approx(-1.0 / 3.0 + 0.2, abs=1e-10)
-    naive = _naive_chain(CORNER_QUAD, problem.lo, problem.up, problem.costs, np.arange(2))
+    naive = _naive_chain(problem, np.arange(2))
     assert np.max(np.abs(values - naive)) <= 1e-8
 
 
@@ -331,14 +331,15 @@ def test_infinite_bounds_are_traced_exactly(regime, monkeypatch):
         assert always_open or not mask.any()
         opened += int(mask.sum())
         oracle = sq.IndicatorOracle(problem)
-        assert oracle.m == lattice.split(lo, up, problem.costs, mask)[0].binary_dim
+        # one coordinate per live variable, two per straddling one
+        assert oracle.m == int(np.sum(~mask * (1 + ((lo < 0) & (up > 0)))))
         order = np.random.default_rng(seed).permutation(oracle.m)
         chain = oracle.value_chain(order)
         z = np.zeros(oracle.m, dtype=int)
         for k in range(oracle.m + 1):
             if k:
                 z[order[k - 1]] = 1
-            ref = boxqp.value_function(problem.quad, lo, up, oracle.smap, z)
+            ref = boxqp.value_function(problem.quad, oracle.smap, z)
             assert abs(chain.values[k] - ref) <= 1e-8 * (1.0 + abs(ref))
         ref = sq.brute_force(problem)
         ex = sq.solve_full(problem, engine="exhaustive")
@@ -498,7 +499,7 @@ def test_solve_full_repairs_a_spurious_corner_without_a_second_solve(monkeypatch
     (oracle,) = seen
     smap = oracle.smap
     zbin = smap.repair(smap.plus.astype(int), res.x)
-    blo, bup = lattice.bounds_for_binary(smap, zbin, problem.lo, problem.up)
+    blo, bup = lattice.bounds_for_binary(smap, zbin)
     x = solve(quad, blo, bup).x  # the repaired box, solved again
     z = smap.forward(zbin)
     assert res.z.tolist() == z.tolist() == [1, 1, 0]
@@ -539,7 +540,9 @@ def test_robust_engine_sees_only_the_slack_coordinates(monkeypatch):
     inst, _ = sq.generate("chain", (6,), signal_sparsity=0.0, outlier_fraction=0.2,
                           noise_sd=0.25, seed=3, mode="robust", cost=4.0)
     problem = sq.compile_instance(inst)
-    assert lattice.split(problem.lo, problem.up)[0].binary_dim == 4 * inst.n
+    # with an indicator on every variable, each of the 2n would straddle
+    every = sq.IndicatorProblem(problem.quad, np.ones(problem.n), problem.lo, problem.up)
+    assert lattice.split(every)[0].binary_dim == 4 * inst.n
     seen = []
     engine = sfm.minimize_mnp
 
@@ -574,7 +577,10 @@ def _embed(full, smap, mask, z):
 
 
 def test_indicator_oracle_with_always_open_matches_full_cube():
-    # the references evaluate the full split, where no variable is open
+    # the references evaluate the full split, where no variable is open: the
+    # split of the same problem with the open variables priced.  Its costs
+    # differ, so only v is compared; the binary cost of a split with open
+    # variables is checked in test_lattice
     rng = np.random.default_rng(4)
     for trial in range(6):
         prob = sq.InstanceSampler(n=6, regime="mixed", seed=31 + trial).draw(0)
@@ -583,25 +589,29 @@ def test_indicator_oracle_with_always_open_matches_full_cube():
         mask = (prob.costs == 0) & (prob.lo <= 0) & (prob.up >= 0)
         assert mask.any() and not mask.all()
         oracle = sq.IndicatorOracle(prob)
-        full, full_cost = lattice.split(prob.lo, prob.up, prob.costs)
+        priced = sq.IndicatorProblem(prob.quad, np.where(mask, 1.0, prob.costs), prob.lo, prob.up)
+        full, _ = lattice.split(priced)
         assert oracle.m == sum(1 for i, _ in _coords(full) if not mask[i])
         order = rng.permutation(oracle.m)
         assert np.max(np.abs(oracle.chain(order) - oracle.chain_naive(order))) <= 1e-8
         for _ in range(4):
             z = rng.integers(0, 2, size=oracle.m)
             zfull = _embed(full, oracle.smap, mask, z)
-            ref = boxqp.value_function(prob.quad, prob.lo, prob.up, full, zfull) + full_cost(zfull)
-            assert oracle.eval(z) == pytest.approx(ref, abs=1e-12)
-            blo, bup = lattice.bounds_for_binary(full, zfull, prob.lo, prob.up)
+            ref = boxqp.value_function(prob.quad, full, zfull)
+            assert oracle.eval(z) - oracle.bincost(z) == pytest.approx(ref, abs=1e-12)
+            blo, bup = lattice.bounds_for_binary(full, zfull)
             assert np.array_equal(oracle.recover_x(z), boxqp.solve(prob.quad, blo, bup).x)
 
 
 def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     prob = sq.InstanceSampler(n=5, regime="nonnegative", seed=32).draw(0)
     oracle = sq.IndicatorOracle(prob)
-    full, full_cost = lattice.split(prob.lo, prob.up, prob.costs)
-    for table in ("var", "plus", "lo_bit", "up_bit"):
-        assert np.array_equal(getattr(oracle.smap, table), getattr(full, table))
+    # the full cube of a nonnegative problem: one z+ bit per variable
+    smap, identity = oracle.smap, np.arange(prob.n)
+    assert np.array_equal(smap.var, identity) and smap.plus.all()
+    assert np.array_equal(smap.lo_bit, identity) and np.array_equal(smap.up_bit, identity)
+    assert smap.lo is prob.lo and smap.up is prob.up
+    assert np.array_equal(oracle.bincost.linear, prob.costs) and oracle.bincost.constant == 0.0
     order = np.arange(oracle.m)[::-1]
     assert oracle.value_chain(order).kind == "nonnegative"
     values = oracle.chain(order)
@@ -609,7 +619,7 @@ def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     for k in range(oracle.m + 1):
         if k:
             z[order[k - 1]] = 1
-        ref = boxqp.value_function(prob.quad, prob.lo, prob.up, full, z) + full_cost(z)
+        ref = boxqp.value_function(prob.quad, smap, z) + float(prob.costs @ z)
         assert abs(values[k] - ref) <= 1e-8 * (1.0 + abs(ref))
 
 

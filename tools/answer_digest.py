@@ -10,8 +10,8 @@ checkout's ``src``), so the same script hashes another tree too, for example
 a parent commit unpacked with ``git archive``.  Equal digests on both sides
 mean every hashed answer and every chain is the same bit for bit.  The
 script calls only names whose signatures have not changed (``solve_full``,
-``always_open``, ``lattice.split``, ``IndicatorOracle.chain`` and the
-instance generators), so it runs against older sources as well.
+``IndicatorOracle(problem)`` and its ``m`` and ``chain``, and the instance
+generators), so it runs against older sources as well.
 
 With BLAS pinned to one thread and RuntimeWarnings raised as errors, it
 hashes, case by case:
@@ -88,7 +88,7 @@ def digest(cases):
     """
     import numpy as np
 
-    from submodqp import lattice, sfm
+    from submodqp import sfm
 
     h = hashlib.sha256()
     chains = 0
@@ -108,8 +108,7 @@ def digest(cases):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for label, problem, tol in cases:
-                opened = sfm.always_open(problem)
-                m = lattice.split(problem.lo, problem.up, problem.costs, opened)[0].binary_dim
+                m = sfm.IndicatorOracle(problem).m
                 engines = ("mnp", "exhaustive") if m <= EXHAUSTIVE_MAX_M else ("mnp",)
                 for engine in engines:
                     h.update(f"{label} {engine}".encode())
