@@ -405,7 +405,7 @@ def generate(
     Deterministic in the seed.  Returns ``(instance, truth)`` where truth
     records the planted signal and outlier set.  ``dims`` is one integral
     number or a sequence of them; a bool or a number such as 3.9 raises
-    :class:`InputError`.
+    :class:`InputError`, and so does a negative or non-finite ``noise_sd``.
     """
     if topology not in TOPOLOGIES:
         raise InputError(f"unknown topology {topology!r}")
@@ -414,6 +414,8 @@ def generate(
         raise InputError("dims must be positive")
     if not (0.0 <= signal_sparsity <= 1.0 and 0.0 <= outlier_fraction <= 1.0):
         raise InputError("fractions must lie in [0, 1]")
+    if not 0.0 <= noise_sd < np.inf:  # NaN fails both comparisons
+        raise InputError(f"noise_sd must be finite and nonnegative, got {noise_sd!r}")
 
     if len(dims) != TOPOLOGIES[topology]:
         raise InputError(f"{topology} takes {TOPOLOGIES[topology]} dimensions, got {len(dims)}")

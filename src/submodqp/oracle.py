@@ -322,19 +322,15 @@ def _check_value_submodular(problem, rng):
     m = smap.binary_dim
     if m > 10:
         return True, None  # too large to enumerate here; covered at small dims
-    vals = np.empty(2**m)
-    for code in range(2**m):
-        z = np.array([(code >> (m - 1 - b)) & 1 for b in range(m)], dtype=int)
-        vals[code] = boxqp.value_function(problem.quad, smap, z)
-    for p in range(2**m):
-        for q in range(p + 1, 2**m):
-            meet, join = p & q, p | q
-            if vals[p] + vals[q] < vals[meet] + vals[join] - 1e-8:
-                return False, {
-                    "pair": [p, q],
-                    "lhs": float(vals[p] + vals[q]),
-                    "rhs": float(vals[meet] + vals[join]),
-                }
+    codes = np.arange(2**m)
+    zs = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    vals = np.array([boxqp.value_function(problem.quad, smap, z) for z in zs])
+    p, q = codes[:, None], codes[None, :]
+    lhs, rhs = vals[p] + vals[q], vals[p & q] + vals[p | q]
+    bad = np.argwhere((lhs < rhs - 1e-8) & (p < q))  # row-major: the first p, then q
+    if bad.size:
+        p, q = bad[0].tolist()
+        return False, {"pair": [p, q], "lhs": float(lhs[p, q]), "rhs": float(rhs[p, q])}
     return True, None
 
 

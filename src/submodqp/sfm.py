@@ -17,7 +17,8 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
   F, using the greedy subgradient as its linear-optimization oracle.  Each
   greedy call needs one full value chain, which the path tracer delivers in
   the cost of a single evaluation; that is what makes the method practical.
-  F(∅) costs it one evaluation, not a chain.  :class:`IndicatorOracle`
+  F(∅) is its first chain's first value, and one box-QP solve gives its
+  answer's value and x.  :class:`IndicatorOracle`
   remembers F by prefix set (up to ``MEMO_ENTRIES`` sets, oldest dropped
   first), so a chain is traced only up to its last prefix set that no
   earlier chain reached, and the tail is read back.  The first value
@@ -35,7 +36,7 @@ open rule of :func:`submodqp.lattice.split`).
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -54,20 +55,19 @@ _CYCLES_PER_COORDINATE, _CYCLES_SPARE = 20, 100
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SolveStats:
-    """The work counters of the oracle behind one solve (see
-    :class:`SubmodularOracle`): chains, their traced and memo-answered
-    stages, and box QPs solved in stacks and alone, with their Newton
-    iterations."""
+    """An oracle's work counters, its ``stats``: chains, their traced and
+    memo-answered stages, and box QPs solved in stacks and alone, with their
+    Newton iterations."""
 
-    chains: int
-    stages_traced: int
-    stages_memo: int
-    stacked_rows: int
-    stacked_iterations: int
-    scalar_solves: int
-    scalar_iterations: int
+    chains: int = 0
+    stages_traced: int = 0
+    stages_memo: int = 0
+    stacked_rows: int = 0
+    stacked_iterations: int = 0
+    scalar_solves: int = 0
+    scalar_iterations: int = 0
 
 
 @dataclass
@@ -77,7 +77,7 @@ class SfmResult:
     ``certificate`` is the duality gap, ``value`` minus a lower bound on
     min F (0.0 for enumeration); ``converged`` means the gap certifies
     ``value`` as the minimum to within :func:`gap_tolerance`.  ``stats``
-    holds the oracle's work counters (:func:`solve_full` fills it).
+    holds the oracle's work counters as the engine returned.
     """
 
     z: np.ndarray
@@ -106,31 +106,29 @@ class SubmodularOracle:
     """Evaluation contract for a submodular set function F on {0,1}^m.
 
     Subclasses implement :meth:`eval`.  :meth:`eval_many` evaluates the rows
-    of a stack and :meth:`chain` returns the m+1 values of F along the
-    prefixes of a permutation; the defaults make single evaluations, fast
-    implementations override them.  ``chains``, ``stages_traced`` and
-    ``stages_memo`` count the chains asked for, the stages computed for
-    them and the stages answered from a memo (none by default);
-    ``stacked_rows`` and ``stacked_iterations`` count the box QPs that
-    :meth:`eval_many` solved in stacks and their Newton iterations, and
-    ``scalar_solves`` and ``scalar_iterations`` those solved one at a time
-    (none by default).
+    of a stack, :meth:`chain` returns the m+1 values of F along the prefixes
+    of a permutation, F(∅) first, and :meth:`eval_x` F with the continuous
+    minimizer behind it (None by default); the defaults make single
+    evaluations, fast implementations override them.  Each oracle counts its
+    work in ``stats`` (:class:`SolveStats`).
     """
 
-    m = 0
-    chains = stages_traced = stages_memo = 0
-    stacked_rows = stacked_iterations = 0
-    scalar_solves = scalar_iterations = 0
+    def __init__(self, m):
+        self.m = int(m)
+        self.stats = SolveStats()
 
     def eval(self, zbin):
         raise NotImplementedError
+
+    def eval_x(self, zbin):
+        return self.eval(zbin), None
 
     def eval_many(self, zbins):
         return np.array([self.eval(z) for z in zbins], dtype=float)
 
     def chain(self, order):
-        self.chains += 1
-        self.stages_traced += len(order)
+        self.stats.chains += 1
+        self.stats.stages_traced += len(order)
         return self.chain_naive(order)
 
     def chain_naive(self, order):
@@ -141,17 +139,13 @@ class SubmodularOracle:
             out.append(self.eval(z))
         return np.array(out)
 
-    def recover_x(self, zbin):
-        """Continuous minimizer behind F(zbin), when one exists."""
-        return None
-
 
 class FunctionOracle(SubmodularOracle):
     """Wrap a plain callable on binary vectors."""
 
     def __init__(self, fun, m):
+        super().__init__(m)
         self.fun = fun
-        self.m = int(m)
 
     def eval(self, zbin):
         return float(self.fun(np.asarray(zbin)))
@@ -181,21 +175,21 @@ class IndicatorOracle(SubmodularOracle):
     ``MEMO_ENTRIES`` sets and drops the oldest first; a dropped set is
     valued afresh when it is next traced.  The memo lives as long as the
     oracle, which is one :func:`solve_full`.  :meth:`value_chain`,
-    :meth:`eval`, :meth:`eval_many` and :meth:`recover_x` do not use it.
+    :meth:`eval`, :meth:`eval_x` and :meth:`eval_many` do not use it.
     """
 
     def __init__(self, problem):
         self.quad = problem.quad
         self.smap, self.bincost = split(problem)
-        self.m = self.smap.binary_dim
+        super().__init__(self.smap.binary_dim)
         self.memo = {}
 
     def _solve(self, zbin):
         """The box QP under ``zbin``, solved alone and counted."""
         blo, bup = bounds_for_binary(self.smap, zbin)
         sol = boxqp.solve(self.quad, blo, bup)
-        self.scalar_solves += 1
-        self.scalar_iterations += sol.iterations
+        self.stats.scalar_solves += 1
+        self.stats.scalar_iterations += sol.iterations
         return sol
 
     @cached_property
@@ -206,15 +200,19 @@ class IndicatorOracle(SubmodularOracle):
         return sol
 
     def eval(self, zbin):
-        return self._solve(zbin).value + self.bincost(zbin)
+        return self.eval_x(zbin)[0]
+
+    def eval_x(self, zbin):
+        sol = self._solve(zbin)
+        return sol.value + self.bincost(zbin), sol.x
 
     def eval_many(self, zbins):
         """F on each row of ``zbins``, by one stacked box-QP solve."""
         zbins = np.asarray(zbins)
         blo, bup = bounds_for_binary(self.smap, zbins)
         sol = boxqp.solve_many(self.quad, blo, bup)
-        self.stacked_rows += sol.iterations.size
-        self.stacked_iterations += int(sol.iterations.sum())
+        self.stats.stacked_rows += sol.iterations.size
+        self.stats.stacked_iterations += int(sol.iterations.sum())
         return sol.value + (zbins @ self.bincost.linear + self.bincost.constant)
 
     def chain(self, order):
@@ -231,9 +229,9 @@ class IndicatorOracle(SubmodularOracle):
         while traced >= 0 and keys[traced] in memo:
             traced -= 1
         values = [memo[key] for key in keys[traced + 1 :]]  # read before any drop
-        self.chains += 1
-        self.stages_traced += max(traced, 0)
-        self.stages_memo += order.size - max(traced, 0)
+        self.stats.chains += 1
+        self.stats.stages_traced += max(traced, 0)
+        self.stats.stages_memo += order.size - max(traced, 0)
         if traced < 0:
             return np.array(values)
         head = order[:traced]
@@ -252,8 +250,15 @@ class IndicatorOracle(SubmodularOracle):
         """Raw v-chain (no costs) as a :class:`pathtrace.ValueChain`."""
         return pathtrace.chain_general(self.quad, self.smap, order, stage0=self.stage0)
 
-    def recover_x(self, zbin):
-        return self._solve(zbin).x
+
+def _finite(values, subset):
+    """``values`` of F, each checked finite (:class:`NumericalError` names the
+    first set that fails); ``subset(k)`` lists the coordinates of ``values[k]``'s set."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericalError(f"F is {values[k]} on the set {sorted(subset(k))}, not finite")
+    return values
 
 
 def greedy_subgradient(oracle, zfrac):
@@ -269,7 +274,7 @@ def greedy_subgradient(oracle, zfrac):
     if zfrac.shape != (oracle.m,):
         raise InputError(f"zfrac must have length {oracle.m}")
     order = np.argsort(-zfrac, kind="stable")
-    values = oracle.chain(order)
+    values = _finite(oracle.chain(order), lambda k: order[:k].tolist())
     w = np.zeros(oracle.m)
     w[order] = np.diff(values)
     return w
@@ -288,34 +293,31 @@ def minimize_exhaustive(oracle):
     not the first vector within ``BRUTE_TIE_TOL`` of the minimum: a chain of
     near-ties can walk further.)  Only the codes of a chunk below the
     incumbent it started with, less ``BRUTE_TIE_TOL``, can replace it, so
-    the scan visits just those, in order.  The oracle's box-QP counters,
-    stacked and scalar, are logged at DEBUG.
+    the scan visits just those, in order.  A value of F that is not finite
+    raises :class:`NumericalError`.  The oracle's counters are logged at DEBUG.
     """
     m = oracle.m
     if m > EXHAUSTIVE_GUARD:
         raise InputError(f"exhaustive enumeration guarded at m <= {EXHAUSTIVE_GUARD}, got {m}")
     shifts = np.arange(m - 1, -1, -1)
-    best_code, best = None, np.inf
+    best_code, best = 0, np.inf
     for start in range(0, 1 << m, EXHAUSTIVE_CHUNK):
         codes = np.arange(start, min(start + EXHAUSTIVE_CHUNK, 1 << m))
-        values = oracle.eval_many((codes[:, None] >> shifts) & 1)
+        zbins = (codes[:, None] >> shifts) & 1
+        values = _finite(oracle.eval_many(zbins), lambda k: np.flatnonzero(zbins[k]).tolist())
         for i in (values < best - BRUTE_TIE_TOL).nonzero()[0].tolist():
             if values[i] < best - BRUTE_TIE_TOL:
                 best_code, best = start + i, float(values[i])
-    best_z = None if best_code is None else (best_code >> shifts) & 1
+    best_z = (best_code >> shifts) & 1
     res = SfmResult(
         z=best_z,
         value=float(best),
-        x=oracle.recover_x(best_z),
+        x=oracle.eval_x(best_z)[1],
         certificate=0.0,
         engine="exhaustive",
+        stats=replace(oracle.stats),
     )
-    _log.debug(
-        "exhaustive: %d codes, %d box QPs solved in stacks, %d Newton iterations; "
-        "%d solved alone, %d Newton iterations",
-        1 << m, oracle.stacked_rows, oracle.stacked_iterations,
-        oracle.scalar_solves, oracle.scalar_iterations,
-    )
+    _log.debug("exhaustive: %d codes, %s", 1 << m, res.stats)
     return res
 
 
@@ -351,25 +353,28 @@ def minimize_mnp(oracle, tol=1e-9):
     """Wolfe's minimum-norm-point method over the base polytope of F.
 
     The greedy subgradient serves as the linear-optimization oracle (one
-    value chain per major cycle).  The minimal minimizer of F is the level
+    value chain per major cycle); the first chain, greedy's at zfrac = 1/2,
+    also gives F(∅).  The minimal minimizer of F is the level
     set {x* < 0} of the min-norm point x* (Fujishige's theorem), and level
     sets of an approximate x round well too (Chakrabarty, Jain & Kothari
     2014).  The loop stops after 20m + 100 major cycles at most.  The last
     chain ran along ascending x (the previous iterate's when that cap ends
     the loop), so it holds F on every level set: the result is its shortest
-    prefix within ``BRUTE_TIE_TOL`` of its minimum.
-    ``certificate`` is the duality gap value − F(∅) − Σ min(x_i, 0), and
-    ``converged`` means it is at most :func:`gap_tolerance`.  ``tol`` must
-    be finite and nonnegative (:class:`InputError` otherwise).
+    prefix within ``BRUTE_TIE_TOL`` of its minimum, valued with its x by
+    one :meth:`SubmodularOracle.eval_x`.  ``certificate`` is the duality gap
+    value − F(∅) − Σ min(x_i, 0), and ``converged`` means it is at most
+    :func:`gap_tolerance`.  ``tol`` must be finite and nonnegative
+    (:class:`InputError` otherwise); a value of F that is not finite raises
+    :class:`NumericalError`.
     """
     _require_tol(tol)
     m = oracle.m
     if m == 0:
         raise InputError("empty ground set")
-    f0 = oracle.eval(np.zeros(m, dtype=int))
-
-    zfrac = np.full(m, 0.5)
-    x = q = greedy_subgradient(oracle, zfrac)
+    zfrac = np.full(m, 0.5)  # greedy's order for it is ascending index
+    values = _finite(oracle.chain(np.arange(m)), range)
+    f0 = float(values[0])
+    x = q = np.diff(values)
     S = x.reshape(1, -1)
     coeff = np.array([1.0])
     eps_drop = 1e-11
@@ -406,22 +411,18 @@ def minimize_mnp(oracle, tol=1e-9):
     k = int(np.argmax(prefix <= prefix.min() + BRUTE_TIE_TOL))
     z = np.zeros(m, dtype=int)
     z[order[:k]] = 1
-    value = oracle.eval(z)
+    value, xmin = oracle.eval_x(z)
     gap = value - (f0 + float(np.minimum(x, 0.0).sum()))
     res = SfmResult(
         z=z,
         value=float(value),
-        x=oracle.recover_x(z),
+        x=xmin,
         certificate=gap,
         engine="mnp",
         converged=abs(gap) <= gap_tolerance(value, tol),
+        stats=replace(oracle.stats),
     )
-    _log.debug(
-        "mnp: %d chains, %d prefix stages traced, %d answered from the memo; "
-        "%d box QPs solved alone, %d Newton iterations",
-        oracle.chains, oracle.stages_traced, oracle.stages_memo,
-        oracle.scalar_solves, oracle.scalar_iterations,
-    )
+    _log.debug("mnp: %s", res.stats)
     return res
 
 
@@ -467,5 +468,5 @@ def solve_full(problem, engine="mnp", tol=1e-9):
         engine=engine,
         converged=res.converged,
         discarded=problem.discarded(z),
-        stats=SolveStats(*(getattr(oracle, f.name) for f in fields(SolveStats))),
+        stats=res.stats,
     )

@@ -18,15 +18,28 @@ def test_digest_repeats_and_sees_one_ulp_in_one_chain(monkeypatch):
     cases = [("robust chain", sq.compile_instance(inst), 1e-9)]
     chain = sfm.IndicatorOracle.chain
     first, solves, chains = answer_digest.digest(cases)
-    assert (solves, chains) == (2, 8)  # MNP and exhaustive; MNP's chains
+    assert (solves, chains) == (2, {"robust chain": 8})  # MNP and exhaustive; MNP's chains
     assert sfm.IndicatorOracle.chain is chain  # the recorder is gone
     assert answer_digest.digest(cases) == (first, solves, chains)
 
     def drifting(self, order):  # the first chain's last value, one ulp up
         values = chain(self, order)
-        if self.chains == 1:
+        if self.stats.chains == 1:
             values[-1] = np.nextafter(values[-1], np.inf)
         return values
 
     monkeypatch.setattr(sfm.IndicatorOracle, "chain", drifting)
     assert answer_digest.digest(cases)[0] != first
+
+
+def test_chains_are_counted_per_case_and_per_workload():
+    cases = []
+    for label, seed in (("tiny/3", 3), ("tiny/4", 4), ("other/0", 0)):
+        inst, _ = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=seed)
+        cases.append((label, sq.compile_instance(inst), 1e-9))
+    _, solves, chains = answer_digest.digest(cases)
+    assert solves == 6 and list(chains) == ["tiny/3", "tiny/4", "other/0"]
+    for label, problem, tol in cases:  # each count is MNP's own
+        assert chains[label] == sq.solve_full(problem, tol=tol).stats.chains > 0
+    per = answer_digest.chains_per_workload(chains, ["tiny", "other", "none"])
+    assert per == {"tiny": chains["tiny/3"] + chains["tiny/4"], "other": chains["other/0"], "none": 0}

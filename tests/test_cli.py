@@ -29,6 +29,15 @@ def test_generate_writes_instance_and_truth(tmp_path):
     assert inst.mode == "robust" and inst.n == 8
 
 
+@pytest.mark.parametrize("noise_sd", ["-1", "nan", "inf"])
+def test_generate_rejects_a_negative_or_non_finite_noise_sd(noise_sd, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    code = _run(["generate", "--dims", "5", "--noise-sd", noise_sd, "--output", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "noise_sd must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_round_trip_is_deterministic(tmp_path, capsys):
     out = tmp_path / "inst.json"
     _run(["generate", "--dims", "6", "--seed", "1", "--cost", "0.8", "--output", str(out)])

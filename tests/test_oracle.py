@@ -130,6 +130,34 @@ def test_size_limited_checks_use_the_ground_set_of_solve(vertices, m, monkeypatc
     assert len(values) == 2**m
 
 
+def test_submodularity_check_reports_the_first_violating_pair(monkeypatch):
+    problem = sq.InstanceSampler(n=4, regime="mixed", seed=1).draw(0)
+    m = split(problem)[0].binary_dim
+    check = oracle.CHECKS["value_function_submodular"]
+    rng = np.random.default_rng(0)
+    table = np.random.default_rng(5).random(2**m)  # planted: F(z) = table[code of z]
+
+    def planted(quad, smap, z):
+        return float(table[int("".join(map(str, z)), 2)])
+
+    monkeypatch.setattr(boxqp, "value_function", planted)
+    first = next(
+        (p, q)
+        for p in range(2**m)
+        for q in range(p + 1, 2**m)
+        if table[p] + table[q] < table[p & q] + table[p | q] - 1e-8
+    )
+    ok, detail = check(problem, rng)
+    assert not ok and detail["pair"] == list(first)
+    p, q = first
+    assert (detail["lhs"], detail["rhs"]) == (table[p] + table[q], table[p & q] + table[p | q])
+    # a modular table passes, with noise below the 1e-8 tolerance
+    weights = np.random.default_rng(6).random(m)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    table = bits @ weights + 2e-9 * np.random.default_rng(7).random(2**m)
+    assert check(problem, rng) == (True, None)
+
+
 @pytest.mark.parametrize("error", [NumericalError, InputError])
 def test_a_check_that_raises_leaves_a_witness(error, monkeypatch):
     def broken(problem, rng):
@@ -271,7 +299,7 @@ def test_memo_check_catches_a_set_valued_twice(monkeypatch):
 
     def drifting(self, order):  # the second chain revalues the full set by one ulp
         values = chain(self, order)
-        if self.chains == 2:
+        if self.stats.chains == 2:
             values[-1] = np.nextafter(values[-1], np.inf)
         return values
 

@@ -1,13 +1,12 @@
 import itertools
 import logging
-import re
 
 import numpy as np
 import pytest
 
 import submodqp as sq
 from submodqp import boxqp, lattice, sfm
-from submodqp.exceptions import InputError
+from submodqp.exceptions import InputError, NumericalError
 
 
 CORNER_QUAD = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0])
@@ -37,6 +36,28 @@ def test_greedy_subgradient_example(corner_oracle):
     assert np.allclose(w, [-0.25 + 0.1, -1.0 / 12.0 + 0.1], atol=1e-10)
     # <w, z> + F(0) is the extension value
     assert w @ np.array([0.9, 0.1]) == pytest.approx(-0.9 / 4 - 0.1 / 12 + 0.1, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_exhaustive_raises_on_a_set_value_that_is_not_finite(bad):
+    with pytest.raises(NumericalError, match=rf"F is {bad} on the set \[\], not finite"):
+        sq.minimize_exhaustive(sq.FunctionOracle(lambda z: bad, 3))
+    # one value among finite ones, on the set {1, 2}
+    oracle = sq.FunctionOracle(lambda z: bad if z.tolist() == [0, 1, 1] else float(z.sum()), 3)
+    with pytest.raises(NumericalError, match=r"on the set \[1, 2\]"):
+        sq.minimize_exhaustive(oracle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_mnp_raises_on_a_set_value_that_is_not_finite(bad):
+    with pytest.raises(NumericalError, match=r"on the set \[\], not finite"):
+        sq.minimize_mnp(sq.FunctionOracle(lambda z: bad, 3))
+    # the set {0, 1} is a prefix of the first chain, {1, 2} of greedy's at zfrac
+    oracle = sq.FunctionOracle(lambda z: bad if z.sum() == 2 else float(z.sum()), 3)
+    with pytest.raises(NumericalError, match=r"on the set \[0, 1\]"):
+        sq.minimize_mnp(oracle)
+    with pytest.raises(NumericalError, match=r"on the set \[1, 2\]"):
+        sq.greedy_subgradient(oracle, np.array([0.0, 1.0, 0.5]))
 
 
 def test_greedy_ties_telescope(corner_oracle):
@@ -139,7 +160,7 @@ def test_minimize_exhaustive_matches_a_one_by_one_scan():
         z, value = _scan_one_by_one(oracle)
         assert res.z.dtype == z.dtype and np.array_equal(res.z, z)
         assert abs(res.value - value) <= 1e-12 * (1.0 + abs(value))
-        assert np.array_equal(res.x, oracle.recover_x(z))
+        assert np.array_equal(res.x, oracle.eval_x(z)[1])
     assert 2 ** ms[0] >= 4 * sfm.EXHAUSTIVE_CHUNK and ms[-1] == 0
 
 
@@ -202,10 +223,11 @@ class FlatOracle(sq.FunctionOracle):
 @pytest.mark.parametrize("m", [8, 12])
 def test_minimize_mnp_rounds_ties_from_the_chain(m):
     # every coordinate ties at x = 0: the rounding is the empty prefix,
-    # valued by one evaluation beside F(∅), not an enumeration of the ties
+    # valued by one evaluation (F(∅) comes from the first chain), not an
+    # enumeration of the ties
     oracle = FlatOracle(m)
     res = sq.minimize_mnp(oracle)
-    assert oracle.evals == 2
+    assert oracle.evals == 1
     assert np.array_equal(res.z, np.zeros(m, dtype=int))
     assert res.certificate == 0.0
     assert res.converged
@@ -381,7 +403,7 @@ def test_solve_full_reports_the_oracles_work_counters():
     res = sq.solve_full(problem)
     assert res.stats == sfm.SolveStats(
         chains=8, stages_traced=39, stages_memo=25, stacked_rows=0, stacked_iterations=0,
-        scalar_solves=4, scalar_iterations=12,
+        scalar_solves=2, scalar_iterations=6,
     )
     # each chain's 8 stages are traced or read from the memo
     assert res.stats.stages_traced + res.stats.stages_memo == 8 * res.stats.chains
@@ -482,7 +504,7 @@ def test_solve_full_repairs_a_spurious_corner_without_a_second_solve(monkeypatch
     def spurious(oracle, tol):
         seen.append(oracle)
         z = oracle.smap.plus.astype(int)  # every z+ set, every z- clear
-        return sfm.SfmResult(z, oracle.eval(z), oracle.recover_x(z), 0.0, "mnp")
+        return sfm.SfmResult(z, *oracle.eval_x(z), 0.0, "mnp")
 
     monkeypatch.setattr(sfm, "minimize_mnp", spurious)
     solves = []
@@ -494,7 +516,7 @@ def test_solve_full_repairs_a_spurious_corner_without_a_second_solve(monkeypatch
 
     monkeypatch.setattr(boxqp, "solve", counted)
     res = sq.solve_full(problem, engine="mnp")
-    assert len(solves) == 2  # the engine's eval and recover_x, no recovery solve
+    assert len(solves) == 1  # the engine's eval_x, no recovery solve
 
     (oracle,) = seen
     smap = oracle.smap
@@ -600,7 +622,7 @@ def test_indicator_oracle_with_always_open_matches_full_cube():
             ref = boxqp.value_function(prob.quad, full, zfull)
             assert oracle.eval(z) - oracle.bincost(z) == pytest.approx(ref, abs=1e-12)
             blo, bup = lattice.bounds_for_binary(full, zfull)
-            assert np.array_equal(oracle.recover_x(z), boxqp.solve(prob.quad, blo, bup).x)
+            assert np.array_equal(oracle.eval_x(z)[1], boxqp.solve(prob.quad, blo, bup).x)
 
 
 def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
@@ -665,13 +687,14 @@ def test_chain_with_every_prefix_set_known_traces_no_stage(monkeypatch):
     _, oracle = _memo_oracle()
     order = np.random.default_rng(0).permutation(oracle.m)
     first = oracle.chain(order)
-    assert (oracle.chains, oracle.stages_traced, oracle.stages_memo) == (1, oracle.m, 0)
+    assert oracle.stats == sfm.SolveStats(chains=1, stages_traced=oracle.m, scalar_solves=1,
+                                          scalar_iterations=oracle.stats.scalar_iterations)
     assert len(oracle.memo) == oracle.m + 1
     monkeypatch.setattr(sfm.pathtrace, "chain_general", None)  # tracing would fail
     assert np.array_equal(oracle.chain(order), first)
     assert np.array_equal(oracle.chain(order[: oracle.m // 2]), first[: oracle.m // 2 + 1])
-    assert oracle.stages_traced == oracle.m
-    assert oracle.stages_memo == oracle.m + oracle.m // 2
+    assert oracle.stats.stages_traced == oracle.m
+    assert oracle.stats.stages_memo == oracle.m + oracle.m // 2
 
 
 def test_chain_traces_up_to_its_last_unknown_prefix_set(monkeypatch):
@@ -694,7 +717,7 @@ def test_chain_traces_up_to_its_last_unknown_prefix_set(monkeypatch):
     swapped[[1, 2]] = swapped[[2, 1]]  # only the prefix set of stage 2 is new
     second = oracle.chain(swapped)
     assert traced == [m, 2]
-    assert (oracle.stages_traced, oracle.stages_memo) == (m + 2, m - 2)
+    assert (oracle.stats.stages_traced, oracle.stats.stages_memo) == (m + 2, m - 2)
     assert len(oracle.memo) == m + 2
     same = np.arange(m + 1) != 2
     assert np.array_equal(second[same], first[same])  # the first value wins
@@ -735,51 +758,86 @@ def test_bounded_memo_keeps_mnp_results(monkeypatch):
     assert max(sizes) == 8
 
 
+def _logged(caplog, prefix):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith(prefix)]
+
+
 def test_mnp_logs_its_chain_counters(caplog):
     prob, _ = _memo_oracle(seed=6)
     with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
-        sq.solve_full(prob)
-    pattern = (
-        r"mnp: (\d+) chains, (\d+) prefix stages traced, (\d+) answered from the memo; "
-        r"(\d+) box QPs solved alone, (\d+) Newton iterations"
-    )
-    found = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records]
-    found = [f for f in found if f]
-    assert len(found) == 1
-    chains, traced, memo, scalar, iters = (int(g) for g in found[0].groups())
-    assert chains >= 2 and traced >= 1 and memo >= 1
-    # stage 0, F(∅), the rounded set's value and its x
-    assert scalar == 4 and iters >= scalar
+        res = sq.solve_full(prob)
+    assert _logged(caplog, "mnp: ") == [f"mnp: {res.stats}"]
+    stats = res.stats
+    assert stats.chains >= 2 and stats.stages_traced >= 1 and stats.stages_memo >= 1
+    # stage 0, which is F(∅), and the rounded set's value with its x
+    assert stats.scalar_solves == 2 and stats.scalar_iterations >= 2
 
 
 def test_exhaustive_logs_its_box_qp_counters(caplog):
     prob = sq.InstanceSampler(n=6, regime="nonnegative", seed=3).draw(0)
     with caplog.at_level(logging.DEBUG, logger="submodqp.sfm"):
-        sq.solve_full(prob, engine="exhaustive")
-    pattern = (
-        r"exhaustive: (\d+) codes, (\d+) box QPs solved in stacks, (\d+) Newton iterations; "
-        r"(\d+) solved alone, (\d+) Newton iterations"
-    )
-    found = [re.fullmatch(pattern, r.getMessage()) for r in caplog.records]
-    found = [f for f in found if f]
-    assert len(found) == 1
-    codes, rows, iters, scalar, scalar_iters = (int(g) for g in found[0].groups())
+        res = sq.solve_full(prob, engine="exhaustive")
+    assert _logged(caplog, "exhaustive: ") == [f"exhaustive: {2**6} codes, {res.stats}"]
+    stats = res.stats
     # every code is one stacked row, and every row takes at least one iteration
-    assert codes == rows == 2**6 and iters > rows
-    assert scalar == 1 and scalar_iters >= 1  # the minimizer's x
+    assert stats.stacked_rows == 2**6 and stats.stacked_iterations > stats.stacked_rows
+    assert stats.scalar_solves == 1 and stats.scalar_iterations >= 1  # the minimizer's x
 
 
 def test_scalar_box_qp_solves_are_counted():
     prob, oracle = _memo_oracle(seed=6)
-    assert (oracle.scalar_solves, oracle.scalar_iterations) == (0, 0)
-    sq.minimize_mnp(oracle)
-    # stage 0, F(∅), the rounded set's value and its x; chains solve none
-    assert (oracle.scalar_solves, oracle.scalar_iterations) == (4, 8)
+    assert oracle.stats == sfm.SolveStats()
+    res = sq.minimize_mnp(oracle)
+    # stage 0, which is F(∅), and the rounded set's value with its x;
+    # chains solve none
+    assert (oracle.stats.scalar_solves, oracle.stats.scalar_iterations) == (2, 4)
+    assert res.stats == oracle.stats and res.stats is not oracle.stats
     oracle = sq.IndicatorOracle(prob)
-    sq.minimize_exhaustive(oracle)
+    res = sq.minimize_exhaustive(oracle)
     # enumeration solves in stacks; only the minimizer's x is solved alone
-    assert (oracle.scalar_solves, oracle.scalar_iterations) == (1, 1)
-    assert oracle.stacked_rows == 2**oracle.m
+    assert (oracle.stats.scalar_solves, oracle.stats.scalar_iterations) == (1, 1)
+    assert oracle.stats.stacked_rows == 2**oracle.m
+    assert res.stats == oracle.stats and res.stats is not oracle.stats
+
+
+def test_direct_engine_calls_return_the_oracles_counters():
+    oracle = sq.FunctionOracle(lambda z: float(z.sum()) - 2.0 * z[0] * z[1], 3)
+    res = sq.minimize_mnp(oracle)
+    assert res.stats == oracle.stats and res.stats.chains >= 1
+    assert res.stats.stages_traced == 3 * res.stats.chains
+    oracle = sq.FunctionOracle(lambda z: float(z.sum()), 3)
+    assert sq.minimize_exhaustive(oracle).stats == oracle.stats == sfm.SolveStats()
+
+
+def _first_chain_values(oracle, monkeypatch):
+    """The values of the first chain ``minimize_mnp`` asks ``oracle`` for."""
+    chains = []
+    chain = oracle.chain
+
+    def recorded(order):
+        chains.append((np.asarray(order).copy(), chain(order)))
+        return chains[-1][1]
+
+    monkeypatch.setattr(oracle, "chain", recorded)
+    sq.minimize_mnp(oracle)
+    order, values = chains[0]
+    assert np.array_equal(order, np.arange(oracle.m))
+    return values
+
+
+def test_mnp_takes_f_empty_from_its_first_chain_bit_for_bit(monkeypatch):
+    sparse = sq.InstanceSampler(n=6, regime="mixed", seed=5).draw(0)
+    inst, _ = sq.generate("chain", 5, mode="robust", outlier_fraction=0.2, seed=1)
+    robust = sq.compile_instance(inst)
+    for make in (
+        lambda: sq.IndicatorOracle(sparse),
+        lambda: sq.IndicatorOracle(robust),
+        lambda: sq.FunctionOracle(lambda z: float(z.sum()) - 1.5 * z[0] * z[2], 4),
+    ):
+        oracle = make()
+        f_empty = make().eval(np.zeros(oracle.m, dtype=int))
+        values = _first_chain_values(oracle, monkeypatch)
+        assert values[0] == f_empty  # bit for bit
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])

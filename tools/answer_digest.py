@@ -4,12 +4,14 @@ Run from the root of a checkout:
 
     python3 tools/answer_digest.py [--src DIR]
 
-It prints one line: the digest, then the number of solves and of chains it
-hashed.  ``--src`` names the ``submodqp`` sources to hash (default: this
-checkout's ``src``), so the same script hashes another tree too, for example
-a parent commit unpacked with ``git archive``.  Equal digests on both sides
-mean every hashed answer and every chain is the same bit for bit.  The
-script calls only names whose signatures have not changed (``solve_full``,
+It prints two lines.  The first holds the digest, then the number of solves
+and of chains it hashed; the second, the number of MNP chains on each
+benchmark workload that MNP solves, which shows which way a changed digest
+moved the chain count.  ``--src`` names the ``submodqp`` sources to hash
+(default: this checkout's ``src``), so the same script hashes another tree
+too, for example a parent commit unpacked with ``git archive``.  Equal
+digests on both sides mean every hashed answer and every chain is the same
+bit for bit.  The script calls only names whose signatures have not changed (``solve_full``,
 ``IndicatorOracle(problem)`` and its ``m`` and ``chain``, and the instance
 generators), so it runs against older sources as well.
 
@@ -84,20 +86,21 @@ def cases():
 def digest(cases):
     """Hash ``cases``, (label, problem, tol) triples; returns (hex digest, solves, chains).
 
-    ``IndicatorOracle.chain`` is wrapped for the run and put back after it.
+    ``chains`` maps each label to the number of chains its solves asked for
+    (MNP's: enumeration asks for none).  ``IndicatorOracle.chain`` is wrapped
+    for the run and put back after it.
     """
     import numpy as np
 
     from submodqp import sfm
 
     h = hashlib.sha256()
-    chains = 0
+    chains = {}
     chain = sfm.IndicatorOracle.chain
 
     def recorded(self, order):
-        nonlocal chains
         values = chain(self, order)
-        chains += 1
+        chains[label] += 1
         h.update(np.asarray(order, dtype=np.int64).tobytes())
         h.update(np.asarray(values, dtype=float).tobytes())
         return values
@@ -108,6 +111,7 @@ def digest(cases):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for label, problem, tol in cases:
+                chains[label] = 0
                 m = sfm.IndicatorOracle(problem).m
                 engines = ("mnp", "exhaustive") if m <= EXHAUSTIVE_MAX_M else ("mnp",)
                 for engine in engines:
@@ -121,6 +125,12 @@ def digest(cases):
     finally:
         sfm.IndicatorOracle.chain = chain
     return h.hexdigest(), solves, chains
+
+
+def chains_per_workload(chains, names):
+    """Chains per workload name, from :func:`digest`'s counts per label."""
+    return {name: sum(n for label, n in chains.items() if label.startswith(f"{name}/"))
+            for name in names}
 
 
 def main(argv=None):
@@ -138,8 +148,13 @@ def main(argv=None):
     if not Path(submodqp.__file__).resolve().is_relative_to(src):
         print(f"submodqp was imported from {submodqp.__file__}, not from {src}", file=sys.stderr)
         return 2
+    import harness  # perfbench/harness.py
+
     hexdigest, solves, chains = digest(cases())
-    print(f"{hexdigest}  solves={solves} chains={chains}")
+    print(f"{hexdigest}  solves={solves} chains={sum(chains.values())}")
+    mnp = [w.name for w in harness.WORKLOADS.values() if w.engine == "mnp"]
+    counts = chains_per_workload(chains, mnp)
+    print("mnp chains: " + " ".join(f"{name}={n}" for name, n in counts.items()))
     return 0
 
 
