@@ -40,6 +40,7 @@ from .sfm import (
     FunctionOracle,
     IndicatorOracle,
     greedy_subgradient,
+    lovasz,
     minimize_exhaustive,
     minimize_mnp,
     solve_full,
@@ -66,6 +67,7 @@ __all__ = [
     "generate",
     "greedy_subgradient",
     "load_instance",
+    "lovasz",
     "minimize_exhaustive",
     "minimize_mnp",
     "replay_witness",

@@ -12,9 +12,9 @@ import time
 
 import numpy as np
 
-from . import boxqp, model, pathtrace
+from . import model, pathtrace
 from .exceptions import InputError
-from .lattice import bounds_for_binary, split
+from .sfm import IndicatorOracle
 
 
 def _bench_problem(n, seed):
@@ -39,16 +39,12 @@ def _time_chain(problem):
     return time.perf_counter() - t0, chain
 
 
-def _time_naive(problem, smap):
+def _time_naive(problem):
     """Seconds and projected Newton iterations of the n+1 prefix solves."""
+    oracle = IndicatorOracle(problem)
     t0 = time.perf_counter()
-    z = np.zeros(problem.n, dtype=int)
-    iterations = 0
-    for j in range(problem.n + 1):
-        z[:j] = 1
-        blo, bup = bounds_for_binary(smap, z)
-        iterations += boxqp.solve(problem.quad, blo, bup).iterations
-    return time.perf_counter() - t0, iterations
+    oracle.chain_naive(range(oracle.m))
+    return time.perf_counter() - t0, oracle.stats.scalar_iterations
 
 
 def bench_rows(sizes, reps=3, seed=0):
@@ -73,11 +69,7 @@ def bench_rows(sizes, reps=3, seed=0):
     for n in sizes:
         if n < 2:
             raise InputError("bench sizes must be >= 2")
-    cases = []
-    for n in sizes:
-        problem = _bench_problem(n, seed)
-        smap, _ = split(problem)
-        cases.append((problem, smap))
+    problems = [_bench_problem(n, seed) for n in sizes]
     t_chain = [[] for _ in sizes]
     t_naive = [[] for _ in sizes]
     chains = [None] * len(sizes)
@@ -85,7 +77,7 @@ def bench_rows(sizes, reps=3, seed=0):
     gc_was_enabled = gc.isenabled()
     try:
         for rep in range(reps + 1):
-            for k, (problem, smap) in enumerate(cases):
+            for k, problem in enumerate(problems):
                 gc.collect()
                 gc.disable()
                 tc, tn = [], []
@@ -93,7 +85,7 @@ def bench_rows(sizes, reps=3, seed=0):
                     t, chains[k] = _time_chain(problem)
                     tc.append(t)
                 for _ in range(_NAIVE_RUNS):
-                    t, iterations[k] = _time_naive(problem, smap)
+                    t, iterations[k] = _time_naive(problem)
                     tn.append(t)
                 if gc_was_enabled:
                     gc.enable()

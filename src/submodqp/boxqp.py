@@ -9,15 +9,16 @@ points:
 * :func:`solve` takes one box.  It is the slow, trusted value-function
   oracle: every active-set change triggers a fresh factorization (simplicity
   over speed; the O(n^2)-per-step incremental machinery lives in the path
-  tracer).  Single solves (MNP's evaluations, stage 0 of every chain, the
-  recovery of x) and the brute-force judge use it.  The free block goes
+  tracer).  Single solves (stage 0 of every chain, an engine's answer and
+  its x) and the brute-force judge use it.  The free block goes
   straight to LAPACK ``potrf``/``potrs``, so a solve costs a constant
   handful of calls per iteration.
 * :func:`solve_many` takes a stack of boxes, one per row, and runs the same
   algorithm on all of them at once.  Each iteration gathers the free block
   of every row still live and solves the blocks of each size k together, as
-  one stack of k x k systems.  Enumeration uses it, where thousands of small
-  solves would otherwise pay numpy's per-call overhead thousands of times.
+  one stack of k x k systems.  Enumeration uses it, one chunk of codes per
+  call, where thousands of small solves would otherwise pay numpy's
+  per-call overhead thousands of times.
 
 Every returned solution, scalar or stacked, is audited against the KKT
 system before it leaves this module.  KKT conventions, with g = Qx - a:
@@ -39,10 +40,9 @@ from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary
 
 KKT_TOL_FACTOR = 1e-10
-# most entries of one temporary in a stacked solve (0.5 MB of floats): a block
-# of rows holds at most this many (rows x n) and a stack of k x k free blocks
-# this many (systems x k x k), so a 1,024-code chunk of the exhaustive engine
-# is one block for n <= 64
+# most entries (0.5 MB of floats) of one stack of k x k free blocks that
+# solve_many solves together (systems x k x k); its rows x n temporaries are
+# bounded by the caller's stack
 STACK_ENTRIES = 1 << 16
 MAX_ITER = 200  # projected Newton iterations allowed per box, scalar or stacked
 
@@ -184,11 +184,12 @@ def solve_many(quad, lo, up):
     variables, and each group solves its gathered systems
     ``Q[F,F] x_F = a_F - Q[F,C] x_C`` as one stack, split so that no stack
     holds more than ``STACK_ENTRIES`` entries.  Rows leave the live set as
-    they converge, and every row passes :func:`solve`'s KKT audit.  Stacks
-    of boxes are split into blocks of ``STACK_ENTRIES // n`` rows, which
-    bounds every temporary by that constant, not by the size of the stack.
-    Errors name the offending row.  Returns a :class:`BoxQpSolution` whose
-    fields hold one entry per row.
+    they converge, and every row passes :func:`solve`'s KKT audit.  The
+    other temporaries hold rows x n entries, so the caller bounds them by
+    the size of the stack it passes (the exhaustive engine passes
+    ``sfm.EXHAUSTIVE_CHUNK`` rows at a time).  Errors name the offending
+    row.  Returns a :class:`BoxQpSolution` whose fields hold one entry per
+    row.
     """
     n = quad.n
     lo = np.asarray(lo, dtype=float)
@@ -204,24 +205,8 @@ def solve_many(quad, lo, up):
         raise InputError(
             f"row {row}: a lower bound of +inf or an upper bound of -inf admits no finite point"
         )
-    size = max(1, STACK_ENTRIES // n)
-    blocks = [
-        _solve_block(quad, lo[s : s + size], up[s : s + size], x[s : s + size], s)
-        for s in range(0, max(lo.shape[0], 1), size)
-    ]
-    return BoxQpSolution(*(np.concatenate(field) for field in zip(*blocks)))
-
-
-def _values(quad, x):
-    """f at each row of x."""
-    return x @ -quad.a + 0.5 * np.einsum("ri,ri->r", x, x @ quad.Q) + quad.k0
-
-
-def _solve_block(quad, lo, up, x, offset):
-    """:func:`solve_many` on one block of rows; ``x`` is the clipped start
-    and ``offset`` the block's first row, for error messages."""
     Q, a = quad.Q, quad.a
-    rows, n = x.shape
+    rows = x.shape[0]
     tol_kkt = KKT_TOL_FACTOR * (1.0 + float(np.abs(a).max(initial=0.0)))
     value = np.empty(rows)
     known = np.zeros(rows, dtype=bool)  # value holds f(x), from a line search
@@ -239,7 +224,7 @@ def _solve_block(quad, lo, up, x, offset):
         go = (~stop).nonzero()[0]
         if go.size:
             xg = xl[go]
-            d = _newton_direction(Q, a, free[go], xg, offset + live[go])
+            d = _newton_direction(Q, a, free[go], xg, live[go])
             small = np.abs(d).max(axis=1) <= 1e-13 * (1.0 + np.abs(xg).max(axis=1))
             stop[go[small]] = True
             go, d = go[~small], d[~small]
@@ -248,19 +233,22 @@ def _solve_block(quad, lo, up, x, offset):
             res[done] = _kkt_violation(g[stop], ll[stop], ul[stop], xl[stop])
             iters[done] = it
         if go.size:
-            _newton_step(quad, x, lo, up, value, known, live[go], g[go], d, offset)
+            _newton_step(quad, x, lo, up, value, known, live[go], g[go], d)
         live = live[~stop]
     if live.size:
-        raise NumericalError(f"row {offset + live[0]}: projected Newton iteration cap {MAX_ITER} exceeded")
+        raise NumericalError(f"row {live[0]}: projected Newton iteration cap {MAX_ITER} exceeded")
 
     bad = ~(res <= tol_kkt)
     if bad.any():
         row = int(bad.argmax())
-        raise NumericalError(
-            f"row {offset + row}: KKT residual {res[row]:.3e} above tolerance {tol_kkt:.3e}"
-        )
+        raise NumericalError(f"row {row}: KKT residual {res[row]:.3e} above tolerance {tol_kkt:.3e}")
     value[~known] = _values(quad, x[~known])
-    return x, value, res, iters
+    return BoxQpSolution(x=x, value=value, kkt_residual=res, iterations=iters)
+
+
+def _values(quad, x):
+    """f at each row of x."""
+    return x @ -quad.a + 0.5 * np.einsum("ri,ri->r", x, x @ quad.Q) + quad.k0
 
 
 def _newton_direction(Q, a, free, x, rows):
@@ -268,7 +256,7 @@ def _newton_direction(Q, a, free, x, rows):
     ``Q[F,F] x_F = a_F - Q[F,C] x_C`` minus ``x_F``, and 0 on the clamped set
     C.  Rows with the same number k of free variables are solved together,
     as one stack of k x k systems of at most ``STACK_ENTRIES`` entries;
-    ``rows`` numbers them for error messages."""
+    ``rows`` holds the caller's number of each row, for error messages."""
     rhs = a - (x * ~free) @ Q
     d = np.zeros_like(x)
     counts = free.sum(axis=1)
@@ -291,7 +279,7 @@ def _newton_direction(Q, a, free, x, rows):
     return d
 
 
-def _newton_step(quad, x, lo, up, value, known, rows, g, d, offset):
+def _newton_step(quad, x, lo, up, value, known, rows, g, d):
     """Move ``x[rows]`` along the Newton steps ``d``, as :func:`solve` does:
     an unclipped step is taken whole, a clipped one by Armijo backtracking on
     the projected arc.  Updates ``x``, ``value`` and ``known`` in place."""
@@ -322,7 +310,7 @@ def _newton_step(quad, x, lo, up, value, known, rows, g, d, offset):
         step[pend] *= 0.5
     stalled = step < 1e-20
     if stalled.any():
-        raise NumericalError(f"row {offset + rows[stalled.argmax()]}: projected Newton line search stalled")
+        raise NumericalError(f"row {rows[stalled.argmax()]}: projected Newton line search stalled")
     known[rows] = True
 
 

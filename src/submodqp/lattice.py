@@ -78,12 +78,15 @@ class SignSplitMap:
         """Per variable: whether ``zbin`` opens its lower and its upper bound.
 
         ``zbin`` may stack assignments on leading axes, with the coordinates
-        on the last; the results stack the same way.
+        on the last; the results stack the same way.  An entry that is not 0
+        or 1 raises :class:`InputError`.
         """
         zbin = np.asarray(zbin)
         m = self.binary_dim
         if zbin.ndim == 0 or zbin.shape[-1] != m:
             raise InputError(f"expected binary vector of length {m}")
+        if not ((zbin == 0) | (zbin == 1)).all():
+            raise InputError("a binary vector's entries must be 0 or 1")
         is_open = np.empty(zbin.shape[:-1] + (m + 1,), dtype=bool)
         np.equal(zbin, self.plus, out=is_open[..., :m])
         is_open[..., m] = True

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import boxqp, pathtrace, sfm
+from . import boxqp, sfm
 from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
 from .model import IndicatorProblem, QuadraticForm
@@ -335,31 +335,25 @@ def _check_value_submodular(problem, rng):
 
 
 def _check_lovasz_vertices(problem, rng):
-    _, smap, vc, order = _chain_for(problem)
-    z = np.zeros(smap.binary_dim)
-    for k in range(len(order) + 1):
-        got = pathtrace.lovasz(vc, z)
-        if abs(got - vc.values[k]) > 1e-8:
-            return False, {"stage": k, "gap": abs(got - vc.values[k])}
-        if k < len(order):
-            z[order[k]] = 1.0
+    oracle = IndicatorOracle(problem)
+    values = oracle.chain(np.arange(oracle.m))
+    z = np.zeros(oracle.m)
+    for k in range(oracle.m + 1):
+        gap = abs(sfm.lovasz(oracle, z) - values[k])
+        if gap > 1e-8:
+            return False, {"stage": k, "gap": gap}
+        if k < oracle.m:
+            z[k] = 1.0
     return True, None
 
 
 def _check_lovasz_convexity(problem, rng):
-    oracle, smap, _, _ = _chain_for(problem)
-    f0 = oracle.eval(np.zeros(smap.binary_dim, dtype=int))
-
-    def extension(zf):
-        w = sfm.greedy_subgradient(oracle, zf)
-        return f0 + float(w @ zf)
-
-    m = smap.binary_dim
-    z1 = rng.random(m)
-    z2 = rng.random(m)
+    oracle = IndicatorOracle(problem)
+    z1 = rng.random(oracle.m)
+    z2 = rng.random(oracle.m)
     lam = float(rng.uniform(0.1, 0.9))
-    mid = extension(lam * z1 + (1 - lam) * z2)
-    bound = lam * extension(z1) + (1 - lam) * extension(z2)
+    mid = sfm.lovasz(oracle, lam * z1 + (1 - lam) * z2)
+    bound = lam * sfm.lovasz(oracle, z1) + (1 - lam) * sfm.lovasz(oracle, z2)
     ok = mid <= bound + 1e-8
     return ok, None if ok else {"mid": mid, "bound": bound, "lambda": lam}
 

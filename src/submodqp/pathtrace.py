@@ -45,8 +45,9 @@ the unsplit bounds it opens.  :func:`chain_nonnegative` traces a problem
 with l >= 0 over its own split, in ascending coordinate order.  Infinite
 bounds are traced as given: an infinite bound is never a breakpoint,
 because its ratio-test gap is infinite, and every stage target
-min(max(l_j, root), u_j) is finite, because the stationarity root is.  :func:`lovasz` evaluates the piecewise
-linear extension from a chain over a whole permutation.
+min(max(l_j, root), u_j) is finite, because the stationarity root is.
+:func:`check_order` validates an order for a chain.  The Lovász extension
+is read from one costed chain by :func:`submodqp.sfm.lovasz`.
 """
 
 from __future__ import annotations
@@ -340,11 +341,18 @@ def _stage_is_noop(state, j, lo_new, up_new):
     return False
 
 
-def _check_order(order, m):
-    order = [int(i) for i in order]
-    if len(set(order)) != len(order) or not all(0 <= i < m for i in order):
+def check_order(order, m):
+    """``order`` as a list of ints.  Its entries must be distinct coordinates
+    of 0..m-1; an integral float passes, and anything else raises
+    :class:`InputError`."""
+    order = list(order)
+    try:
+        ints = [int(i) for i in order]
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, arrays
+        ints = None
+    if ints != order or len(set(ints)) != len(ints) or not all(0 <= i < m for i in ints):
         raise InputError(f"order must list distinct coordinates of 0..{m - 1}")
-    return order
+    return ints
 
 
 def chain_nonnegative(problem):
@@ -367,8 +375,8 @@ def chain_general(quad, smap, order, stage0=None):
     a prefix of a permutation, any distinct coordinates: the chain then has
     ``len(order) + 1`` values, and they, the minimizers and the breakpoints
     are bit for bit the first stages of the chain of any permutation that
-    starts with it.  Repeated or out-of-range coordinates raise
-    :class:`InputError`.
+    starts with it.  Repeated, out-of-range or non-integral coordinates
+    raise :class:`InputError` (:func:`check_order`).
     Flipping a minus-coordinate raises the variable's lower bound to 0;
     flipping a plus-coordinate opens its upper range.  Both move the
     minimizer monotonically upward.  The chain's ``kind`` is
@@ -377,7 +385,7 @@ def chain_general(quad, smap, order, stage0=None):
     the caller already has it; every chain of one minimization starts
     there, so the caller can solve it once.
     """
-    order = _check_order(order, smap.binary_dim)
+    order = check_order(order, smap.binary_dim)
 
     if stage0 is None:
         stage0 = boxqp.solve(quad, *bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int)))
@@ -408,22 +416,3 @@ def chain_general(quad, smap, order, stage0=None):
         pivot_work=state.chol.update_work,
     )
 
-
-def lovasz(chain, zfrac):
-    """Piecewise linear extension value at zfrac, from a compatible chain.
-
-    The chain must have been computed for an order that sorts zfrac in
-    nonincreasing fashion; then the extension is
-    ``values[0] + sum_k (values[k] - values[k-1]) * zfrac[order[k-1]]``,
-    which agrees with the chain at every hypercube vertex it interpolates.
-    """
-    zfrac = np.asarray(zfrac, dtype=float)
-    if zfrac.shape != (chain.m,):
-        raise InputError(f"zfrac must have length {chain.m}")
-    if np.any(zfrac < -1e-12) or np.any(zfrac > 1.0 + 1e-12):
-        raise InputError("zfrac entries must lie in [0, 1]")
-    zs = zfrac[list(chain.order)]
-    if np.any(zs[1:] > zs[:-1] + 1e-12):
-        raise InputError("zfrac is not nonincreasing along the chain order")
-    diffs = np.diff(chain.values)
-    return float(chain.values[0] + diffs @ zs)

@@ -8,17 +8,18 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
   it.  It walks the codes 0 ... 2^m - 1 in lexicographic order,
   ``EXHAUSTIVE_CHUNK`` at a time, and evaluates each chunk with one
   :meth:`SubmodularOracle.eval_many` call: for an indicator problem, one
-  stacked box-QP solve (:func:`boxqp.solve_many`): for up to 64 variables,
-  one block of rows whose Newton steps are solved in groups of equal
-  free-block size.  A tie keeps the first vector found: a later
-  one wins only when it is lower by more than ``BRUTE_TIE_TOL``, the rule
-  of a one-by-one scan;
+  stacked box-QP solve (:func:`boxqp.solve_many`) whose Newton steps are
+  solved in groups of equal free-block size; the chunk bounds its memory.
+  A tie keeps the first vector found: a later one wins only when it is
+  lower by more than ``BRUTE_TIE_TOL``, the rule of a one-by-one scan;
 * ``mnp`` runs Wolfe's minimum-norm-point algorithm over the base polytope of
   F, using the greedy subgradient as its linear-optimization oracle.  Each
   greedy call needs one full value chain, which the path tracer delivers in
   the cost of a single evaluation; that is what makes the method practical.
-  F(∅) is its first chain's first value, and one box-QP solve gives its
-  answer's value and x.  :class:`IndicatorOracle`
+  One chain gives both F(∅), its first value, and the greedy vertex w, its
+  differences, so the Lovász extension F(∅) + <w, z> (:func:`lovasz`) is
+  one chain too.  MNP takes F(∅) from its first greedy call, and one
+  box-QP solve gives its answer's value and x.  :class:`IndicatorOracle`
   remembers F by prefix set (up to ``MEMO_ENTRIES`` sets, oldest dropped
   first), so a chain is traced only up to its last prefix set that no
   earlier chain reached, and the tail is read back.  The first value
@@ -46,7 +47,9 @@ from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
 
 EXHAUSTIVE_GUARD = 20  # 2^20 codes take about 10 s on a 10-vertex robust chain
-EXHAUSTIVE_CHUNK = 1 << 10  # codes per eval_many call of minimize_exhaustive
+# codes per eval_many call of minimize_exhaustive, which bounds the rows of
+# every stacked box-QP solve it makes
+EXHAUSTIVE_CHUNK = 1 << 10
 BRUTE_TIE_TOL = 1e-9
 MEMO_ENTRIES = 1 << 16  # prefix sets an IndicatorOracle remembers F for
 # major cycles allowed to minimize_mnp: 20m + 100 for m coordinates
@@ -134,8 +137,8 @@ class SubmodularOracle:
     def chain_naive(self, order):
         z = np.zeros(self.m, dtype=int)
         out = [self.eval(z)]
-        for i in order:
-            z[int(i)] = 1
+        for i in pathtrace.check_order(order, self.m):
+            z[i] = 1
             out.append(self.eval(z))
         return np.array(out)
 
@@ -216,14 +219,10 @@ class IndicatorOracle(SubmodularOracle):
         return sol.value + (zbins @ self.bincost.linear + self.bincost.constant)
 
     def chain(self, order):
-        order = np.asarray(order, dtype=int)
-        if np.any(order < 0):
-            raise InputError(f"order must list distinct coordinates of 0..{self.m - 1}")
+        order = pathtrace.check_order(order, self.m)
         keys = [0]
-        for c in order.tolist():
+        for c in order:
             keys.append(keys[-1] | (1 << c))
-        if keys[-1].bit_count() != order.size or keys[-1] >> self.m:
-            raise InputError(f"order must list distinct coordinates of 0..{self.m - 1}")
         memo = self.memo
         traced = len(keys) - 1  # stages up to the last set memo lacks
         while traced >= 0 and keys[traced] in memo:
@@ -231,7 +230,7 @@ class IndicatorOracle(SubmodularOracle):
         values = [memo[key] for key in keys[traced + 1 :]]  # read before any drop
         self.stats.chains += 1
         self.stats.stages_traced += max(traced, 0)
-        self.stats.stages_memo += order.size - max(traced, 0)
+        self.stats.stages_memo += len(order) - max(traced, 0)
         if traced < 0:
             return np.array(values)
         head = order[:traced]
@@ -262,22 +261,39 @@ def _finite(values, subset):
 
 
 def greedy_subgradient(oracle, zfrac):
-    """Linear minorant of F at zfrac: the greedy vertex w of the base polytope.
+    """F(∅) and the greedy vertex w of the base polytope at zfrac, from one chain.
 
     Sorts zfrac nonincreasing (stable, so ties keep ascending index order),
-    asks for one chain along that order, and scatters the consecutive
-    differences back to original positions.  Only the order of zfrac
-    matters; for zfrac in [0, 1]^m, ``F(0) + <w, zfrac>`` equals the
-    piecewise linear extension at zfrac.
+    asks for one chain along that order, and returns its first value, F(∅),
+    with its consecutive differences scattered back to their coordinates as
+    w.  Only the order of zfrac matters, and a zfrac that is not finite
+    raises :class:`InputError`.  ``F(∅) + <w, z>`` equals the Lovász
+    extension at every z in [0, 1]^m that this order sorts nonincreasing,
+    zfrac among them (:func:`lovasz`); for a submodular F it lies below the
+    extension everywhere else.
     """
     zfrac = np.asarray(zfrac, dtype=float)
     if zfrac.shape != (oracle.m,):
         raise InputError(f"zfrac must have length {oracle.m}")
+    if not np.isfinite(zfrac).all():
+        raise InputError("zfrac must be finite")
     order = np.argsort(-zfrac, kind="stable")
     values = _finite(oracle.chain(order), lambda k: order[:k].tolist())
     w = np.zeros(oracle.m)
     w[order] = np.diff(values)
-    return w
+    return float(values[0]), w
+
+
+def lovasz(oracle, zfrac):
+    """The Lovász extension of F at zfrac in [0, 1]^m: F(∅) + <w, zfrac>, with
+    F(∅) and w from the one chain of :func:`greedy_subgradient`.  It equals F
+    at every vertex of the cube; an entry outside [0, 1] by more than 1e-12
+    raises :class:`InputError`."""
+    zfrac = np.asarray(zfrac, dtype=float)
+    if not np.all((zfrac >= -1e-12) & (zfrac <= 1.0 + 1e-12)):  # NaN fails too
+        raise InputError("zfrac entries must lie in [0, 1]")
+    f0, w = greedy_subgradient(oracle, zfrac)
+    return f0 + float(w @ zfrac)
 
 
 def minimize_exhaustive(oracle):
@@ -286,10 +302,10 @@ def minimize_exhaustive(oracle):
     The codes 0 ... 2^m - 1 are read with the first coordinate as the most
     significant bit, which is lexicographic order, and evaluated
     ``EXHAUSTIVE_CHUNK`` at a time by :meth:`SubmodularOracle.eval_many`
-    (for an indicator problem with up to 64 variables, one
-    :func:`boxqp.solve_many` block per chunk).  The scan then keeps one-by-one
-    semantics across chunks: a vector replaces the incumbent only when its
-    value is below the incumbent's by more than ``BRUTE_TIE_TOL``.  (This is
+    (for an indicator problem, one :func:`boxqp.solve_many` call per
+    chunk).  The scan then keeps one-by-one semantics across chunks: a
+    vector replaces the incumbent only when its value is below the
+    incumbent's by more than ``BRUTE_TIE_TOL``.  (This is
     not the first vector within ``BRUTE_TIE_TOL`` of the minimum: a chain of
     near-ties can walk further.)  Only the codes of a chunk below the
     incumbent it started with, less ``BRUTE_TIE_TOL``, can replace it, so
@@ -372,16 +388,15 @@ def minimize_mnp(oracle, tol=1e-9):
     if m == 0:
         raise InputError("empty ground set")
     zfrac = np.full(m, 0.5)  # greedy's order for it is ascending index
-    values = _finite(oracle.chain(np.arange(m)), range)
-    f0 = float(values[0])
-    x = q = np.diff(values)
+    f0, q = greedy_subgradient(oracle, zfrac)
+    x = q
     S = x.reshape(1, -1)
     coeff = np.array([1.0])
     eps_drop = 1e-11
 
     for _ in range(_CYCLES_PER_COORDINATE * m + _CYCLES_SPARE):
         zfrac = -x  # greedy's order, argsort(-zfrac), is then ascending x
-        q = greedy_subgradient(oracle, zfrac)
+        _, q = greedy_subgradient(oracle, zfrac)
         scale = 1.0 + float(np.max(np.abs(S))) ** 2 + float(q @ q)
         if x @ q >= x @ x - tol * scale:
             break

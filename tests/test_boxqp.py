@@ -218,26 +218,6 @@ def test_solve_many_matches_solve_row_by_row(regime, monkeypatch):
             assert np.all(np.abs(many.value[same] - one.value) <= 1e-12 * (1.0 + abs(one.value)))
 
 
-def test_solve_many_splits_large_stacks_into_blocks(small_quad, monkeypatch):
-    blocks = []
-    solve_block = boxqp._solve_block
-
-    def recording(quad, lo, *args):
-        blocks.append(lo.shape[0])
-        return solve_block(quad, lo, *args)
-
-    monkeypatch.setattr(boxqp, "_solve_block", recording)
-    rows = boxqp.STACK_ENTRIES // small_quad.n + 3  # one full block and a short one
-    lo = np.zeros((rows, 2))
-    up = np.column_stack([np.linspace(0.0, 1.0, rows), np.full(rows, 10.0)])
-    many = boxqp.solve_many(small_quad, lo, up)
-    assert blocks == [rows - 3, 3]
-    assert many.x.shape == (rows, 2)
-    for r in (0, rows // 2, rows - 1):
-        assert np.allclose(many.x[r], boxqp.solve(small_quad, lo[r], up[r]).x, atol=1e-14)
-    assert boxqp.solve_many(small_quad, np.zeros((0, 2)), np.zeros((0, 2))).x.shape == (0, 2)
-
-
 def test_solve_many_rejects_an_empty_box(small_quad):
     lo = np.zeros((3, 2))
     up = np.ones((3, 2))

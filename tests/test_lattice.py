@@ -313,6 +313,27 @@ def test_forward_map_and_cost():
             assert bincost(z) == pytest.approx(float(prob.costs @ orig), abs=1e-12)
 
 
+def test_a_split_vector_entry_that_is_not_0_or_1_is_rejected():
+    # an entry of 2 would close the bound and still pay the cost: on this
+    # chain F = 11.0157, neither F(∅) = 9.0157 nor F({0}) = 10.0116
+    inst, _ = sq.generate("chain", 4, seed=1)
+    oracle = sq.IndicatorOracle(sq.compile_instance(inst))
+    for bad in (2, -1, 0.5, np.nan):
+        z = np.zeros(oracle.m)
+        z[0] = bad
+        with pytest.raises(InputError, match="0 or 1"):
+            oracle.eval(z)
+        with pytest.raises(InputError, match="0 or 1"):
+            oracle.eval_many(np.vstack([np.zeros(oracle.m), z]))
+        with pytest.raises(InputError, match="0 or 1"):
+            lattice.bounds_for_binary(oracle.smap, z)
+    assert oracle.stats == sq.sfm.SolveStats()
+    # bools and the floats 0.0 and 1.0 are binary
+    z = np.zeros(oracle.m)
+    z[0] = 1.0
+    assert oracle.eval(z) == oracle.eval(z.astype(bool)) == oracle.eval(z.astype(int))
+
+
 def test_forward_rejects_spurious_corner():
     smap, _ = lattice.split(_problem(np.array([-1.0]), np.array([1.0])))
     with pytest.raises(InputError):

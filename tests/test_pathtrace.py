@@ -8,7 +8,7 @@ import pytest
 import submodqp as sq
 from submodqp import boxqp, lattice, pathtrace
 from submodqp.exceptions import InputError, NumericalError
-from submodqp.pathtrace import PathState, chain_general, chain_nonnegative, lovasz, trace_path
+from submodqp.pathtrace import PathState, chain_general, chain_nonnegative, trace_path
 
 
 @pytest.fixture
@@ -362,21 +362,6 @@ def test_maintained_indices_and_masks_match_the_statuses(monkeypatch):
     events = (pathtrace.EVENT_LEAVE_LOWER, pathtrace.EVENT_HIT_UPPER,
               pathtrace.EVENT_LEAVE_ZERO, pathtrace.EVENT_HIT_ZERO)
     assert all(seen[e] for e in events) and seen["stages"] > 100
-
-
-def test_lovasz_examples(small_quad):
-    chain = chain_nonnegative(_problem(small_quad, np.zeros(2), np.array([10.0, 10.0])))
-    assert lovasz(chain, np.array([0.5, 0.25])) == pytest.approx(-7.0 / 48.0, abs=1e-12)
-    assert lovasz(chain, np.ones(2)) == pytest.approx(chain.values[-1], abs=1e-12)
-    assert lovasz(chain, np.zeros(2)) == pytest.approx(chain.values[0], abs=1e-12)
-
-
-def test_lovasz_rejects_incompatible_order(small_quad):
-    chain = chain_nonnegative(_problem(small_quad, np.zeros(2), np.array([10.0, 10.0])))
-    with pytest.raises(InputError):
-        lovasz(chain, np.array([0.25, 0.5]))
-    with pytest.raises(InputError):
-        lovasz(chain, np.array([0.5, 1.5]))
 
 
 def test_chain_serialization(small_quad):

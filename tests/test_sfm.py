@@ -32,10 +32,89 @@ def corner_oracle():
 
 def test_greedy_subgradient_example(corner_oracle):
     # F's differences along the order (0, 1): v's (-1/4, -1/12) plus the costs
-    w = sq.greedy_subgradient(corner_oracle, np.array([0.9, 0.1]))
+    f0, w = sq.greedy_subgradient(corner_oracle, np.array([0.9, 0.1]))
+    assert f0 == 0.0  # v(∅) = 0 and no cost is paid at z = 0
     assert np.allclose(w, [-0.25 + 0.1, -1.0 / 12.0 + 0.1], atol=1e-10)
     # <w, z> + F(0) is the extension value
     assert w @ np.array([0.9, 0.1]) == pytest.approx(-0.9 / 4 - 0.1 / 12 + 0.1, abs=1e-10)
+
+
+def test_lovasz_examples(corner_oracle):
+    # v's extension at (0.5, 0.25) along the order (0, 1) is -7/48; the
+    # costs add <c, z> = 0.1 * 0.75
+    assert sq.lovasz(corner_oracle, np.array([0.5, 0.25])) == pytest.approx(
+        -7.0 / 48.0 + 0.075, abs=1e-12)
+    # the order (1, 0): F(∅) + 0.5 (F({1}) - F(∅)) + 0.25 (F({0, 1}) - F({1}))
+    assert sq.lovasz(corner_oracle, np.array([0.25, 0.5])) == pytest.approx(
+        0.5 * 0.1 + 0.25 * (-1.0 / 3.0 + 0.1), abs=1e-12)
+    assert sq.lovasz(corner_oracle, np.ones(2)) == pytest.approx(-1.0 / 3.0 + 0.2, abs=1e-12)
+    assert sq.lovasz(corner_oracle, np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_and_lovasz_reject_a_zfrac_that_is_not_finite(corner_oracle, bad):
+    with pytest.raises(InputError, match="finite"):
+        sq.greedy_subgradient(corner_oracle, np.array([0.5, bad]))
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
+        sq.lovasz(corner_oracle, np.array([bad, 0.5]))
+    assert corner_oracle.stats.chains == 0
+
+
+def test_lovasz_rejects_entries_outside_the_unit_cube(corner_oracle):
+    for zfrac in ([0.5, 1.5], [-0.25, 0.5], [1.0 + 1e-11, 0.0], [0.0, -1e-11]):
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            sq.lovasz(corner_oracle, np.array(zfrac))
+    # within the 1e-12 slack the entries count as 0 and 1
+    assert sq.lovasz(corner_oracle, np.array([1.0 + 1e-13, -1e-13])) == pytest.approx(
+        -0.25 + 0.1, abs=1e-12)
+    # greedy only sorts zfrac, so any finite vector is fine there
+    assert sq.greedy_subgradient(corner_oracle, np.array([7.0, -3.0]))[0] == 0.0
+
+
+def _threshold_extension(oracle, zfrac):
+    """F(∅) + Σ_k (z_(k) - z_(k+1)) (F(S_k) - F(∅)), z_(k) the k-th largest
+    entry (z_(m+1) = 0) and S_k the coordinates of the k largest, each F by
+    one :meth:`eval`: no chain."""
+    order = np.argsort(-zfrac, kind="stable")
+    zs = np.append(zfrac[order], 0.0)
+    f0 = oracle.eval(np.zeros(oracle.m, dtype=int))
+    total, z = f0, np.zeros(oracle.m, dtype=int)
+    for k in range(1, oracle.m + 1):
+        z[order[k - 1]] = 1
+        total += (zs[k - 1] - zs[k]) * (oracle.eval(z) - f0)
+    return total
+
+
+def _cut_oracle():
+    """The cut function of a weighted 5-cycle with a chord, plus a modular
+    term: submodular, and F(∅) = 0.5."""
+    edges = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (3, 4, 0.7), (4, 0, 1.3), (1, 3, 0.4)]
+    unary = np.array([-1.0, 0.3, -0.2, 0.8, -0.6])
+
+    def cut(z):
+        return 0.5 + float(unary @ z) + sum(w for i, j, w in edges if z[i] != z[j])
+
+    return sq.FunctionOracle(cut, 5)
+
+
+def _robust_oracle():
+    inst, _ = sq.generate("chain", (6,), outlier_fraction=0.34, seed=2, mode="robust")
+    return sq.IndicatorOracle(sq.compile_instance(inst))
+
+
+@pytest.mark.parametrize("make", [
+    _cut_oracle,
+    lambda: sq.IndicatorOracle(sq.InstanceSampler(n=5, regime="mixed", seed=31).draw(0)),
+    _robust_oracle,
+], ids=["cut", "mixed", "robust_chain"])
+def test_lovasz_matches_the_threshold_definition(make):
+    oracle = make()
+    rng = np.random.default_rng(17)
+    points = [rng.random(oracle.m) for _ in range(5)]
+    points.append(np.round(rng.random(oracle.m), 1))  # ties broken by index
+    for zfrac in points:
+        ref = _threshold_extension(oracle, zfrac)
+        assert sq.lovasz(oracle, zfrac) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -61,14 +140,15 @@ def test_mnp_raises_on_a_set_value_that_is_not_finite(bad):
 
 
 def test_greedy_ties_telescope(corner_oracle):
-    w = sq.greedy_subgradient(corner_oracle, np.array([0.5, 0.5]))
+    _, w = sq.greedy_subgradient(corner_oracle, np.array([0.5, 0.5]))
     assert w.sum() == pytest.approx(-1.0 / 3.0 + 0.2, abs=1e-10)
 
 
 def test_greedy_single_coordinate():
     oracle = sq.FunctionOracle(lambda z: -2.0 * float(z[0]), 1)
     for zf in (0.0, 0.3, 1.0):
-        w = sq.greedy_subgradient(oracle, np.array([zf]))
+        f0, w = sq.greedy_subgradient(oracle, np.array([zf]))
+        assert f0 == 0.0
         assert w[0] == pytest.approx(-2.0)
 
 
@@ -79,8 +159,8 @@ def test_greedy_prefix_exactness():
     rng = np.random.default_rng(3)
     zf = rng.random(oracle.m)
     order = np.argsort(-zf, kind="stable")
-    w = sq.greedy_subgradient(oracle, zf)
-    f0 = oracle.eval(np.zeros(oracle.m, dtype=int))
+    f0, w = sq.greedy_subgradient(oracle, zf)
+    assert f0 == oracle.eval(np.zeros(oracle.m, dtype=int))
     z = np.zeros(oracle.m, dtype=int)
     for i in order:
         z[i] = 1
@@ -668,14 +748,10 @@ def test_extension_convexity_probe():
     for seed in range(10):
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=800 + seed).draw(0)
         oracle = sq.IndicatorOracle(prob)
-        f0 = oracle.eval(np.zeros(oracle.m, dtype=int))
-
-        def ext(zf):
-            return f0 + float(sq.greedy_subgradient(oracle, zf) @ zf)
-
         z1, z2 = rng.random(oracle.m), rng.random(oracle.m)
         lam = float(rng.uniform(0.05, 0.95))
-        assert ext(lam * z1 + (1 - lam) * z2) <= lam * ext(z1) + (1 - lam) * ext(z2) + 1e-8
+        mid = sq.lovasz(oracle, lam * z1 + (1 - lam) * z2)
+        assert mid <= lam * sq.lovasz(oracle, z1) + (1 - lam) * sq.lovasz(oracle, z2) + 1e-8
 
 
 def _memo_oracle(seed=5):
@@ -730,6 +806,18 @@ def test_oracle_chain_rejects_repeated_or_out_of_range_coordinates():
     for order in ([0, 1, 0], [0, oracle.m], [-1, 0]):
         with pytest.raises(InputError, match="distinct coordinates"):
             oracle.chain(order)
+
+
+def test_orders_with_entries_that_are_not_integral_are_rejected():
+    _, oracle = _memo_oracle()
+    for order in ([0.7, 1.2], np.array([0.0, 1.5]), [0, np.nan], [np.inf]):
+        for trace in (oracle.chain, oracle.value_chain, oracle.chain_naive):
+            with pytest.raises(InputError, match="distinct coordinates"):
+                trace(order)
+    assert oracle.stats.chains == 0 and not oracle.memo
+    # integral floats name their coordinates, as integers do
+    assert np.array_equal(oracle.chain([1.0, 0.0]), oracle.chain(np.array([1, 0])))
+    assert oracle.value_chain(np.array([2.0])).order == (2,)
 
 
 def test_bounded_memo_keeps_mnp_results(monkeypatch):
