@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary
 

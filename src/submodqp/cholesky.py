@@ -47,8 +47,8 @@ A LAPACK error or a nonpositive pivot while inserting raises
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from ._lapack import dpotrf, dtrtrs
 from .exceptions import InputError, NumericalError
 
 

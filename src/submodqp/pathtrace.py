@@ -343,14 +343,19 @@ def _stage_is_noop(state, j, lo_new, up_new):
 
 def check_order(order, m):
     """``order`` as a list of ints.  Its entries must be distinct coordinates
-    of 0..m-1; an integral float passes, and anything else raises
-    :class:`InputError`."""
+    of 0..m-1; an integral float passes, and anything else, a bool included,
+    raises :class:`InputError`."""
     order = list(order)
     try:
         ints = [int(i) for i in order]
     except (TypeError, ValueError, OverflowError):  # NaN, inf, arrays
         ints = None
-    if ints != order or len(set(ints)) != len(ints) or not all(0 <= i < m for i in ints):
+    if (
+        ints != order
+        or not {type(i) for i in order}.isdisjoint((bool, np.bool_))  # True == 1
+        or len(set(ints)) != len(ints)
+        or not all(0 <= i < m for i in ints)
+    ):
         raise InputError(f"order must list distinct coordinates of 0..{m - 1}")
     return ints
 

@@ -130,14 +130,16 @@ class SubmodularOracle:
         return np.array([self.eval(z) for z in zbins], dtype=float)
 
     def chain(self, order):
+        values = self.chain_naive(order)  # counted once its order is valid
         self.stats.chains += 1
-        self.stats.stages_traced += len(order)
-        return self.chain_naive(order)
+        self.stats.stages_traced += len(values) - 1
+        return values
 
     def chain_naive(self, order):
+        order = pathtrace.check_order(order, self.m)
         z = np.zeros(self.m, dtype=int)
         out = [self.eval(z)]
-        for i in pathtrace.check_order(order, self.m):
+        for i in order:
             z[i] = 1
             out.append(self.eval(z))
         return np.array(out)

@@ -810,14 +810,29 @@ def test_oracle_chain_rejects_repeated_or_out_of_range_coordinates():
 
 def test_orders_with_entries_that_are_not_integral_are_rejected():
     _, oracle = _memo_oracle()
-    for order in ([0.7, 1.2], np.array([0.0, 1.5]), [0, np.nan], [np.inf]):
-        for trace in (oracle.chain, oracle.value_chain, oracle.chain_naive):
+    # True == 1, but a bool is no coordinate
+    orders = ([0.7, 1.2], np.array([0.0, 1.5]), [0, np.nan], [np.inf],
+              [True, False], np.array([True, False]))
+    for order in orders:
+        for trace in (oracle.chain, oracle.chain_naive):
             with pytest.raises(InputError, match="distinct coordinates"):
                 trace(order)
-    assert oracle.stats.chains == 0 and not oracle.memo
-    # integral floats name their coordinates, as integers do
+    assert oracle.stats == sfm.SolveStats() and not oracle.memo  # nothing was solved
+    for order in orders:
+        with pytest.raises(InputError, match="distinct coordinates"):
+            oracle.value_chain(order)
+    # integral floats and numpy ints name their coordinates, as integers do
     assert np.array_equal(oracle.chain([1.0, 0.0]), oracle.chain(np.array([1, 0])))
+    assert np.array_equal(oracle.chain([np.int64(1), 0]), oracle.chain([1, 0]))
     assert oracle.value_chain(np.array([2.0])).order == (2,)
+
+
+def test_a_rejected_order_is_not_counted():
+    oracle = sq.FunctionOracle(lambda z: float(z.sum()), 3)
+    for order in ([0, 0], [True, False]):
+        with pytest.raises(InputError, match="distinct coordinates"):
+            oracle.chain(order)
+    assert oracle.stats == sfm.SolveStats()
 
 
 def test_bounded_memo_keeps_mnp_results(monkeypatch):
