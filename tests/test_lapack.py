@@ -22,6 +22,11 @@ import numpy as np
 import scipy.linalg
 c = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
 assert np.allclose(scipy.linalg.cho_solve(c, [6.0, 5.0]), [1.0, 1.0])
+a = np.array([[4.0, 2.0], [2.0, 3.0]])
+potrf, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potrs"), (a,))
+assert potrf is _lapack.dpotrf and potrs is _lapack.dpotrs
+l, info = potrf(a, lower=1)
+assert info == 0 and np.allclose(potrs(l, [6.0, 5.0], lower=1)[0], [1.0, 1.0])
 """
 
 

@@ -821,6 +821,9 @@ def test_orders_with_entries_that_are_not_integral_are_rejected():
     for order in orders:
         with pytest.raises(InputError, match="distinct coordinates"):
             oracle.value_chain(order)
+    # value_chain solves the cached stage-0 box before it rejects the order
+    assert oracle.stats.chains == 0 and not oracle.memo
+    assert oracle.stats.scalar_solves == 1
     # integral floats and numpy ints name their coordinates, as integers do
     assert np.array_equal(oracle.chain([1.0, 0.0]), oracle.chain(np.array([1, 0])))
     assert np.array_equal(oracle.chain([np.int64(1), 0]), oracle.chain([1, 0]))
