@@ -7,7 +7,8 @@ segment recursion; neither shares a code path with the chain/SFM machinery
 beyond the box oracle, so agreement is a real cross-check.
 :func:`run_property_suite` samples random Stieltjes instances and executes
 the package-wide invariants on them, reporting the first failing witness per
-check as a replayable JSON payload (see :func:`replay_witness`).
+check as a replayable JSON payload (see :func:`replay_witness`); a draw
+that a check's gate excludes counts as a skip, not as a pass.
 """
 
 from __future__ import annotations
@@ -169,6 +170,7 @@ class InstanceSampler:
 class CheckOutcome:
     name: str
     passes: int = 0
+    skipped: int = 0
     failures: list = field(default_factory=list)
 
     @property
@@ -189,7 +191,7 @@ class PropertyReport:
         lines = []
         for name, c in sorted(self.checks.items()):
             state = "ok" if c.ok else f"FAIL ({len(c.failures)} witnesses)"
-            lines.append(f"{name:32s} passes={c.passes:<5d} {state}")
+            lines.append(f"{name:32s} passes={c.passes:<5d} skipped={c.skipped:<5d} {state}")
         return lines
 
     def to_json_dict(self):
@@ -197,7 +199,7 @@ class PropertyReport:
             "trials": self.trials,
             "ok": self.ok,
             "checks": {
-                name: {"passes": c.passes, "failures": c.failures}
+                name: {"passes": c.passes, "skipped": c.skipped, "failures": c.failures}
                 for name, c in self.checks.items()
             },
         }
@@ -209,7 +211,15 @@ def _witness(problem, **extra):
     return w
 
 
-# --- individual checks; each returns (ok, detail_dict_or_None) --------------
+# --- individual checks: (ok, detail_or_None), or (None, None) on a skip -------
+
+def _qnorm(Q, d):
+    """sqrt(d^T Q d), the norm in which the objective sees a move d, and in
+    which the checks measure gaps between minimizers: a robust problem's
+    ridge leaves Q conditioned near 1 / ``model.RIDGE``, so roundoff alone
+    moves x by far more than 1e-8 along its soft directions."""
+    return math.sqrt(max(float(d @ Q @ d), 0.0))  # roundoff may dip below 0
+
 
 def _check_boxqp_kkt(problem, rng):
     sol = boxqp.solve(problem.quad, problem.lo, problem.up)
@@ -219,13 +229,8 @@ def _check_boxqp_kkt(problem, rng):
 
 
 def _check_boxqp_permutation(problem, rng):
-    """Solving a symmetrically permuted problem gives the permuted minimizer.
-
-    The gap d between the two minimizers is measured in the Q-norm,
-    sqrt(d^T Q d), the norm in which the objective sees it: a robust
-    problem's ridge leaves Q conditioned near 1 / ``model.RIDGE``, so
-    roundoff alone moves x by far more than 1e-8 along its soft directions.
-    """
+    """Solving a symmetrically permuted problem gives the permuted
+    minimizer, to 1e-8 in the Q-norm (:func:`_qnorm`)."""
     n = problem.n
     perm = rng.permutation(n)
     sol = boxqp.solve(problem.quad, problem.lo, problem.up)
@@ -235,8 +240,7 @@ def _check_boxqp_permutation(problem, rng):
     solp = boxqp.solve(qp, problem.lo[perm], problem.up[perm])
     back = np.empty(n)
     back[perm] = solp.x
-    d = back - sol.x
-    gap = math.sqrt(max(float(d @ problem.quad.Q @ d), 0.0))  # roundoff may dip below 0
+    gap = _qnorm(problem.quad.Q, back - sol.x)
     return gap <= 1e-8, None if gap <= 1e-8 else {"gap": gap, "perm": perm.tolist()}
 
 
@@ -253,18 +257,17 @@ def _check_boxqp_isotone(problem, rng):
 
 def _chain_for(problem):
     oracle = IndicatorOracle(problem)
-    order = np.arange(oracle.m)
-    return oracle, oracle.smap, oracle.value_chain(order), order
+    return oracle, oracle.value_chain(np.arange(oracle.m))
 
 
 def _check_chain_matches_oracle(problem, rng):
-    oracle, smap, vc, order = _chain_for(problem)
-    z = np.zeros(smap.binary_dim, dtype=int)
+    oracle, vc = _chain_for(problem)
+    z = np.zeros(oracle.m, dtype=int)
     worst, at = 0.0, -1
-    for k in range(len(order) + 1):
+    for k in range(vc.m + 1):
         if k:
-            z[order[k - 1]] = 1
-        ref = boxqp.value_function(problem.quad, smap, z)
+            z[vc.order[k - 1]] = 1
+        ref = boxqp.value_function(problem.quad, oracle.smap, z)
         gap = abs(ref - vc.values[k])
         if gap > worst:
             worst, at = gap, k
@@ -300,7 +303,7 @@ def _check_chain_memo(problem, rng):
 
 
 def _check_monotone_path(problem, rng):
-    _, _, vc, _ = _chain_for(problem)
+    _, vc = _chain_for(problem)
     pts = vc.iterate_sequence()
     for t in range(1, len(pts)):
         drop = float(np.max(pts[t - 1] - pts[t]))
@@ -310,7 +313,7 @@ def _check_monotone_path(problem, rng):
 
 
 def _check_breakpoint_budget(problem, rng):
-    _, _, vc, _ = _chain_for(problem)
+    _, vc = _chain_for(problem)
     general = np.any(problem.lo < 0)  # a straddling variable has l < 0 too
     budget = (4 if general else 2) * problem.n
     count = len(vc.breakpoints)
@@ -321,7 +324,7 @@ def _check_value_submodular(problem, rng):
     smap, _ = split(problem)
     m = smap.binary_dim
     if m > 10:
-        return True, None  # too large to enumerate here; covered at small dims
+        return None, None  # too large to enumerate here; covered at small dims
     codes = np.arange(2**m)
     zs = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1
     vals = np.array([boxqp.value_function(problem.quad, smap, z) for z in zs])
@@ -360,7 +363,7 @@ def _check_lovasz_convexity(problem, rng):
 
 def _check_mnp_matches_exhaustive(problem, rng):
     if split(problem)[0].binary_dim > 12:
-        return True, None
+        return None, None
     ex = sfm.solve_full(problem, engine="exhaustive")
     mn = sfm.solve_full(problem, engine="mnp")
     gap = abs(ex.value - mn.value)
@@ -371,7 +374,7 @@ def _check_mnp_matches_exhaustive(problem, rng):
 
 def _check_brute_matches_solver(problem, rng):
     if problem.n > 10:
-        return True, None
+        return None, None
     bf = brute_force(problem)
     ex = sfm.solve_full(problem, engine="exhaustive")
     gap = abs(bf.value - ex.value)
@@ -385,7 +388,7 @@ def _check_chain_dp(problem, rng):
     off-diagonal entries, so Q stays Stieltjes.
     """
     if problem.mode != "sparse" or problem.n > 10:
-        return True, None
+        return None, None
     quad = problem.quad
     tri = replace(problem, quad=QuadraticForm(np.triu(np.tril(quad.Q, 1), -1), quad.a, quad.k0))
     dp, bf = chain_dp(tri).value, brute_force(tri).value
@@ -394,38 +397,29 @@ def _check_chain_dp(problem, rng):
 
 
 def _check_segment_affine(problem, rng):
-    """Between consecutive breakpoints the path is affine: interior samples
-    (recomputed independently by pinning the parametric coordinate) must be
-    collinear with the segment endpoints."""
-    if problem.n > 8:
-        return True, None
-    _, smap, vc, order = _chain_for(problem)
-    if len(vc.breakpoints) < 1:
-        return True, None
-    seen = 0
-    z = np.zeros(smap.binary_dim, dtype=int)
-    bps = list(zip(vc.breakpoints, vc.breakpoint_points))
-    for k, cidx in enumerate(order, start=1):
-        z[cidx] = 1
-        stage_bps = [(b, p) for b, p in bps if b.stage == k]
-        if len(stage_bps) < 2 or seen > 3:
-            continue
-        seen += 1
-        j = smap.var[cidx]
-        (b0, p0), (b1, p1) = stage_bps[0], stage_bps[1]
-        if b1.x - b0.x <= 1e-9:
-            continue
-        blo, bup = bounds_for_binary(smap, z)
-        for frac in (0.25, 0.5, 0.75):
-            xs = b0.x + frac * (b1.x - b0.x)
-            blo2, bup2 = blo.copy(), bup.copy()
-            blo2[j] = bup2[j] = xs
-            mid = boxqp.solve(problem.quad, blo2, bup2).x
-            interp = p0 + frac * (p1 - p0)
-            resid = float(np.max(np.abs(mid - interp)))
-            if resid > 1e-8:
-                return False, {"stage": k, "x": xs, "residual": resid}
-    return True, None
+    """The path is affine between consecutive points of a stage's path: over
+    each pair where the parametric coordinate rises, the stage's minimizer
+    with it pinned 1/4, 1/2 and 3/4 of the way lies on the chord to 1e-8 in
+    the Q-norm (:func:`_qnorm`).  A chain with no such pair is skipped."""
+    oracle, vc = _chain_for(problem)
+    z = np.zeros(oracle.m, dtype=int)
+    sampled = False
+    for k, c in enumerate(vc.order, start=1):
+        z[c] = 1
+        j = oracle.smap.var[c]
+        blo, bup = bounds_for_binary(oracle.smap, z)
+        path = vc.stage_path(k)
+        for p0, p1 in zip(path, path[1:]):
+            if p1[j] - p0[j] <= 1e-9:
+                continue
+            sampled = True
+            for frac in (0.25, 0.5, 0.75):
+                blo[j] = bup[j] = x = p0[j] + frac * (p1[j] - p0[j])
+                mid = boxqp.solve(problem.quad, blo, bup).x
+                gap = _qnorm(problem.quad.Q, mid - (p0 + frac * (p1 - p0)))
+                if gap > 1e-8:
+                    return False, {"stage": k, "x": x, "gap": gap}
+    return (True, None) if sampled else (None, None)
 
 
 CHECKS = {
@@ -461,9 +455,10 @@ def run_property_suite(sampler, trials):
     plus check name and detail) in the report.  A check that raises
     :class:`InputError` or :class:`NumericalError` fails with the detail
     ``{"error": "<type>: <message>"}``, and the remaining checks still run.
-    Every check runs on every draw: a drawn Q is Stieltjes because
-    :class:`QuadraticForm` admits no other, and a sampler that draws one
-    that is not raises :class:`InputError` at the draw.
+    A check that returns ``(None, None)`` counts in ``skipped``, not in
+    ``passes``.  Every check runs on every draw: a drawn Q is Stieltjes
+    because :class:`QuadraticForm` admits no other, and a sampler that draws
+    one that is not raises :class:`InputError` at the draw.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -474,7 +469,9 @@ def run_property_suite(sampler, trials):
         rng = np.random.default_rng([seed, t, 7])
         for name, check in CHECKS.items():
             ok, detail = _run_check(check, problem, rng)
-            if ok:
+            if ok is None:
+                report.checks[name].skipped += 1
+            elif ok:
                 report.checks[name].passes += 1
             else:
                 report.checks[name].failures.append(
@@ -484,7 +481,8 @@ def run_property_suite(sampler, trials):
 
 
 def replay_witness(witness):
-    """Re-run the named check on a witness payload; returns (ok, detail).
+    """Re-run the named check on a witness payload; returns (ok, detail),
+    ``(None, None)`` when the check skips the instance.
 
     A payload that is not a dict, or has no ``"instance"``, raises
     :class:`InputError`; a check that raises fails as it does in

@@ -104,16 +104,18 @@ class ValueChain:
     def m(self):
         return len(self.values) - 1
 
+    def stage_path(self, k):
+        """Stage k's recorded points in path order (1 <= k <= m): its start
+        ``minimizers[k-1]``, the points of its breakpoints and its end
+        ``minimizers[k]``."""
+        inner = [p for b, p in zip(self.breakpoints, self.breakpoint_points) if b.stage == k]
+        return [self.minimizers[k - 1], *inner, self.minimizers[k]]
+
     def iterate_sequence(self):
         """All recorded points in path order (stage ends and breakpoints)."""
         pts = [self.minimizers[0]]
-        bp = iter(zip(self.breakpoints, self.breakpoint_points))
-        pending = next(bp, None)
         for k in range(1, len(self.values)):
-            while pending is not None and pending[0].stage <= k:
-                pts.append(pending[1])
-                pending = next(bp, None)
-            pts.append(self.minimizers[k])
+            pts += self.stage_path(k)[1:]
         return pts
 
     def to_json_dict(self):

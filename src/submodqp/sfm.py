@@ -36,6 +36,7 @@ open rule of :func:`submodqp.lattice.split`).
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
@@ -178,7 +179,8 @@ class IndicatorOracle(SubmodularOracle):
     only up to its last prefix set that ``memo`` does not hold, and the rest
     of it, the tail, is read from ``memo``.  ``memo`` holds at most
     ``MEMO_ENTRIES`` sets and drops the oldest first; a dropped set is
-    valued afresh when it is next traced.  The memo lives as long as the
+    valued afresh when it is next traced.  A chain reads all its prefix sets
+    before it inserts the ones it lacked.  The memo lives as long as the
     oracle, which is one :func:`solve_full`.  :meth:`value_chain`,
     :meth:`eval`, :meth:`eval_x` and :meth:`eval_many` do not use it.
     """
@@ -222,33 +224,29 @@ class IndicatorOracle(SubmodularOracle):
 
     def chain(self, order):
         order = pathtrace.check_order(order, self.m)
-        keys = [0]
-        for c in order:
-            keys.append(keys[-1] | (1 << c))
+        # prefix-set bitmasks: the bits are distinct, so the sums are unions
+        keys = [0, *itertools.accumulate(1 << c for c in order)]
         memo = self.memo
-        traced = len(keys) - 1  # stages up to the last set memo lacks
-        while traced >= 0 and keys[traced] in memo:
-            traced -= 1
-        values = [memo[key] for key in keys[traced + 1 :]]  # read before any drop
+        values = [memo.get(key) for key in keys]  # all read before any insertion
+        missing = [k for k, f in enumerate(values) if f is None]
+        traced = missing[-1] if missing else 0  # stages up to the last set memo lacks
         self.stats.chains += 1
-        self.stats.stages_traced += max(traced, 0)
-        self.stats.stages_memo += len(order) - max(traced, 0)
-        if traced < 0:
-            return np.array(values)
-        head = order[:traced]
-        costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[head])])
-        fresh = self.value_chain(head).values + costs + self.bincost.constant
-        for k, f in enumerate(fresh.tolist()):
-            if keys[k] in memo:
-                fresh[k] = memo[keys[k]]
-            else:
+        self.stats.stages_traced += traced
+        self.stats.stages_memo += len(order) - traced
+        if missing:
+            head = order[:traced]
+            costs = np.concatenate([[0.0], np.cumsum(self.bincost.linear[head])])
+            vc = pathtrace.chain_general(self.quad, self.smap, head, stage0=self.stage0)
+            fresh = (vc.values + costs + self.bincost.constant).tolist()
+            for k in missing:
                 if len(memo) >= MEMO_ENTRIES:
                     del memo[next(iter(memo))]
-                memo[keys[k]] = f
-        return np.concatenate([fresh, values])
+                memo[keys[k]] = values[k] = fresh[k]
+        return np.array(values)
 
     def value_chain(self, order):
         """Raw v-chain (no costs) as a :class:`pathtrace.ValueChain`."""
+        order = pathtrace.check_order(order, self.m)  # before stage0 is solved
         return pathtrace.chain_general(self.quad, self.smap, order, stage0=self.stage0)
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import boxqp, oracle, sfm
+from submodqp import boxqp, oracle, pathtrace, sfm
 from submodqp.exceptions import InputError, NumericalError
 from submodqp.lattice import split
 
@@ -101,7 +102,10 @@ def test_every_check_passes_on_compiled_robust_chains(vertices):
         problem = _robust_chain(vertices, seed)
         for t, (name, check) in enumerate(oracle.CHECKS.items()):
             ok, detail = check(problem, np.random.default_rng([seed, t]))
-            assert ok, (name, seed, detail)
+            if name == "chain_dp_matches_brute_force":  # a robust problem is not sparse
+                assert (ok, detail) == (None, None)
+            else:
+                assert ok, (name, seed, detail)
 
 
 @pytest.mark.parametrize("vertices, m", [(4, 8), (5, 10)])
@@ -171,7 +175,7 @@ def test_a_check_that_raises_leaves_a_witness(error, monkeypatch):
     assert all(w["detail"] == {"error": message} and "instance" in w for w in failures)
     assert report.checks["monotone_path"].passes == 0 and not report.ok
     others = [c for name, c in report.checks.items() if name != "monotone_path"]
-    assert all(c.ok and c.passes == 2 for c in others)
+    assert all(c.ok and c.passes + c.skipped == 2 for c in others)
     assert sq.replay_witness(json.loads(json.dumps(failures[1]))) == (False, {"error": message})
 
 
@@ -323,6 +327,61 @@ def test_report_serialization():
     assert d["ok"] is True
     assert d["trials"] == 2
     assert set(d["checks"]) == set(oracle.CHECKS)
+    assert all(set(c) == {"passes", "skipped", "failures"} for c in d["checks"].values())
+
+
+@pytest.mark.parametrize("regime", oracle.REGIMES)
+def test_every_check_runs_at_the_verify_defaults(regime):
+    # `submodqp verify`'s defaults: n = 6, 20 trials, seed 0
+    report = sq.run_property_suite(sq.InstanceSampler(n=6, regime=regime, seed=0), trials=20)
+    assert report.ok
+    for name, c in report.checks.items():
+        assert c.passes >= 1 and c.passes + c.skipped == 20, name
+    assert report.checks["segment_affinity"].skipped == 0
+    skips = {name: c.skipped for name, c in report.checks.items() if c.skipped}
+    # the mixed draws 6 and 7 split into m = 11 > 10 coordinates
+    assert skips == ({"value_function_submodular": 2} if regime == "mixed" else {})
+    (line,) = [s for s in report.summary_lines() if s.startswith("segment_affinity")]
+    assert " skipped=0 " in line
+
+
+def test_size_gates_report_a_skip():
+    problem = sq.InstanceSampler(n=11, regime="mixed", seed=0).draw(0)
+    assert split(problem)[0].binary_dim > 12
+    rng = np.random.default_rng(0)
+    for name in ("value_function_submodular", "mnp_matches_exhaustive",
+                 "brute_matches_solver", "chain_dp_matches_brute_force"):
+        assert oracle.CHECKS[name](problem, rng) == (None, None), name
+    witness = {"check": "brute_matches_solver", "instance": problem.to_json_dict()}
+    assert sq.replay_witness(witness) == (None, None)
+
+
+def test_segment_check_skips_a_chain_with_no_traced_segment():
+    # every a_i < 0 keeps the all-off point optimal at every stage: no
+    # coordinate rises, so there is no segment to sample
+    quad = sq.QuadraticForm([[2, -1], [-1, 2]], [-1.0, -1.0])
+    problem = sq.IndicatorProblem(quad, np.ones(2), np.zeros(2), np.ones(2))
+    assert oracle.CHECKS["segment_affinity"](problem, None) == (None, None)
+
+
+def test_segment_check_catches_breakpoints_moved_off_the_path(monkeypatch):
+    problem = sq.InstanceSampler(n=6, regime="mixed", seed=0).draw(4)
+    check = oracle.CHECKS["segment_affinity"]
+    assert check(problem, None) == (True, None)
+    _, vc = oracle._chain_for(problem)
+    # a single breakpoint, so no stage has two: a check that sampled only
+    # between two breakpoints of one stage would pass this draw
+    (b,) = vc.breakpoints
+    chain_general = pathtrace.chain_general
+
+    def nudged(*args, **kwargs):
+        chain = chain_general(*args, **kwargs)
+        moved = tuple(p + 1e-6 for p in chain.breakpoint_points)
+        return dataclasses.replace(chain, breakpoint_points=moved)
+
+    monkeypatch.setattr(pathtrace, "chain_general", nudged)
+    ok, detail = check(problem, None)
+    assert ok is False and detail["stage"] == b.stage and detail["gap"] > 1e-8
 
 
 # binding bounds in each regime: nonnegative, straddling, negative
