@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boxqp, model, oracle, sfm
+from . import boxqp, lattice, model, oracle, pathtrace, sfm
 from .bench import bench_rows
 from .exceptions import InputError, NumericalError
 
@@ -106,9 +106,9 @@ def cmd_eval(args):
 
 def cmd_trace(args):
     problem = model.compile_instance(model.load_instance(args.input))
-    orl = sfm.IndicatorOracle(problem)
-    order = _parse_int_list(args.order, "order") if args.order else list(range(orl.m))
-    chain = orl.value_chain(order)
+    smap, _ = lattice.split(problem)
+    order = _parse_int_list(args.order, "order") if args.order else range(smap.binary_dim)
+    chain = pathtrace.chain_general(problem.quad, smap, order)
     payload = chain.to_json_dict()
     _write_json(args.output, payload)
     print(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import boxqp, sfm
+from . import boxqp, pathtrace, sfm
 from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
 from .model import IndicatorProblem, QuadraticForm
@@ -256,18 +256,19 @@ def _check_boxqp_isotone(problem, rng):
 
 
 def _chain_for(problem):
-    oracle = IndicatorOracle(problem)
-    return oracle, oracle.value_chain(np.arange(oracle.m))
+    """The sign split of ``problem`` and its chain in ascending coordinate order."""
+    smap, _ = split(problem)
+    return smap, pathtrace.chain_general(problem.quad, smap, range(smap.binary_dim))
 
 
 def _check_chain_matches_oracle(problem, rng):
-    oracle, vc = _chain_for(problem)
-    z = np.zeros(oracle.m, dtype=int)
+    smap, vc = _chain_for(problem)
+    z = np.zeros(vc.m, dtype=int)
     worst, at = 0.0, -1
     for k in range(vc.m + 1):
         if k:
             z[vc.order[k - 1]] = 1
-        ref = boxqp.value_function(problem.quad, oracle.smap, z)
+        ref = boxqp.value_function(problem.quad, smap, z)
         gap = abs(ref - vc.values[k])
         if gap > worst:
             worst, at = gap, k
@@ -401,13 +402,13 @@ def _check_segment_affine(problem, rng):
     each pair where the parametric coordinate rises, the stage's minimizer
     with it pinned 1/4, 1/2 and 3/4 of the way lies on the chord to 1e-8 in
     the Q-norm (:func:`_qnorm`).  A chain with no such pair is skipped."""
-    oracle, vc = _chain_for(problem)
-    z = np.zeros(oracle.m, dtype=int)
+    smap, vc = _chain_for(problem)
+    z = np.zeros(vc.m, dtype=int)
     sampled = False
     for k, c in enumerate(vc.order, start=1):
         z[c] = 1
-        j = oracle.smap.var[c]
-        blo, bup = bounds_for_binary(oracle.smap, z)
+        j = smap.var[c]
+        blo, bup = bounds_for_binary(smap, z)
         path = vc.stage_path(k)
         for p0, p1 in zip(path, path[1:]):
             if p1[j] - p0[j] <= 1e-9:

@@ -131,96 +131,61 @@ class ValueChain:
 
 
 class PathState:
-    """Mutable state of one parametric trace.
+    """Mutable state of one chain's trace, built at its stage 0.
 
-    Holds the sign-split map ``smap`` of the chain (whose unsplit bounds
-    name the events that cross 0), the current point ``y``, the
-    per-variable effective bounds, the active-set statuses, the maintained
-    factor over the free set and the parametric coordinate ``param`` of the
-    open stage (its current value is ``y[param]``; None between stages).
-    The factor's index set is always the set of free statuses.  ``free``
-    and ``eligible`` are the masks of the last :func:`trace_path` call.
+    Holds the sign-split map ``smap`` (whose unsplit bounds name the events
+    that cross 0), the current point ``y``, the per-variable effective
+    bounds, the active-set statuses and the maintained factor over the free
+    set, whose index set is always the set of free statuses; ``free`` and
+    ``eligible`` are the masks of the last :func:`trace_path` call.  The
+    bounds start as ``smap``'s stage-0 box, every coordinate off, and ``y``
+    must be its minimizer.  Variables sitting exactly on a bound go to the
+    bound sets (never to the free set), matching the oracle's
+    degenerate-KKT convention.
     """
 
-    def __init__(self, quad, smap, lo, up, y, status, chol):
+    def __init__(self, quad, smap, y):
         self.quad = quad
         self.smap = smap
-        self.lo = lo
-        self.up = up
-        self.y = y
-        self.status = status
-        self.chol = chol
-        self.param = None
+        self.lo, self.up = bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int))
+        self.y = np.array(y, dtype=float)
+        self.status = np.full(quad.n, _FREE, dtype=np.int8)
+        self.status[self.y >= self.up] = _HI
+        self.status[self.y <= self.lo] = _LO
+        self.chol = UpdatableCholesky(quad.Q, np.flatnonzero(self.status == _FREE))
         self.stage = 0
         self.free = self.eligible = None
         self.breakpoints = []
         self.points = []
 
-    @classmethod
-    def from_point(cls, quad, smap, y):
-        """Build the stage-0 state of a chain over ``smap`` from a point,
-        classifying the partition positionally.
 
-        The bounds are ``smap``'s stage-0 box, every coordinate off, and the
-        point must be its minimizer; no stage is open.  Variables sitting
-        exactly on a bound go to the bound sets (never to the free set),
-        matching the oracle's degenerate-KKT convention.
-        """
-        n = quad.n
-        lo, up = bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int))
-        y = np.array(y, dtype=float)
-        status = np.full(n, _FREE, dtype=np.int8)
-        status[y >= up] = _HI
-        status[y <= lo] = _LO
-        chol = UpdatableCholesky(quad.Q, np.flatnonzero(status == _FREE))
-        return cls(quad, smap, lo, up, y, status, chol)
+def trace_path(state, j, lo_j, up_j):
+    """Trace one stage of the chain: coordinate j's box becomes [lo_j, up_j].
 
-    # -- stage plumbing -----------------------------------------------------
+    j takes its new box, leaves the factor if it is free, and becomes the
+    parametric coordinate.  The path is traced to the stage target
+    min(max(lo_j, stationarity root), up_j), which must not be below j's
+    current value; there j settles on its lower bound (always when its box
+    is a point), on its upper bound, or in the factor as a free variable.
+    Pivots are processed one at a time, smallest variable index first on
+    ties; each is logged with its event type under ``state.stage``.  A
+    backwards target beyond the float guard (1e-12, widened by the local
+    conditioning) means the state is corrupted.
 
-    def begin_stage(self, j, lo_new, up_new):
-        if self.param is not None:
-            raise NumericalError("previous stage not closed")
-        if self.status[j] == _FREE:
-            self.chol.remove(j)
-        self.status[j] = _PARAM
-        self.param = j
-        self.lo[j] = lo_new
-        self.up[j] = up_new
-
-    def end_stage(self):
-        j = self.param
-        x = self.y[j]
-        if self.lo[j] == self.up[j] or x <= self.lo[j]:
-            self.status[j] = _LO
-        elif x >= self.up[j]:
-            self.status[j] = _HI
-        else:
-            self.status[j] = _FREE
-            self.chol.insert(j)
-        self.param = None
-
-
-def trace_path(state):
-    """Advance the parametric coordinate along the solution path.
-
-    Traces to the stage target min(max(lo_j, stationarity root), up_j),
-    which must not be below the current value.  Pivots are processed one at
-    a time, smallest variable index first on ties; each is logged with its
-    event type.  A backwards target beyond the float guard (1e-12, widened
-    by the local conditioning) means the state is corrupted.
-
-    While it runs, ``state.free`` marks the free variables and
+    While it traces, ``state.free`` marks the free variables and
     ``state.eligible`` the variables the ratio test watches: free ones, and
-    lower-bound ones whose box lets them leave.  Both are built on entry
-    and change by one entry per pivot.
+    lower-bound ones whose box lets them leave.  Both are built once per
+    call and change by one entry per pivot.
     """
-    j = state.param
-    if j is None:
-        raise InputError("no parametric coordinate set")
     quad = state.quad
     n = quad.n
     Q, a = quad.Q, quad.a
     y, lo, up, status, chol = state.y, state.lo, state.up, state.status, state.chol
+    if status[j] == _FREE:
+        chol.remove(j)
+    status[j] = _PARAM
+    lo[j] = lo_j
+    up[j] = up_j
     x0 = float(y[j])
 
     Q_j = Q[:, j]
@@ -313,6 +278,13 @@ def trace_path(state):
         if R.size:
             y[R] = h - d * target
         y[j] = target
+        if lo[j] == up[j] or target <= lo[j]:
+            status[j] = _LO
+        elif target >= up[j]:
+            status[j] = _HI
+        else:
+            status[j] = _FREE
+            chol.insert(j)
         return state
 
     raise NumericalError("pivot budget exceeded inside one trace")
@@ -396,7 +368,7 @@ def chain_general(quad, smap, order, stage0=None):
 
     if stage0 is None:
         stage0 = boxqp.solve(quad, *bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int)))
-    state = PathState.from_point(quad, smap, stage0.x)
+    state = PathState(quad, smap, stage0.x)
 
     values = [stage0.value]
     minimizers = [state.y.copy()]
@@ -408,9 +380,7 @@ def chain_general(quad, smap, order, stage0=None):
             values.append(values[-1])
             minimizers.append(minimizers[-1])
             continue
-        state.begin_stage(j, lo_j, up_j)
-        trace_path(state)
-        state.end_stage()
+        trace_path(state, j, lo_j, up_j)
         values.append(quad.value(state.y))
         minimizers.append(state.y.copy())
     return ValueChain(

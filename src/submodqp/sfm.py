@@ -181,8 +181,8 @@ class IndicatorOracle(SubmodularOracle):
     ``MEMO_ENTRIES`` sets and drops the oldest first; a dropped set is
     valued afresh when it is next traced.  A chain reads all its prefix sets
     before it inserts the ones it lacked.  The memo lives as long as the
-    oracle, which is one :func:`solve_full`.  :meth:`value_chain`,
-    :meth:`eval`, :meth:`eval_x` and :meth:`eval_many` do not use it.
+    oracle, which is one :func:`solve_full`.  :meth:`eval`, :meth:`eval_x`
+    and :meth:`eval_many` do not use it.
     """
 
     def __init__(self, problem):
@@ -243,11 +243,6 @@ class IndicatorOracle(SubmodularOracle):
                     del memo[next(iter(memo))]
                 memo[keys[k]] = values[k] = fresh[k]
         return np.array(values)
-
-    def value_chain(self, order):
-        """Raw v-chain (no costs) as a :class:`pathtrace.ValueChain`."""
-        order = pathtrace.check_order(order, self.m)  # before stage0 is solved
-        return pathtrace.chain_general(self.quad, self.smap, order, stage0=self.stage0)
 
 
 def _finite(values, subset):

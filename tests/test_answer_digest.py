@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 
 import submodqp as sq
-from submodqp import sfm
+from submodqp import pathtrace, sfm
 
 _spec = importlib.util.spec_from_file_location(
     "answer_digest", Path(__file__).resolve().parent.parent / "tools" / "answer_digest.py"
@@ -30,6 +30,25 @@ def test_digest_repeats_and_sees_one_ulp_in_one_chain(monkeypatch):
 
     monkeypatch.setattr(sfm.IndicatorOracle, "chain", drifting)
     assert answer_digest.digest(cases)[0] != first
+
+
+def test_digest_sees_one_ulp_in_one_breakpoint_point(monkeypatch):
+    inst, _ = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=3)
+    cases = [("robust chain", sq.compile_instance(inst), 1e-9)]
+    first, solves, chains = answer_digest.digest(cases)
+    chain_general = pathtrace.chain_general
+
+    def drifting(*args, **kwargs):  # the last breakpoint point, one ulp up in one entry
+        chain = chain_general(*args, **kwargs)
+        if chain.breakpoint_points:
+            point = chain.breakpoint_points[-1]
+            point[0] = np.nextafter(point[0], np.inf)
+        return chain
+
+    # MNP reads no breakpoint point, so its answers and chains stay the same
+    monkeypatch.setattr(pathtrace, "chain_general", drifting)
+    moved, *counts = answer_digest.digest(cases)
+    assert moved != first and counts == [solves, chains]
 
 
 def test_chains_are_counted_per_case_and_per_workload():

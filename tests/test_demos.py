@@ -1,8 +1,4 @@
-"""The demos run to completion in-process, where a RuntimeWarning is an error.
-
-``scaling_demo`` is left out: it times ``bench_rows`` at n = 100-400, which
-the acceptance test of cubic scaling already runs.
-"""
+"""The demos run to completion in-process, where a RuntimeWarning is an error."""
 
 import importlib.util
 from pathlib import Path

@@ -197,14 +197,14 @@ def test_property_suite_and_solve_share_a_ground_set(monkeypatch):
     # robust signals are always open, so only the 5 slacks' 10 bits are left
     problem = _robust_chain(5, 0)
     sq.solve_full(problem)
-    suite = oracle._chain_for(problem)[0].smap
+    suite = oracle._chain_for(problem)[0]
     assert built[0].m == suite.binary_dim == 10
     for table in ("var", "plus", "lo_bit", "up_bit"):
         assert np.array_equal(getattr(suite, table), getattr(built[0].smap, table))
     # a sparse draw prices every variable, so no variable is open
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=0).draw(0)
     full, _ = split(prob)
-    suite = oracle._chain_for(prob)[0].smap
+    suite = oracle._chain_for(prob)[0]
     assert not np.any(suite.lo_bit == suite.binary_dim)
     for table in ("var", "plus", "lo_bit", "up_bit"):
         assert np.array_equal(getattr(suite, table), getattr(full, table))

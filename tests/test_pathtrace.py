@@ -35,44 +35,42 @@ def _chain(prob, order=None):
     return chain_general(prob.quad, smap, range(smap.binary_dim) if order is None else order)
 
 
-def _stage_state(quad, lo, up, y, param, stage_lo=None, stage_up=None):
-    """A state at y, the minimizer over [lo, up] off ``param``, with a stage
-    open on ``param``: its box is [stage_lo, stage_up], by default [lo, up]'s.
-    Every indicator costs nothing and every box holds 0, so every variable is
-    always open and the stage-0 box is [lo, up]."""
+def _state(quad, lo, up, y):
+    """The stage-0 state at y, the minimizer over [lo, up].  Every indicator
+    costs nothing and every box holds 0, so every variable is always open
+    and the stage-0 box is [lo, up]."""
     smap, _ = lattice.split(sq.IndicatorProblem(quad, np.zeros(quad.n), lo, up))
     assert smap.binary_dim == 0
-    state = PathState.from_point(quad, smap, y)
-    state.begin_stage(
-        param,
-        lo[param] if stage_lo is None else stage_lo,
-        up[param] if stage_up is None else stage_up,
-    )
-    return state
+    return PathState(quad, smap, y)
 
 
 def test_trace_to_stationarity(small_quad):
     # free coordinate follows y0(x) = (1+x)/2; the stationarity root of the
     # parametric coordinate is x = 1/3, reached before any breakpoint
-    st = _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1)
+    st = _state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]))
     st.stage = 2
-    trace_path(st)
+    trace_path(st, 1, 0.0, 10.0)
     assert np.allclose(st.y, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
     assert st.breakpoints == []
+    # inside its box at the target, the coordinate settles in the factor
+    assert st.status[1] == pathtrace._FREE
+    assert sorted(st.chol.indices.tolist()) == [0, 1]
 
 
 def test_trace_with_breakpoint(small_quad):
     # tighter u0 = 0.6: the free coordinate hits it at x = 0.2, pivots to the
     # upper set, and the trace continues on the new segment to x = 0.3
-    st = _stage_state(small_quad, np.zeros(2), np.array([0.6, 10.0]), np.array([0.5, 0.0]), 1)
+    st = _state(small_quad, np.zeros(2), np.array([0.6, 10.0]), np.array([0.5, 0.0]))
     st.stage = 2
-    trace_path(st)
+    trace_path(st, 1, 0.0, 10.0)
     assert np.allclose(st.y, [0.6, 0.3], atol=1e-12)
     assert len(st.breakpoints) == 1
     bp = st.breakpoints[0]
     assert bp.index == 0
     assert bp.x == pytest.approx(0.2, abs=1e-12)
     assert bp.event == pathtrace.EVENT_HIT_UPPER
+    assert st.status.tolist() == [pathtrace._HI, pathtrace._FREE]
+    assert st.chol.indices.tolist() == [1]
 
 
 def test_trace_segment_is_affine(small_quad):
@@ -85,27 +83,28 @@ def test_trace_segment_is_affine(small_quad):
 
 def test_trace_empty_interval_is_identity(small_quad):
     # a stage pinned at the current value traces nothing
-    st = _stage_state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1,
-                      stage_lo=0.0, stage_up=0.0)
+    st = _state(small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]))
     before = st.y.copy()
-    trace_path(st)
+    trace_path(st, 1, 0.0, 0.0)
     # the free block is refreshed from the factorization, so equality holds
     # at float resolution rather than bitwise
     assert np.allclose(st.y, before, rtol=0.0, atol=1e-15)
-    assert st.y[st.param] == 0.0
+    assert st.y[1] == 0.0
     assert st.breakpoints == []
+    # a point box settles the coordinate on its lower bound
+    assert st.status[1] == pathtrace._LO
 
 
 def test_backward_target_beyond_the_float_guard_raises(small_quad):
-    args = (small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]), 1)
-    st = _stage_state(*args, stage_lo=-10.0, stage_up=-1.0)
+    args = (small_quad, np.zeros(2), np.array([10.0, 10.0]), np.array([0.5, 0.0]))
+    st = _state(*args)
     with pytest.raises(NumericalError, match="retreats"):
-        trace_path(st)
+        trace_path(st, 1, -10.0, -1.0)
     # a backward step within the guard is float noise: the trace stays put
-    st = _stage_state(*args, stage_lo=-10.0, stage_up=-1e-13)
+    st = _state(*args)
     before = st.y.copy()
-    trace_path(st)
-    assert st.y[st.param] == 0.0
+    trace_path(st, 1, -10.0, -1e-13)
+    assert st.y[1] == 0.0
     assert np.allclose(st.y, before, rtol=0.0, atol=1e-15)
     assert st.breakpoints == []
 
@@ -343,21 +342,15 @@ def test_maintained_indices_and_masks_match_the_statuses(monkeypatch):
             _check_maintained_state(self.state, tracing=True)
             seen[bp.event] += 1
 
-    def checked_trace(state):
+    def checked_trace(state, *stage):
         if not isinstance(state.breakpoints, PivotLog):
             state.breakpoints = PivotLog(state)
-        out = trace_path(state)
-        _check_maintained_state(state, tracing=True)
+        out = trace_path(state, *stage)
+        _check_maintained_state(state, tracing=False)  # the stage has settled
+        seen["stages"] += 1
         return out
 
-    def checked_end_stage(state):
-        end_stage(state)
-        _check_maintained_state(state, tracing=False)
-        seen["stages"] += 1
-
-    end_stage = PathState.end_stage
     monkeypatch.setattr(pathtrace, "trace_path", checked_trace)
-    monkeypatch.setattr(PathState, "end_stage", checked_end_stage)
     for regime in ("nonnegative", "mixed", "negative"):
         for seed in range(6):
             prob = sq.InstanceSampler(n=16, regime=regime, seed=700 + seed).draw(0)

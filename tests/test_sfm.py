@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import boxqp, lattice, sfm
+from submodqp import boxqp, lattice, pathtrace, sfm
 from submodqp.exceptions import InputError, NumericalError
 
 
@@ -371,6 +371,37 @@ def test_minimize_mnp_zero_function():
     assert res.certificate == pytest.approx(0.0, abs=1e-9)
 
 
+def test_minimize_mnp_stops_on_a_duplicate_atom():
+    problem = sq.InstanceSampler(n=6, regime="mixed", seed=27).draw(0)
+    oracle = sq.IndicatorOracle(problem)
+    assert oracle.m == 8
+    # the first two greedy atoms, as minimize_mnp draws them: the second is
+    # one ulp from the first, so Wolfe's test at tol = 0 fails by that ulp
+    # and the duplicate test stops the run
+    _, x = sq.greedy_subgradient(oracle, np.full(oracle.m, 0.5))
+    _, q = sq.greedy_subgradient(oracle, -x)
+    scale = 1.0 + float(np.max(np.abs(x))) ** 2 + float(q @ q)
+    assert x @ q < x @ x
+    assert np.all(np.abs(x - q) <= 1e-12 * scale)
+    res = sq.minimize_mnp(sq.IndicatorOracle(problem), tol=0.0)
+    ref = sq.minimize_exhaustive(sq.IndicatorOracle(problem))
+    assert res.converged and res.stats.chains == 2
+    assert np.array_equal(res.z, ref.z)
+    assert res.value == ref.value == -0.0832911804225116
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda o: sq.greedy_subgradient(o, np.full(o.m + 1, 0.5)), "zfrac must have length"),
+    (lambda o: sq.minimize_mnp(sq.FunctionOracle(lambda z: 0.0, 0)), "empty ground set"),
+    (lambda o: o.eval(np.zeros(o.m - 1, dtype=int)), "expected binary vector of length"),
+    (lambda o: o.eval_many(np.zeros((2, o.m + 1), dtype=int)), "expected binary vector of length"),
+], ids=["greedy_zfrac_length", "mnp_empty_ground_set", "eval_length", "eval_many_length"])
+def test_inputs_of_the_wrong_size_raise_input_error(call, match):
+    oracle = sq.IndicatorOracle(sq.InstanceSampler(n=4, regime="mixed", seed=0).draw(0))
+    with pytest.raises(InputError, match=match):
+        call(oracle)
+
+
 def test_oracle_chain_endpoints_match_eval():
     for seed in range(5):
         prob = sq.InstanceSampler(n=4, regime="mixed", seed=400 + seed).draw(0)
@@ -436,7 +467,7 @@ def test_infinite_bounds_are_traced_exactly(regime, monkeypatch):
         # one coordinate per live variable, two per straddling one
         assert oracle.m == int(np.sum(~mask * (1 + ((lo < 0) & (up > 0)))))
         order = np.random.default_rng(seed).permutation(oracle.m)
-        chain = oracle.value_chain(order)
+        chain = pathtrace.chain_general(problem.quad, oracle.smap, order)
         z = np.zeros(oracle.m, dtype=int)
         for k in range(oracle.m + 1):
             if k:
@@ -715,7 +746,7 @@ def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     assert smap.lo is prob.lo and smap.up is prob.up
     assert np.array_equal(oracle.bincost.linear, prob.costs) and oracle.bincost.constant == 0.0
     order = np.arange(oracle.m)[::-1]
-    assert oracle.value_chain(order).kind == "nonnegative"
+    assert pathtrace.chain_general(prob.quad, smap, order).kind == "nonnegative"
     values = oracle.chain(order)
     z = np.zeros(oracle.m, dtype=int)
     for k in range(oracle.m + 1):
@@ -821,13 +852,11 @@ def test_orders_with_entries_that_are_not_integral_are_rejected():
     assert oracle.stats == sfm.SolveStats() and not oracle.memo  # nothing was solved
     for order in orders:
         with pytest.raises(InputError, match="distinct coordinates"):
-            oracle.value_chain(order)
-    # value_chain rejects the order before it solves the stage-0 box
-    assert oracle.stats == sfm.SolveStats() and not oracle.memo
+            pathtrace.chain_general(oracle.quad, oracle.smap, order)
     # integral floats and numpy ints name their coordinates, as integers do
     assert np.array_equal(oracle.chain([1.0, 0.0]), oracle.chain(np.array([1, 0])))
     assert np.array_equal(oracle.chain([np.int64(1), 0]), oracle.chain([1, 0]))
-    assert oracle.value_chain(np.array([2.0])).order == (2,)
+    assert pathtrace.chain_general(oracle.quad, oracle.smap, np.array([2.0])).order == (2,)
 
 
 def test_a_rejected_order_is_not_counted():

@@ -1,4 +1,4 @@
-"""One SHA-256 over the solver's answers and MNP chains, to show bit identity.
+"""One SHA-256 over the solver's answers and value chains, to show bit identity.
 
 Run from the root of a checkout:
 
@@ -11,9 +11,11 @@ moved the chain count.  ``--src`` names the ``submodqp`` sources to hash
 (default: this checkout's ``src``), so the same script hashes another tree
 too, for example a parent commit unpacked with ``git archive``.  Equal
 digests on both sides mean every hashed answer and every chain is the same
-bit for bit.  The script calls only names whose signatures have not changed (``solve_full``,
-``IndicatorOracle(problem)`` and its ``m`` and ``chain``, and the instance
-generators), so it runs against older sources as well.
+bit for bit.  The script calls only names whose signatures have not changed
+(``solve_full``, ``IndicatorOracle(problem)`` and its ``quad``, ``smap``,
+``m`` and ``chain``, ``pathtrace.chain_general`` and the fields of the
+:class:`ValueChain` it returns, and the instance generators), so it runs
+against older sources as well.
 
 With BLAS pinned to one thread and RuntimeWarnings raised as errors, it
 hashes, case by case:
@@ -22,7 +24,10 @@ hashes, case by case:
   under the exhaustive engine wherever the problem has m <= 20 binary
   coordinates;
 * the order and values of every ``IndicatorOracle.chain`` call those solves
-  make, in call order.
+  make, in call order;
+* the whole traced chain ``pathtrace.chain_general`` gives over the
+  oracle's split in ascending coordinate order: its values, its minimizers,
+  each breakpoint's stage, x, index and event, and each breakpoint point.
 
 The cases (:func:`cases`) are the instance sets of the three benchmark
 workloads (``perfbench/harness.py``), acceptance criterion 1's 200 instances
@@ -87,12 +92,13 @@ def digest(cases):
     """Hash ``cases``, (label, problem, tol) triples; returns (hex digest, solves, chains).
 
     ``chains`` maps each label to the number of chains its solves asked for
-    (MNP's: enumeration asks for none).  ``IndicatorOracle.chain`` is wrapped
-    for the run and put back after it.
+    (MNP's: enumeration asks for none); the traced chain of each case is
+    not counted.  ``IndicatorOracle.chain`` is wrapped for the run and put
+    back after it.
     """
     import numpy as np
 
-    from submodqp import sfm
+    from submodqp import pathtrace, sfm
 
     h = hashlib.sha256()
     chains = {}
@@ -112,7 +118,8 @@ def digest(cases):
             warnings.simplefilter("error", RuntimeWarning)
             for label, problem, tol in cases:
                 chains[label] = 0
-                m = sfm.IndicatorOracle(problem).m
+                oracle = sfm.IndicatorOracle(problem)
+                m = oracle.m
                 engines = ("mnp", "exhaustive") if m <= EXHAUSTIVE_MAX_M else ("mnp",)
                 for engine in engines:
                     h.update(f"{label} {engine}".encode())
@@ -122,6 +129,12 @@ def digest(cases):
                     h.update(np.asarray(res.x, dtype=float).tobytes())
                     h.update(np.array([res.value, res.certificate], dtype=float).tobytes())
                     h.update(b"converged" if res.converged else b"not converged")
+                vc = pathtrace.chain_general(oracle.quad, oracle.smap, range(m))
+                h.update(np.asarray(vc.values, dtype=float).tobytes())
+                h.update(np.asarray(vc.minimizers, dtype=float).tobytes())
+                for b, point in zip(vc.breakpoints, vc.breakpoint_points):
+                    h.update(f"{b.stage} {b.x!r} {b.index} {b.event}".encode())
+                    h.update(np.asarray(point, dtype=float).tobytes())
     finally:
         sfm.IndicatorOracle.chain = chain
     return h.hexdigest(), solves, chains
