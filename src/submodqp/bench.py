@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import model, pathtrace
-from .exceptions import InputError
+from .model import _as_int_at_least
 from .sfm import IndicatorOracle
 
 
@@ -64,11 +64,9 @@ def bench_rows(sizes, reps=3, seed=0):
     pivots) and ``naive_work`` sums n^3 over the Newton iterations of the
     naive pass, each of which factors a free block of up to n variables.
     """
-    if reps < 1:
-        raise InputError("reps must be >= 1")
-    for n in sizes:
-        if n < 2:
-            raise InputError("bench sizes must be >= 2")
+    reps = _as_int_at_least(reps, "reps", 1)
+    seed = _as_int_at_least(seed, "seed", 0)
+    sizes = [_as_int_at_least(n, "a bench size", 2) for n in sizes]
     problems = [_bench_problem(n, seed) for n in sizes]
     t_chain = [[] for _ in sizes]
     t_naive = [[] for _ in sizes]

@@ -25,8 +25,8 @@ system before it leaves this module.  KKT conventions, with g = Qx - a:
   * variables at the lower bound need g_i >= 0,
   * variables at the upper bound need g_i <= 0,
   * free variables need g_i = 0,
-all within ``KKT_TOL_FACTOR * (1 + max|a|)``; a NaN anywhere makes the
-residual NaN, which fails the audit.
+all within :func:`kkt_tolerance`; a NaN anywhere makes the residual NaN,
+which fails the audit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 from ._lapack import dpotrf, dpotrs
 from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary
+from .model import check_box
 
 KKT_TOL_FACTOR = 1e-10
 # most entries (0.5 MB of floats) of one stack of k x k free blocks that
@@ -55,6 +56,11 @@ class BoxQpSolution:
     value: float
     kkt_residual: float
     iterations: int
+
+
+def kkt_tolerance(quad):
+    """Largest KKT violation the audit of a solution over ``quad`` admits."""
+    return KKT_TOL_FACTOR * (1.0 + float(np.abs(quad.a).max(initial=0.0)))
 
 
 def kkt_residual(quad, lo, up, x):
@@ -96,26 +102,20 @@ def solve(quad, lo, up):
     Armijo backtrack.  Once the clamp set settles, the free-block solve lands
     on the exact KKT point, so the final residual is at roundoff level.
     Strict convexity makes the minimizer unique; infinite bounds simply never
-    activate, but a lower bound of +inf or an upper bound of -inf, which
-    admits no finite point, raises :class:`InputError`, and a solve that
-    needs more than ``MAX_ITER`` iterations raises :class:`NumericalError`.
+    activate, but a box that admits no finite point raises
+    :class:`InputError`, and a solve that needs more than ``MAX_ITER``
+    iterations raises :class:`NumericalError`.
     """
     n = quad.n
     lo = np.asarray(lo, dtype=float)
     up = np.asarray(up, dtype=float)
     if lo.shape != (n,) or up.shape != (n,):
         raise InputError("bounds shape mismatch")
-    if (lo > up).any():
-        bad = int(np.argmax(lo > up))
-        raise InputError(f"empty box: lo[{bad}] > up[{bad}]")
+    check_box(lo, up)
 
     Q, a = quad.Q, quad.a
     x = quad.newton_point().clip(lo, up)
-    # Q^{-1} a is finite, so x is infinite exactly where l = +inf or u = -inf
-    if np.isinf(x).any():
-        raise InputError("a lower bound of +inf or an upper bound of -inf admits no finite point")
-    value = None  # f(x), computed once a line search needs it
-    tol_kkt = KKT_TOL_FACTOR * (1.0 + float(np.abs(a).max(initial=0.0)))
+    tol_kkt = kkt_tolerance(quad)
 
     zero_width = lo == up
     iters = 0
@@ -144,12 +144,11 @@ def solve(quad, lo, up):
             # the same subspace, so the step can never increase f; accepting
             # it unconditionally also lands exactly on the computed solution,
             # whose gradient is backward-stable-small even for soft modes
-            x, value = xc, None
+            x = xc
             continue
         # clipped: Armijo on the projected arc; the noise term lets steps
         # through when their true gain sits below float resolution of f
-        if value is None:
-            value = quad.value(x)
+        value = quad.value(x)
         noise = 8.0 * np.finfo(float).eps * (1.0 + abs(value))
         step = 1.0
         while True:
@@ -161,7 +160,7 @@ def solve(quad, lo, up):
             step *= 0.5
         if step < 1e-20:
             raise NumericalError("projected Newton line search stalled")
-        x, value = xc, vc
+        x = xc
     else:
         raise NumericalError(f"projected Newton iteration cap {MAX_ITER} exceeded")
 
@@ -169,9 +168,7 @@ def solve(quad, lo, up):
     res = _kkt_violation(g, lo, up, x)
     if not res <= tol_kkt:
         raise NumericalError(f"KKT residual {res:.3e} above tolerance {tol_kkt:.3e}")
-    if value is None:
-        value = quad.value(x)
-    return BoxQpSolution(x=x, value=value, kkt_residual=res, iterations=iters)
+    return BoxQpSolution(x=x, value=quad.value(x), kkt_residual=res, iterations=iters)
 
 
 def solve_many(quad, lo, up):
@@ -196,18 +193,11 @@ def solve_many(quad, lo, up):
     up = np.asarray(up, dtype=float)
     if lo.ndim != 2 or lo.shape[1] != n or up.shape != lo.shape:
         raise InputError(f"bounds must be two stacks of shape (rows, {n})")
-    if (lo > up).any():
-        row, bad = np.argwhere(lo > up)[0]
-        raise InputError(f"empty box in row {row}: lo[{bad}] > up[{bad}]")
+    check_box(lo, up)
     x = quad.newton_point().clip(lo, up)
-    if np.isinf(x).any():
-        row = int(np.isinf(x).any(axis=1).argmax())
-        raise InputError(
-            f"row {row}: a lower bound of +inf or an upper bound of -inf admits no finite point"
-        )
     Q, a = quad.Q, quad.a
     rows = x.shape[0]
-    tol_kkt = KKT_TOL_FACTOR * (1.0 + float(np.abs(a).max(initial=0.0)))
+    tol_kkt = kkt_tolerance(quad)
     value = np.empty(rows)
     known = np.zeros(rows, dtype=bool)  # value holds f(x), from a line search
     res = np.empty(rows)

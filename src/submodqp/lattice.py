@@ -147,8 +147,8 @@ def split(problem):
 
     Boundary cases take one z+ bit whenever 0 <= lo (including lo = u = 0),
     and one z- bit when up <= 0 < -lo; a variable is split only when
-    l < 0 < u.  Bounds may be infinite, but a lower bound of +inf or an
-    upper bound of -inf admits no point and raises :class:`InputError`.
+    l < 0 < u.  Bounds may be infinite; the problem's box, checked when it
+    was built, admits a finite point.
 
     The open rule: a variable is always open, with no coordinate and the
     box [l_i, u_i] under every assignment, when it has no indicator (see
@@ -164,8 +164,6 @@ def split(problem):
     constant.
     """
     lo, up, costs = problem.lo, problem.up, problem.costs
-    if (lo == np.inf).any() or (up == -np.inf).any():
-        raise InputError("a lower bound of +inf or an upper bound of -inf admits no finite point")
     always_open = ~problem.indicated | ((costs == 0.0) & (lo <= 0.0) & (up >= 0.0))
 
     n = lo.shape[0]

@@ -51,6 +51,29 @@ def _as_int(value, name):
     return int(value)
 
 
+def _as_int_at_least(value, name, least):
+    """``value`` as an int of at least ``least``; anything else raises :class:`InputError`."""
+    value = _as_int(value, name)
+    if value < least:
+        raise InputError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def check_box(lo, up):
+    """Raise :class:`InputError` unless each box [lo, up], one or a stack of
+    rows, admits a finite point: no NaN, lo <= up, no lower bound of +inf and
+    no upper bound of -inf.  The error names the first bad variable and row."""
+    bad = ~((lo <= up) & (lo < np.inf) & (up > -np.inf))  # NaN fails every comparison
+    if bad.any():
+        *row, i = np.argwhere(bad)[0].tolist()
+        l, u = float(lo[(*row, i)]), float(up[(*row, i)])
+        where = f"row {row[0]}, variable {i}" if row else f"variable {i}"
+        what = "is empty" if l > u else "admits no finite point"
+        if math.isnan(l) or math.isnan(u):
+            what = "has a NaN bound"
+        raise InputError(f"{where}: the box [{l}, {u}] {what}")
+
+
 def _as_float_vector(values, n, name):
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
@@ -159,14 +182,12 @@ class QuadraticForm:
         if violation > 0.0:
             raise InputError(f"Q is not a Stieltjes matrix (violation {violation:.3e})")
         newton = dpotrs(c, a, lower=1)[0] if a.size else a.copy()  # potrs rejects n = 0
-        neg_a = -a  # for value(); negation is exact
-        for arr in (Q, a, newton, neg_a):
+        for arr in (Q, a, newton):
             arr.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "_newton", newton)
-        object.__setattr__(self, "_neg_a", neg_a)
 
     @property
     def n(self):
@@ -174,7 +195,7 @@ class QuadraticForm:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return float(self._neg_a @ x + 0.5 * x @ (self.Q @ x) + self.k0)
+        return float(-(self.a @ x) + 0.5 * x @ (self.Q @ x) + self.k0)
 
     def grad(self, x):
         return self.Q @ np.asarray(x, dtype=float) - self.a
@@ -209,11 +230,7 @@ class ProblemInstance:
             raise InputError("node_weights must be strictly positive")
         if not np.all(c >= 0):
             raise InputError("costs c must be nonnegative")
-        if np.any(lo > up):
-            bad = int(np.argmax(lo > up))
-            raise InputError(f"l[{bad}] > u[{bad}]")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
-            raise InputError("NaN in instance data")
+        check_box(lo, up)
         if not (np.isfinite(a).all() and np.isfinite(nw).all() and np.isfinite(c).all()):
             raise InputError("a, node_weights and c must be finite (only l and u may be infinite)")
         for arr in (a, nw, c, lo, up):
@@ -250,7 +267,8 @@ class IndicatorProblem:
     in [l, u]; the solver gives it no binary coordinate.  The problem alone
     fixes the solver's ground set: ``submodqp.lattice.split(problem)``
     applies the open rule, which also leaves without a coordinate an
-    indicator that costs nothing on a box holding 0.
+    indicator that costs nothing on a box holding 0.  Its box, and so every
+    box a split assignment implies, admits a finite point (:func:`check_box`).
     """
 
     quad: QuadraticForm
@@ -264,12 +282,11 @@ class IndicatorProblem:
         c = _as_float_vector(self.costs, n, "costs")
         lo = _as_float_vector(self.lo, n, "lo")
         up = _as_float_vector(self.up, n, "up")
-        if np.isnan(c).any() or np.isnan(lo).any() or np.isnan(up).any():
-            raise InputError("NaN in compiled problem")
+        if np.isnan(c).any():
+            raise InputError("NaN in the indicator costs")
         if np.isinf(c).any():
             raise InputError("infinite indicator cost")
-        if np.any(lo > up):
-            raise InputError("lo > up in compiled problem")
+        check_box(lo, up)
         if not np.all(c >= 0):
             raise InputError("negative indicator cost")
         if self.mode not in MODES:
@@ -405,7 +422,8 @@ def generate(
     Deterministic in the seed.  Returns ``(instance, truth)`` where truth
     records the planted signal and outlier set.  ``dims`` is one integral
     number or a sequence of them; a bool or a number such as 3.9 raises
-    :class:`InputError`, and so does a negative or non-finite ``noise_sd``.
+    :class:`InputError`, and so does a negative or non-finite ``noise_sd``,
+    or a ``seed`` that is not a nonnegative integer.
     """
     if topology not in TOPOLOGIES:
         raise InputError(f"unknown topology {topology!r}")
@@ -416,6 +434,7 @@ def generate(
         raise InputError("fractions must lie in [0, 1]")
     if not 0.0 <= noise_sd < np.inf:  # NaN fails both comparisons
         raise InputError(f"noise_sd must be finite and nonnegative, got {noise_sd!r}")
+    seed = _as_int_at_least(seed, "seed", 0)
 
     if len(dims) != TOPOLOGIES[topology]:
         raise InputError(f"{topology} takes {TOPOLOGIES[topology]} dimensions, got {len(dims)}")
@@ -455,7 +474,7 @@ def generate(
     truth = {
         "x_true": x_true.tolist(),
         "outliers": [int(i) for i in outliers],
-        "seed": int(seed),
+        "seed": seed,
         "topology": topology,
         "dims": list(dims),
     }

@@ -22,7 +22,7 @@ import numpy as np
 from . import boxqp, pathtrace, sfm
 from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
-from .model import IndicatorProblem, QuadraticForm
+from .model import IndicatorProblem, QuadraticForm, _as_int_at_least
 from .sfm import BRUTE_TIE_TOL, IndicatorOracle, SfmResult
 
 BRUTE_GUARD = 14
@@ -119,7 +119,9 @@ class InstanceSampler:
     steer the bounds: ``nonnegative`` (0 <= l <= u), ``negative``
     (l <= u <= 0) and ``mixed`` (each variable draws one of the three
     patterns, exercising every split branch).  Draws are deterministic in
-    (seed, trial).
+    (seed, trial).  ``n`` must be a positive integer, ``seed`` and each
+    ``trial`` nonnegative ones, and ``density`` must lie in [0, 1]; anything
+    else raises :class:`InputError`.
     """
 
     n: int = 6
@@ -130,11 +132,13 @@ class InstanceSampler:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise InputError(f"regime must be one of {REGIMES}")
-        if self.n < 1:
-            raise InputError("n must be positive")
+        object.__setattr__(self, "n", _as_int_at_least(self.n, "n", 1))
+        object.__setattr__(self, "seed", _as_int_at_least(self.seed, "seed", 0))
+        if not 0.0 <= self.density <= 1.0:  # NaN fails both comparisons
+            raise InputError(f"density must lie in [0, 1], got {self.density!r}")
 
     def draw(self, trial):
-        rng = np.random.default_rng([self.seed, int(trial)])
+        rng = np.random.default_rng([self.seed, _as_int_at_least(trial, "trial", 0)])
         n = self.n
         Q = np.zeros((n, n))
         for i in range(n):
@@ -222,10 +226,24 @@ def _qnorm(Q, d):
 
 
 def _check_boxqp_kkt(problem, rng):
+    """The box QP's minimizer on the problem's box, and every stage end of
+    the problem's chain (:func:`_chain_for`) in its stage box, pass the KKT
+    audit within :func:`boxqp.kkt_tolerance`.  The solver audits its own
+    answer, but no solver audits a traced stage end."""
+    tol = boxqp.kkt_tolerance(problem.quad)
     sol = boxqp.solve(problem.quad, problem.lo, problem.up)
     res = boxqp.kkt_residual(problem.quad, problem.lo, problem.up, sol.x)
-    tol = boxqp.KKT_TOL_FACTOR * (1.0 + float(np.abs(problem.quad.a).max()))
-    return res <= tol, None if res <= tol else {"residual": res, "tol": tol}
+    if not res <= tol:
+        return False, {"residual": res, "tol": tol}
+    smap, vc = _chain_for(problem)
+    z = np.zeros(vc.m, dtype=int)
+    for k, x in enumerate(vc.minimizers):
+        if k:
+            z[vc.order[k - 1]] = 1
+        res = boxqp.kkt_residual(problem.quad, *bounds_for_binary(smap, z), x)
+        if not res <= tol:
+            return False, {"stage": k, "residual": res, "tol": tol}
+    return True, None
 
 
 def _check_boxqp_permutation(problem, rng):
@@ -461,10 +479,9 @@ def run_property_suite(sampler, trials):
     because :class:`QuadraticForm` admits no other, and a sampler that draws
     one that is not raises :class:`InputError` at the draw.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    trials = _as_int_at_least(trials, "trials", 1)
     report = PropertyReport(trials=trials, checks={n: CheckOutcome(n) for n in CHECKS})
-    seed = int(getattr(sampler, "seed", 0))
+    seed = _as_int_at_least(getattr(sampler, "seed", 0), "sampler seed", 0)
     for t in range(trials):
         problem = sampler.draw(t)
         rng = np.random.default_rng([seed, t, 7])
@@ -485,15 +502,17 @@ def replay_witness(witness):
     """Re-run the named check on a witness payload; returns (ok, detail),
     ``(None, None)`` when the check skips the instance.
 
-    A payload that is not a dict, or has no ``"instance"``, raises
-    :class:`InputError`; a check that raises fails as it does in
-    :func:`run_property_suite`.
+    A payload that is not a dict, has no ``"instance"``, or whose ``"seed"``
+    or ``"trial"`` is not a nonnegative integer raises :class:`InputError`;
+    a check that raises fails as it does in :func:`run_property_suite`.
     """
     if not isinstance(witness, dict) or "instance" not in witness:
         raise InputError("a witness must be a JSON object with an \"instance\"")
     name = witness.get("check")
     if name not in CHECKS:
         raise InputError(f"unknown check {name!r}")
+    seed = _as_int_at_least(witness.get("seed", 0), "witness seed", 0)
+    trial = _as_int_at_least(witness.get("trial", 0), "witness trial", 0)
     problem = IndicatorProblem.from_json_dict(witness["instance"])
-    rng = np.random.default_rng([witness.get("seed", 0), witness.get("trial", 0), 7])
+    rng = np.random.default_rng([seed, trial, 7])
     return _run_check(CHECKS[name], problem, rng)

@@ -163,10 +163,9 @@ class IndicatorOracle(SubmodularOracle):
     ``v`` is evaluated by the box-QP oracle and every chain is traced by
     :func:`pathtrace.chain_general`, both on the bounds as given, infinite
     ones included: no box-QP minimizer or traced point reaches an infinite
-    bound.  A lower bound of +inf or an upper bound of -inf admits no point
-    and raises :class:`InputError` here, in the sign split.  The ground set
-    is the oracle's own sign split of ``problem`` (``smap``, which holds the
-    bounds, with binary cost ``bincost``): the always-open variables of
+    bound, and the problem admits no box without a finite point.  The ground
+    set is the oracle's own sign split of ``problem`` (``smap``, which holds
+    the bounds, with binary cost ``bincost``): the always-open variables of
     :func:`submodqp.lattice.split` get no coordinate and keep their box
     [l, u] under every assignment; every other variable has one or two
     coordinates.
@@ -341,7 +340,10 @@ def _affine_minimizer(S):
     M[1:, 1:] = S @ S.T
     rhs = np.zeros(k + 1)
     rhs[0] = 1.0
-    coeff = np.linalg.solve(M, rhs)[1:]
+    try:
+        coeff = np.linalg.solve(M, rhs)[1:]
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"affine minimizer of a corral of {k} atoms failed: {e}") from None
     return coeff, S.T @ coeff
 
 

@@ -16,10 +16,11 @@ _spec.loader.exec_module(answer_digest)
 def test_digest_repeats_and_sees_one_ulp_in_one_chain(monkeypatch):
     inst, _ = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=3)
     cases = [("robust chain", sq.compile_instance(inst), 1e-9)]
-    chain = sfm.IndicatorOracle.chain
+    chain, eval_many = sfm.IndicatorOracle.chain, sfm.IndicatorOracle.eval_many
     first, solves, chains = answer_digest.digest(cases)
     assert (solves, chains) == (2, {"robust chain": 8})  # MNP and exhaustive; MNP's chains
-    assert sfm.IndicatorOracle.chain is chain  # the recorder is gone
+    assert sfm.IndicatorOracle.chain is chain  # the recorders are gone
+    assert sfm.IndicatorOracle.eval_many is eval_many
     assert answer_digest.digest(cases) == (first, solves, chains)
 
     def drifting(self, order):  # the first chain's last value, one ulp up
@@ -49,6 +50,29 @@ def test_digest_sees_one_ulp_in_one_breakpoint_point(monkeypatch):
     monkeypatch.setattr(pathtrace, "chain_general", drifting)
     moved, *counts = answer_digest.digest(cases)
     assert moved != first and counts == [solves, chains]
+
+
+def test_digest_sees_one_ulp_in_one_stacked_value(monkeypatch):
+    inst, _ = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=3)
+    problem = sq.compile_instance(inst)
+    cases = [("robust chain", problem, 1e-9)]
+    first, *counts = answer_digest.digest(cases)
+    before = sq.solve_full(problem, engine="exhaustive")
+    eval_many = sfm.IndicatorOracle.eval_many
+
+    def drifting(self, zbins):  # the largest value, never the winner, one ulp up
+        values = eval_many(self, zbins)
+        top = values.argmax()
+        values[top] = np.nextafter(values[top], np.inf)
+        return values
+
+    # enumeration keeps only its winner's z, so its answer stays the same
+    monkeypatch.setattr(sfm.IndicatorOracle, "eval_many", drifting)
+    after = sq.solve_full(problem, engine="exhaustive")
+    for field in ("z", "x", "value"):
+        assert np.array_equal(getattr(after, field), getattr(before, field))
+    moved, *moved_counts = answer_digest.digest(cases)
+    assert moved != first and moved_counts == counts
 
 
 def test_chains_are_counted_per_case_and_per_workload():

@@ -70,7 +70,7 @@ def test_kkt_audit_random_instances():
     for seed in range(25):
         prob = sq.InstanceSampler(n=8, regime="mixed", seed=seed).draw(0)
         sol = boxqp.solve(prob.quad, prob.lo, prob.up)
-        tol = boxqp.KKT_TOL_FACTOR * (1.0 + float(np.abs(prob.quad.a).max()))
+        tol = boxqp.kkt_tolerance(prob.quad)
         assert sol.kkt_residual <= tol
         assert np.all(sol.x >= prob.lo - 1e-12) and np.all(sol.x <= prob.up + 1e-12)
         assert sol.value == pytest.approx(prob.quad.value(sol.x), abs=1e-12)
@@ -198,7 +198,7 @@ def test_solve_many_matches_solve_row_by_row(regime, monkeypatch):
         stacks.clear()
         many = boxqp.solve_many(prob.quad, lo, up)
         assert many.x.shape == lo.shape and many.value.shape == (lo.shape[0],)
-        tol = boxqp.KKT_TOL_FACTOR * (1.0 + float(np.abs(prob.quad.a).max()))
+        tol = boxqp.kkt_tolerance(prob.quad)
         assert np.all(many.kkt_residual <= tol)
         n = prob.n
         assert all(rows * k * k <= boxqp.STACK_ENTRIES for rows, k in stacks)
@@ -232,6 +232,23 @@ def test_solve_many_rejects_bounds_that_leave_no_box(small_quad, inf):
     lo[1], up[1] = inf, inf
     with pytest.raises(InputError, match="row 1.*no finite point"):
         boxqp.solve_many(small_quad, lo, up)
+
+
+@pytest.mark.parametrize("side", ["lo", "up"])
+def test_solvers_reject_a_nan_bound(small_quad, side):
+    # a NaN bound used to run on until the line search stalled
+    box = {"lo": np.zeros(2), "up": np.ones(2)}
+    box[side][0] = np.nan
+    with pytest.raises(InputError, match="^variable 0: .*NaN"):
+        boxqp.solve(small_quad, box["lo"], box["up"])
+    with pytest.raises(InputError, match="^row 0, variable 0: .*NaN"):
+        boxqp.solve_many(small_quad, box["lo"][None], box["up"][None])
+
+
+def test_kkt_tolerance_scales_with_the_linear_term():
+    quad = sq.QuadraticForm([[2.0, -1.0], [-1.0, 2.0]], [3.0, -5.0])
+    assert boxqp.kkt_tolerance(quad) == boxqp.KKT_TOL_FACTOR * 6.0
+    assert boxqp.kkt_tolerance(sq.QuadraticForm(np.zeros((0, 0)), [])) == boxqp.KKT_TOL_FACTOR
 
 
 def test_solve_many_raises_at_the_iteration_cap(small_quad, monkeypatch):

@@ -111,12 +111,14 @@ def test_eval_reproduces_the_value_of_a_robust_solve(tmp_path):
     assert np.allclose(evaluated["x"], solved["x"], rtol=0.0, atol=1e-12)
 
 
-def test_eval_rejects_bad_z(tmp_path):
+def test_eval_rejects_bad_z(tmp_path, capsys):
     inst, _ = model.generate("chain", (3,), seed=0)
     path = tmp_path / "inst.json"
     sq.save_instance(inst, path)
     assert _run(["eval", str(path), "--z", "0,1"]) == cli.EXIT_INPUT
     assert _run(["eval", str(path), "--z", "0,2,1"]) == cli.EXIT_INPUT
+    assert _run(["eval", str(path), "--z", "1,x,0"]) == cli.EXIT_INPUT
+    assert "bad z list" in capsys.readouterr().err
 
 
 def test_eval_rejects_a_closed_robust_signal(tmp_path, capsys):
@@ -275,6 +277,39 @@ def test_bench_single_size(tmp_path, capsys):
     assert lines[0] == "n,t_chain_ms,t_naive_ms,breakpoints"
     assert len(lines) == 2
     assert "ratio" not in capsys.readouterr().out
+
+
+def test_bench_two_sizes_prints_the_chain_ratio(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert _run(["bench", "--sizes", "8,16", "--reps", "1", "--output", str(out)]) == cli.EXIT_OK
+    assert len(out.read_text().splitlines()) == 3
+    assert "bench: n 8->16 chain ratio " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--dims", "3", "--seed=-3"],
+    ["verify", "--trials", "1", "--n", "3", "--seed=-1"],
+    ["bench", "--sizes", "8", "--reps", "1", "--seed=-2"],
+])
+def test_a_negative_seed_is_an_input_error(argv, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "submodqp.cli", *argv, "--output", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert "input error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    model.save_instance(model.generate("chain", (3,), seed=0)[0], path)
+
+    def failing(*args, **kwargs):
+        raise sq.NumericalError("planted failure")
+
+    monkeypatch.setattr(sfm, "solve_full", failing)
+    assert _run(["solve", str(path)]) == cli.EXIT_NUMERICAL
+    assert "numerical failure: planted failure" in capsys.readouterr().err
 
 
 def test_bench_rejects_tiny_sizes():

@@ -380,6 +380,7 @@ def test_split_with_every_variable_open():
 
 
 def test_split_rejects_bounds_that_admit_no_point():
+    # the problem refuses them when it is built, so split checks no bound
     for lo, up in (([np.inf], [np.inf]), ([-np.inf], [-np.inf])):
         with pytest.raises(InputError, match="admits no finite point"):
             lattice.split(_problem(np.array(lo), np.array(up)))

@@ -204,6 +204,39 @@ def test_indicator_problem_rejects_nan(field):
         sq.IndicatorProblem(quad, **data)
 
 
+@pytest.mark.parametrize("lo, up, what", [
+    ([0.0, np.nan], [1.0, 1.0], "has a NaN bound"),
+    ([0.0, 0.0], [1.0, np.nan], "has a NaN bound"),
+    ([0.0, 2.0], [1.0, 1.0], "is empty"),
+    ([0.0, np.inf], [1.0, np.inf], "admits no finite point"),
+    ([0.0, -np.inf], [1.0, -np.inf], "admits no finite point"),
+])
+def test_check_box_names_the_first_bad_variable_and_row(lo, up, what):
+    lo, up = np.array(lo), np.array(up)
+    with pytest.raises(InputError, match=f"^variable 1: the box .* {what}$"):
+        model.check_box(lo, up)
+    stack_lo, stack_up = np.zeros((3, 2)), np.ones((3, 2))
+    stack_lo[2], stack_up[2] = lo, up
+    with pytest.raises(InputError, match=f"^row 2, variable 1: the box .* {what}$"):
+        model.check_box(stack_lo, stack_up)
+
+
+def test_check_box_admits_infinite_bounds_that_hold_a_point():
+    lo, up = np.array([-np.inf, 0.0, 1.0, -np.inf]), np.array([np.inf, 0.0, np.inf, -2.0])
+    model.check_box(lo, up)
+    model.check_box(np.stack([lo, lo]), np.stack([up, up]))
+
+
+@pytest.mark.parametrize("lo, up", [([np.inf, 0.0], [np.inf, 1.0]), ([-np.inf, 0.0], [-np.inf, 1.0])])
+def test_problems_reject_bounds_that_admit_no_finite_point(lo, up):
+    quad = sq.QuadraticForm([[2.0, -1.0], [-1.0, 2.0]], [1.0, 0.0])
+    with pytest.raises(InputError, match="no finite point"):
+        sq.IndicatorProblem(quad, [1.0, 1.0], lo, up)
+    for mode in model.MODES:
+        with pytest.raises(InputError, match="no finite point"):
+            sq.ProblemInstance(sq.chain_graph(2), [0, 0], [1, 1], [0, 0], lo, up, mode=mode)
+
+
 def test_indicator_problem_rejects_infinite_cost():
     quad = sq.QuadraticForm([[2.0, -1.0], [-1.0, 2.0]], [1.0, 0.0])
     with pytest.raises(InputError, match="infinite indicator cost"):

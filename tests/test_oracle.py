@@ -6,6 +6,7 @@ import pytest
 
 import submodqp as sq
 from submodqp import boxqp, oracle, pathtrace, sfm
+from submodqp.bench import bench_rows
 from submodqp.exceptions import InputError, NumericalError
 from submodqp.lattice import split
 
@@ -215,6 +216,40 @@ def test_property_suite_rejects_zero_trials():
         sq.run_property_suite(sq.InstanceSampler(n=4, seed=0), trials=0)
 
 
+def _witness_with(**fields):
+    problem = sq.InstanceSampler(n=3, seed=0).draw(0)
+    return {**oracle._witness(problem, check="boxqp_kkt", trial=0, seed=0), **fields}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sq.generate("chain", 3, seed=-3),
+    lambda: sq.generate("chain", 3, seed=1.5),
+    lambda: sq.InstanceSampler(n=2.5).draw(0),
+    lambda: sq.InstanceSampler(n=0),
+    lambda: sq.InstanceSampler().draw(-1),
+    lambda: sq.InstanceSampler().draw(1.5),
+    lambda: sq.InstanceSampler(seed=-1),
+    lambda: sq.InstanceSampler(density=float("nan")),
+    lambda: sq.InstanceSampler(density=1.5),
+    lambda: sq.run_property_suite(sq.InstanceSampler(n=3), trials=1.5),
+    lambda: oracle.replay_witness(_witness_with(seed="abc")),
+    lambda: oracle.replay_witness(_witness_with(trial=-1)),
+    lambda: bench_rows([8], reps=1, seed=-2),
+    lambda: bench_rows([8], reps=1.5),
+    lambda: bench_rows([8.5], reps=1),
+])
+def test_bad_seeds_counts_and_trials_are_input_errors(call):
+    # numpy would raise a raw ValueError or TypeError, or draw with no edges
+    with pytest.raises(InputError):
+        call()
+
+
+def test_sampler_takes_integral_numbers_as_ints():
+    sampler = sq.InstanceSampler(n=4.0, seed=np.int64(2), density=1)
+    assert (sampler.n, sampler.seed) == (4, 2) and type(sampler.n) is int
+    assert oracle.replay_witness(_witness_with(seed=0.0, trial=np.int64(0))) == (True, None)
+
+
 class _AdversarialSampler:
     """Returns a non-Stieltjes instance (positive off-diagonal)."""
 
@@ -354,6 +389,25 @@ def test_size_gates_report_a_skip():
         assert oracle.CHECKS[name](problem, rng) == (None, None), name
     witness = {"check": "brute_matches_solver", "instance": problem.to_json_dict()}
     assert sq.replay_witness(witness) == (None, None)
+
+
+def test_kkt_check_audits_every_stage_end(monkeypatch):
+    problem = sq.InstanceSampler(n=6, regime="mixed", seed=0).draw(4)
+    check = oracle.CHECKS["boxqp_kkt"]
+    assert check(problem, None) == (True, None)
+    chain_general = pathtrace.chain_general
+
+    def nudged(*args, **kwargs):  # the last stage end, 1e-6 off in one variable
+        chain = chain_general(*args, **kwargs)
+        minimizers = np.array(chain.minimizers)
+        minimizers[-1, 0] += 1e-6
+        return dataclasses.replace(chain, minimizers=minimizers)
+
+    # the solver audits its own answer, so only the traced stage end can fail
+    monkeypatch.setattr(pathtrace, "chain_general", nudged)
+    ok, detail = check(problem, None)
+    assert ok is False and detail["stage"] == oracle._chain_for(problem)[1].m
+    assert detail["residual"] > detail["tol"] == boxqp.kkt_tolerance(problem.quad)
 
 
 def test_segment_check_skips_a_chain_with_no_traced_segment():

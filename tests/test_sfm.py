@@ -989,3 +989,9 @@ def test_minimize_mnp_rejects_a_meaningless_tol(tol):
     oracle = sq.FunctionOracle(lambda z: float(z.sum()), 3)
     with pytest.raises(InputError, match="tol must be finite and nonnegative"):
         sq.minimize_mnp(oracle, tol=tol)
+
+
+def test_a_singular_corral_is_a_numerical_error():
+    # two equal atoms leave the affine hull's system singular
+    with pytest.raises(NumericalError, match="corral of 2 atoms"):
+        sfm._affine_minimizer(np.array([[1.0, 0.0], [1.0, 0.0]]))

@@ -13,9 +13,9 @@ too, for example a parent commit unpacked with ``git archive``.  Equal
 digests on both sides mean every hashed answer and every chain is the same
 bit for bit.  The script calls only names whose signatures have not changed
 (``solve_full``, ``IndicatorOracle(problem)`` and its ``quad``, ``smap``,
-``m`` and ``chain``, ``pathtrace.chain_general`` and the fields of the
-:class:`ValueChain` it returns, and the instance generators), so it runs
-against older sources as well.
+``m``, ``chain`` and ``eval_many``, ``pathtrace.chain_general`` and the
+fields of the :class:`ValueChain` it returns, and the instance generators),
+so it runs against older sources as well.
 
 With BLAS pinned to one thread and RuntimeWarnings raised as errors, it
 hashes, case by case:
@@ -25,6 +25,9 @@ hashes, case by case:
   coordinates;
 * the order and values of every ``IndicatorOracle.chain`` call those solves
   make, in call order;
+* every value ``IndicatorOracle.eval_many`` returns during those solves, in
+  call order: the exhaustive engine keeps only its winner's z, so a value
+  that moves without changing the winner shows only here;
 * the whole traced chain ``pathtrace.chain_general`` gives over the
   oracle's split in ascending coordinate order: its values, its minimizers,
   each breakpoint's stage, x, index and event, and each breakpoint point.
@@ -93,8 +96,8 @@ def digest(cases):
 
     ``chains`` maps each label to the number of chains its solves asked for
     (MNP's: enumeration asks for none); the traced chain of each case is
-    not counted.  ``IndicatorOracle.chain`` is wrapped for the run and put
-    back after it.
+    not counted.  ``IndicatorOracle.chain`` and ``IndicatorOracle.eval_many``
+    are wrapped for the run and put back after it.
     """
     import numpy as np
 
@@ -102,7 +105,7 @@ def digest(cases):
 
     h = hashlib.sha256()
     chains = {}
-    chain = sfm.IndicatorOracle.chain
+    chain, eval_many = sfm.IndicatorOracle.chain, sfm.IndicatorOracle.eval_many
 
     def recorded(self, order):
         values = chain(self, order)
@@ -111,8 +114,13 @@ def digest(cases):
         h.update(np.asarray(values, dtype=float).tobytes())
         return values
 
+    def recorded_many(self, zbins):
+        values = eval_many(self, zbins)
+        h.update(np.asarray(values, dtype=float).tobytes())
+        return values
+
     solves = 0
-    sfm.IndicatorOracle.chain = recorded
+    sfm.IndicatorOracle.chain, sfm.IndicatorOracle.eval_many = recorded, recorded_many
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -136,7 +144,7 @@ def digest(cases):
                     h.update(f"{b.stage} {b.x!r} {b.index} {b.event}".encode())
                     h.update(np.asarray(point, dtype=float).tobytes())
     finally:
-        sfm.IndicatorOracle.chain = chain
+        sfm.IndicatorOracle.chain, sfm.IndicatorOracle.eval_many = chain, eval_many
     return h.hexdigest(), solves, chains
 
 
