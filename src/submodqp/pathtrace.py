@@ -295,8 +295,10 @@ def _stage_is_noop(state, j, lo_new, up_new):
 
     Relaxations that leave the point inside the new box preserve every KKT
     condition: free variables stay stationary, lower-bound variables keep a
-    nonnegative gradient.  Pinned variables opening upward and variables
-    parked on an upper bound need a gradient look before skipping.
+    nonnegative gradient.  Pinned variables opening upward need a gradient
+    look before skipping, and a variable parked on an upper bound skips only
+    when that bound stays put.  No stage starts with a parametric
+    coordinate: :func:`trace_path` settles it before it returns.
     """
     y_j = state.y[j]
     if lo_new > y_j:
@@ -310,9 +312,7 @@ def _stage_is_noop(state, j, lo_new, up_new):
         if up_new == y_j:
             return True
         return float(state.quad.Q[j, :] @ state.y - state.quad.a[j]) >= 0.0
-    if st == _HI:
-        return up_new == y_j
-    return False
+    return up_new == y_j  # _HI
 
 
 def check_order(order, m):

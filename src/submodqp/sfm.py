@@ -4,8 +4,8 @@ Two engines minimize ``F(z) = v(z) + cost(z)`` over the split hypercube:
 
 * ``exhaustive`` enumerates every binary vector (small dimensions only).  It
   is not the judge of correctness: :func:`submodqp.oracle.brute_force` and
-  :func:`submodqp.oracle.chain_dp` are, sharing only the box-QP oracle with
-  it.  It walks the codes 0 ... 2^m - 1 in lexicographic order,
+  :func:`submodqp.oracle.chain_dp` are, sharing with it only the box-QP
+  oracle, which audits every answer it gives.  It walks the codes 0 ... 2^m - 1 in lexicographic order,
   ``EXHAUSTIVE_CHUNK`` at a time, and evaluates each chunk with one
   :meth:`SubmodularOracle.eval_many` call: for an indicator problem, one
   stacked box-QP solve (:func:`boxqp.solve_many`) whose Newton steps are
@@ -49,7 +49,7 @@ from .lattice import bounds_for_binary, split
 
 EXHAUSTIVE_GUARD = 20  # 2^20 codes take about 10 s on a 10-vertex robust chain
 # codes per eval_many call of minimize_exhaustive, which bounds the rows of
-# every stacked box-QP solve it makes
+# every stacked box-QP solve it makes; the judges in oracle stack as many
 EXHAUSTIVE_CHUNK = 1 << 10
 BRUTE_TIE_TOL = 1e-9
 MEMO_ENTRIES = 1 << 16  # prefix sets an IndicatorOracle remembers F for

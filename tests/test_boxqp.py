@@ -208,7 +208,7 @@ def test_solve_many_matches_solve_row_by_row(regime, monkeypatch):
             # variables, and the rows with k = n - 1 fill a whole stack
             assert {k for _, k in stacks} >= set(range(1, n))
             assert (boxqp.STACK_ENTRIES // (n - 1) ** 2, n - 1) in stacks
-        # one scalar solve per distinct box
+        # a row solved in the mixed stack equals its box solved alone
         boxes = np.hstack([lo, up])
         _, first, inverse = np.unique(boxes, axis=0, return_index=True, return_inverse=True)
         for box, r in enumerate(first):
@@ -216,6 +216,53 @@ def test_solve_many_matches_solve_row_by_row(regime, monkeypatch):
             same = inverse.ravel() == box
             assert np.all(np.abs(many.x[same] - one.x) <= 1e-10 * (1.0 + np.abs(one.x)))
             assert np.all(np.abs(many.value[same] - one.value) <= 1e-12 * (1.0 + abs(one.value)))
+
+
+def _exact_box_qp(quad, lo, up):
+    """The box QP's minimizer found without projected Newton: every status
+    pattern (each variable at its lower bound, at its upper bound or free;
+    3^n patterns, none clamped at an infinite bound) fixes x by one solve of
+    its free block, and the pattern kept is the one whose x violates
+    feasibility and the KKT signs least.  Returns that x and its violation."""
+    Q, a = quad.Q, quad.a
+    S = np.array(list(itertools.product((0, 1, 2), repeat=quad.n)))  # lower, upper, free
+    x = np.where(S == 0, lo, np.where(S == 1, up, 0.0))
+    keep = np.isfinite(x).all(axis=1)
+    S, x = S[keep], x[keep]
+    free = S == 2
+    for F in np.unique(free, axis=0):
+        if F.any():
+            rows, C = (free == F).all(axis=1), ~F
+            rhs = a[F] - x[np.ix_(rows, C)] @ Q[np.ix_(C, F)]
+            x[np.ix_(rows, F)] = np.linalg.solve(Q[np.ix_(F, F)], rhs.T).T
+    g = x @ Q - a
+    sign = np.where(S == 0, -g, np.where(S == 1, g, np.abs(g)))
+    viol = np.hstack([lo - x, x - up, sign]).max(axis=1)
+    best = viol.argmin()
+    return x[best], viol[best]
+
+
+@pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])
+def test_solve_many_matches_an_exact_reference(regime):
+    rng = np.random.default_rng(3)
+    for seed, density in itertools.product(range(5), (0.5, 1.0)):
+        prob = sq.InstanceSampler(n=2 + seed, density=density, regime=regime, seed=80 + seed).draw(0)
+        lo, up = _row_stack(prob, rng, rows=6)  # infinite and zero-width rows too
+        lo, up = np.vstack([prob.lo, lo]), np.vstack([prob.up, up])
+        many = boxqp.solve_many(prob.quad, lo, up)
+        for r in range(lo.shape[0]):
+            ref, viol = _exact_box_qp(prob.quad, lo[r], up[r])
+            assert viol <= 1e-12
+            assert np.abs(many.x[r] - ref).max() <= 1e-10, (seed, density, r)
+
+
+def test_a_quadratic_with_no_variables_has_its_constant_as_value():
+    quad = sq.QuadraticForm(np.zeros((0, 0)), np.zeros(0), 1.5)
+    many = boxqp.solve_many(quad, np.zeros((2, 0)), np.zeros((2, 0)))
+    assert many.x.shape == (2, 0) and many.value.tolist() == [1.5, 1.5]
+    assert many.kkt_residual.tolist() == [0.0, 0.0] and many.iterations.tolist() == [1, 1]
+    one = boxqp.solve(quad, np.zeros(0), np.zeros(0))
+    assert one.x.shape == (0,) and (one.value, one.kkt_residual, one.iterations) == (1.5, 0.0, 1)
 
 
 def test_solve_many_rejects_an_empty_box(small_quad):

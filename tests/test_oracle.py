@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,24 +116,25 @@ def test_size_limited_checks_use_the_ground_set_of_solve(vertices, m, monkeypatc
     # at m, within their limits (12 and 10), not at the 2m of a split that
     # gives every variable coordinates
     problem = _robust_chain(vertices, 0)
-    solves, values = [], []
-    solve_full, value_function = sfm.solve_full, boxqp.value_function
+    solves, rows = [], []
+    solve_full, solve_many = sfm.solve_full, boxqp.solve_many
 
     def counted_solve(*args, **kwargs):
         solves.append(kwargs.get("engine"))
         return solve_full(*args, **kwargs)
 
-    def counted_value(*args):
-        values.append(args)
-        return value_function(*args)
+    def counted_rows(quad, lo, up):
+        rows.append(len(lo))
+        return solve_many(quad, lo, up)
 
     monkeypatch.setattr(sfm, "solve_full", counted_solve)
-    monkeypatch.setattr(boxqp, "value_function", counted_value)
+    monkeypatch.setattr(boxqp, "solve_many", counted_rows)
     rng = np.random.default_rng(0)
     assert oracle.CHECKS["mnp_matches_exhaustive"](problem, rng) == (True, None)
     assert solves == ["exhaustive", "mnp"]
+    rows.clear()
     assert oracle.CHECKS["value_function_submodular"](problem, rng) == (True, None)
-    assert len(values) == 2**m
+    assert rows == [2**m]  # one stack of every box
 
 
 def test_submodularity_check_reports_the_first_violating_pair(monkeypatch):
@@ -142,10 +144,11 @@ def test_submodularity_check_reports_the_first_violating_pair(monkeypatch):
     rng = np.random.default_rng(0)
     table = np.random.default_rng(5).random(2**m)  # planted: F(z) = table[code of z]
 
-    def planted(quad, smap, z):
-        return float(table[int("".join(map(str, z)), 2)])
+    def planted(quad, lo, up):  # 2^m <= sfm.EXHAUSTIVE_CHUNK: one stack, in code order
+        assert len(lo) == 2**m
+        return SimpleNamespace(value=table.copy())
 
-    monkeypatch.setattr(boxqp, "value_function", planted)
+    monkeypatch.setattr(boxqp, "solve_many", planted)
     first = next(
         (p, q)
         for p in range(2**m)

@@ -314,6 +314,29 @@ def test_upper_bound_condition_persists_after_entering():
         assert draws_that_entered, regime
 
 
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+def test_a_stage_that_opens_a_zero_width_box_is_skipped(small_quad, order, monkeypatch):
+    # variable 1 costs, so it has a coordinate, but its box is [0, 0]: the
+    # stage that opens it leaves it pinned at 0.  In order (0, 1) variable 0
+    # rises first and turns variable 1's gradient negative, so only the
+    # pinned rule skips its stage.
+    traced = []
+
+    def recording(state, j, *bounds):
+        traced.append(j)
+        return trace_path(state, j, *bounds)
+
+    monkeypatch.setattr(pathtrace, "trace_path", recording)
+    prob = _problem(small_quad, np.zeros(2), np.array([10.0, 0.0]))
+    chain = _chain(prob, order)
+    k = order.index(1) + 1  # the stage that opens variable 1
+    assert traced == [0]
+    assert chain.values[k] == chain.values[k - 1]
+    assert np.array_equal(chain.minimizers[k], chain.minimizers[k - 1])
+    assert all(b.stage != k for b in chain.breakpoints)
+    assert chain.values[-1] == pytest.approx(-0.25, abs=1e-12)  # x = (0.5, 0)
+
+
 def _check_maintained_state(state, tracing):
     """The factor's indices are the free statuses; mid-trace, the masks
     trace_path maintains equal the ones built from the statuses."""
