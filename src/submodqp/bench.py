@@ -1,4 +1,4 @@
-"""Scaling benchmark: one traced value chain against n+1 box-QP solves.
+"""Scaling benchmark: one traced value chain against one stacked solve of n+1 prefix boxes.
 
 :func:`bench_rows` backs ``submodqp bench`` and the cubic-scaling acceptance
 test.  It reports each pass twice: by wall time, and by a deterministic work
@@ -28,7 +28,7 @@ def _bench_problem(n, seed):
     )
 
 
-# timings per size in each repetition; a chain costs a few % of a naive pass
+# timings per size in each repetition
 _CHAIN_RUNS = 5
 _NAIVE_RUNS = 2
 
@@ -40,15 +40,15 @@ def _time_chain(problem):
 
 
 def _time_naive(problem):
-    """Seconds and projected Newton iterations of the n+1 prefix solves."""
+    """Seconds and projected Newton iterations of the naive pass (one stacked solve)."""
     oracle = IndicatorOracle(problem)
     t0 = time.perf_counter()
     oracle.chain_naive(range(oracle.m))
-    return time.perf_counter() - t0, oracle.stats.scalar_iterations
+    return time.perf_counter() - t0, oracle.stats.boxqp_iterations
 
 
 def bench_rows(sizes, reps=3, seed=0):
-    """Time one traced chain vs n+1 independent box-QP evaluations per size.
+    """Time one traced chain vs one stacked solve of the n+1 prefix boxes per size.
 
     Instances are chains with mixed-sign noise observations and binding
     upper bounds, so every prefix solve works a nontrivial active set.
@@ -57,12 +57,12 @@ def bench_rows(sizes, reps=3, seed=0):
     allocation and library warm-up).  Each repetition then times every size
     in turn, so a drift in machine speed hits all sizes alike instead of
     skewing their ratios; within a repetition the naive pass is timed twice
-    and the chain, which costs a few percent of it, five times.  The garbage
-    collector is held off while the clock runs, as ``timeit`` does.  Rows
-    report medians, the breakpoints of the chain, and the work of each pass:
-    ``chain_work`` is the chain's ``pivot_work`` (|R|^2 summed over its
-    pivots) and ``naive_work`` sums n^3 over the Newton iterations of the
-    naive pass, each of which factors a free block of up to n variables.
+    and the chain five times.  The garbage collector is held off while the
+    clock runs, as ``timeit`` does.  Rows report medians, the breakpoints of
+    the chain, and the work of each pass: ``chain_work`` is the chain's
+    ``pivot_work`` (|R|^2 summed over its pivots) and ``naive_work`` sums
+    n^3 over the Newton iterations of the naive pass, each of which factors
+    a free block of up to n variables.
     """
     reps = _as_int_at_least(reps, "reps", 1)
     seed = _as_int_at_least(seed, "seed", 0)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .lattice import bounds_for_binary
 from .model import check_box
 
 KKT_TOL_FACTOR = 1e-10
@@ -222,9 +221,3 @@ def _newton_step(quad, x, lo, up, rows, g, d):
     stalled = step < 1e-20
     if stalled.any():
         raise NumericalError(f"row {rows[stalled.argmax()]}: projected Newton line search stalled")
-
-
-def value_function(quad, smap, zbin):
-    """v(z): optimal objective under the split assignment zbin of ``smap``."""
-    blo, bup = bounds_for_binary(smap, zbin)
-    return solve(quad, blo, bup).value

@@ -334,13 +334,15 @@ class IndicatorProblem:
         _reject_unknown_keys(d, known, "indicator problem")
         with _json_errors("indicator problem"):
             quad = QuadraticForm(
-                np.array(d["Q"], dtype=float), np.array(d["a"], dtype=float), float(d.get("k0", 0.0))
+                np.array(_json_numbers(d["Q"], "Q"), dtype=float),
+                np.array(_json_numbers(d["a"], "a"), dtype=float),
+                float(_json_numbers(d.get("k0", 0.0), "k0")),
             )
             return IndicatorProblem(
                 quad=quad,
-                costs=np.array(d["c"], dtype=float),
-                lo=np.array([_num_from_json(v) for v in d["l"]], dtype=float),
-                up=np.array([_num_from_json(v) for v in d["u"]], dtype=float),
+                costs=np.array(_json_numbers(d["c"], "c"), dtype=float),
+                lo=np.array([_num_from_json(v) for v in _json_numbers(d["l"], "l")], dtype=float),
+                up=np.array([_num_from_json(v) for v in _json_numbers(d["u"], "u")], dtype=float),
                 mode=d.get("mode", "sparse"),
             )
 
@@ -502,6 +504,17 @@ def _num_from_json(v):
     return float(v)
 
 
+def _json_numbers(value, key):
+    """``value``, JSON numbers (in nested lists) read from ``key``, unchanged;
+    a ``true`` or ``false`` in it, which Python reads as 1 or 0, raises
+    :class:`InputError` naming ``key``."""
+    if isinstance(value, bool):
+        raise InputError(f"{key!r} holds the boolean {json.dumps(value)}, not a number")
+    for v in value if isinstance(value, list) else ():
+        _json_numbers(v, key)
+    return value
+
+
 @contextmanager
 def _json_errors(what):
     """Report a missing key or a malformed value in ``what`` JSON as an InputError."""
@@ -539,14 +552,15 @@ def instance_from_json_dict(d):
     _reject_unknown_keys(d, known, "instance")
     with _json_errors("instance"):
         # Graph checks that n and the endpoints are integral, not truncated
-        graph = Graph(d["n"], tuple((i, j, float(w)) for i, j, w in d.get("edges", [])))
+        edges = tuple((i, j, float(_json_numbers(w, "edges"))) for i, j, w in d.get("edges", []))
+        graph = Graph(d["n"], edges)
         return ProblemInstance(
             graph=graph,
-            a=np.array(d["a"], dtype=float),
-            node_weights=np.array(d["node_weights"], dtype=float),
-            c=np.array(d["c"], dtype=float),
-            l=np.array([_num_from_json(v) for v in d["l"]], dtype=float),
-            u=np.array([_num_from_json(v) for v in d["u"]], dtype=float),
+            a=np.array(_json_numbers(d["a"], "a"), dtype=float),
+            node_weights=np.array(_json_numbers(d["node_weights"], "node_weights"), dtype=float),
+            c=np.array(_json_numbers(d["c"], "c"), dtype=float),
+            l=np.array([_num_from_json(v) for v in _json_numbers(d["l"], "l")], dtype=float),
+            u=np.array([_num_from_json(v) for v in _json_numbers(d["u"], "u")], dtype=float),
             mode=d["mode"],
         )
 

@@ -239,11 +239,8 @@ def _check_boxqp_kkt(problem, rng):
     if not res <= tol:
         return False, {"residual": res, "tol": tol}
     smap, vc = _chain_for(problem)
-    z = np.zeros(vc.m, dtype=int)
-    for k, x in enumerate(vc.minimizers):
-        if k:
-            z[vc.order[k - 1]] = 1
-        res = boxqp.kkt_residual(problem.quad, *bounds_for_binary(smap, z), x)
+    for k, (x, lo, up) in enumerate(zip(vc.minimizers, *_prefix_boxes(smap, vc.order))):
+        res = boxqp.kkt_residual(problem.quad, lo, up, x)
         if not res <= tol:
             return False, {"stage": k, "residual": res, "tol": tol}
     return True, None
@@ -282,23 +279,25 @@ def _chain_for(problem):
     return smap, pathtrace.chain_general(problem.quad, smap, range(smap.binary_dim))
 
 
+def _prefix_boxes(smap, order):
+    """The boxes of the prefix sets of ``order`` (:func:`sfm.prefix_sets`),
+    as two stacks with one row per set."""
+    return bounds_for_binary(smap, sfm.prefix_sets(order, smap.binary_dim))
+
+
 def _check_chain_matches_oracle(problem, rng):
+    """Every value of the problem's chain (:func:`_chain_for`) equals its
+    prefix box's value, all solved in one stack, to 1e-8."""
     smap, vc = _chain_for(problem)
-    z = np.zeros(vc.m, dtype=int)
-    worst, at = 0.0, -1
-    for k in range(vc.m + 1):
-        if k:
-            z[vc.order[k - 1]] = 1
-        ref = boxqp.value_function(problem.quad, smap, z)
-        gap = abs(ref - vc.values[k])
-        if gap > worst:
-            worst, at = gap, k
+    gaps = np.abs(boxqp.solve_many(problem.quad, *_prefix_boxes(smap, vc.order)).value - vc.values)
+    at = int(gaps.argmax())
+    worst = float(gaps[at])
     return worst <= 1e-8, None if worst <= 1e-8 else {"worst_gap": worst, "stage": at}
 
 
 def _check_chain_memo(problem, rng):
     """Two chains of one oracle that share prefix sets: every value is F to
-    1e-9, and a set reached by both orders gets the same bits."""
+    1e-9 (:meth:`chain_naive`), and a set reached by both orders gets the same bits."""
     oracle = IndicatorOracle(problem)
     m = oracle.m
     first = rng.permutation(m)
@@ -310,15 +309,10 @@ def _check_chain_memo(problem, rng):
     seen = {}
     for order in (first, second):
         values = oracle.chain(order)
-        z = np.zeros(m, dtype=int)
-        for k, f in enumerate(values.tolist()):
-            if k:
-                z[order[k - 1]] = 1
-            ref = boxqp.value_function(problem.quad, oracle.smap, z)
-            ref += oracle.bincost(z)
+        for k, (f, ref) in enumerate(zip(values.tolist(), oracle.chain_naive(order).tolist())):
             if abs(f - ref) > 1e-9 * (1.0 + abs(ref)):
                 return False, {"order": order.tolist(), "stage": k, "value": f, "ref": ref}
-            key = z.tobytes()
+            key = frozenset(order[:k].tolist())
             if seen.setdefault(key, f) != f:
                 return False, {"order": order.tolist(), "stage": k, "value": f, "first": seen[key]}
     return True, None
@@ -347,11 +341,9 @@ def _check_value_submodular(problem, rng):
     m = smap.binary_dim
     if m > 10:
         return None, None  # too large to enumerate here; covered at small dims
-    codes = np.arange(2**m)
+    codes = np.arange(2**m)  # at most sfm.EXHAUSTIVE_CHUNK, so one stack
     blo, bup = bounds_for_binary(smap, (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1)
-    chunk = sfm.EXHAUSTIVE_CHUNK
-    vals = np.concatenate([boxqp.solve_many(problem.quad, blo[s : s + chunk], bup[s : s + chunk]).value
-                           for s in range(0, codes.size, chunk)])
+    vals = boxqp.solve_many(problem.quad, blo, bup).value
     p, q = codes[:, None], codes[None, :]
     lhs, rhs = vals[p] + vals[q], vals[p & q] + vals[p | q]
     bad = np.argwhere((lhs < rhs - 1e-8) & (p < q))  # row-major: the first p, then q
@@ -363,14 +355,11 @@ def _check_value_submodular(problem, rng):
 
 def _check_lovasz_vertices(problem, rng):
     oracle = IndicatorOracle(problem)
-    values = oracle.chain(np.arange(oracle.m))
-    z = np.zeros(oracle.m)
-    for k in range(oracle.m + 1):
-        gap = abs(sfm.lovasz(oracle, z) - values[k])
+    order = np.arange(oracle.m)
+    for k, (f, z) in enumerate(zip(oracle.chain(order), sfm.prefix_sets(order, oracle.m))):
+        gap = abs(sfm.lovasz(oracle, z) - f)
         if gap > 1e-8:
             return False, {"stage": k, "gap": gap}
-        if k < oracle.m:
-            z[k] = 1.0
     return True, None
 
 
@@ -426,12 +415,11 @@ def _check_segment_affine(problem, rng):
     with it pinned 1/4, 1/2 and 3/4 of the way lies on the chord to 1e-8 in
     the Q-norm (:func:`_qnorm`).  A chain with no such pair is skipped."""
     smap, vc = _chain_for(problem)
-    z = np.zeros(vc.m, dtype=int)
     sampled = False
+    blos, bups = _prefix_boxes(smap, vc.order)
     for k, c in enumerate(vc.order, start=1):
-        z[c] = 1
         j = smap.var[c]
-        blo, bup = bounds_for_binary(smap, z)
+        blo, bup = blos[k], bups[k]  # stage k's box, pinned at j below
         path = vc.stage_path(k)
         for p0, p1 in zip(path, path[1:]):
             if p1[j] - p0[j] <= 1e-9:

@@ -62,16 +62,14 @@ _log = logging.getLogger(__name__)
 @dataclass(slots=True)
 class SolveStats:
     """An oracle's work counters, its ``stats``: chains, their traced and
-    memo-answered stages, and box QPs solved in stacks and alone, with their
-    Newton iterations."""
+    memo-answered stages, and box QPs solved, one per row of a stack, with
+    their projected Newton iterations."""
 
     chains: int = 0
     stages_traced: int = 0
     stages_memo: int = 0
-    stacked_rows: int = 0
-    stacked_iterations: int = 0
-    scalar_solves: int = 0
-    scalar_iterations: int = 0
+    boxqp_solves: int = 0
+    boxqp_iterations: int = 0
 
 
 @dataclass
@@ -106,6 +104,15 @@ class SfmResult:
         }
 
 
+def prefix_sets(order, m):
+    """The ``(len(order) + 1, m)`` int matrix whose row k is the indicator of
+    ``order[:k]``, for an ``order`` that :func:`pathtrace.check_order` admits."""
+    order = pathtrace.check_order(order, m)
+    z = np.zeros((len(order) + 1, m), dtype=int)
+    z[:, order] = np.tri(len(order) + 1, len(order), -1, dtype=int)
+    return z
+
+
 class SubmodularOracle:
     """Evaluation contract for a submodular set function F on {0,1}^m.
 
@@ -113,8 +120,10 @@ class SubmodularOracle:
     of a stack, :meth:`chain` returns the m+1 values of F along the prefixes
     of a permutation, F(∅) first, and :meth:`eval_x` F with the continuous
     minimizer behind it (None by default); the defaults make single
-    evaluations, fast implementations override them.  Each oracle counts its
-    work in ``stats`` (:class:`SolveStats`).
+    evaluations, fast implementations override them.  :meth:`chain_naive`,
+    the default :meth:`chain`, is one :meth:`eval_many` of the m+1 prefix
+    sets (:func:`prefix_sets`): for an indicator problem, one stacked solve
+    of the m+1 prefix boxes.  Each oracle counts its work in ``stats``.
     """
 
     def __init__(self, m):
@@ -137,13 +146,7 @@ class SubmodularOracle:
         return values
 
     def chain_naive(self, order):
-        order = pathtrace.check_order(order, self.m)
-        z = np.zeros(self.m, dtype=int)
-        out = [self.eval(z)]
-        for i in order:
-            z[i] = 1
-            out.append(self.eval(z))
-        return np.array(out)
+        return self.eval_many(prefix_sets(order, self.m))
 
 
 class FunctionOracle(SubmodularOracle):
@@ -194,8 +197,8 @@ class IndicatorOracle(SubmodularOracle):
         """The box QP under ``zbin``, solved alone and counted."""
         blo, bup = bounds_for_binary(self.smap, zbin)
         sol = boxqp.solve(self.quad, blo, bup)
-        self.stats.scalar_solves += 1
-        self.stats.scalar_iterations += sol.iterations
+        self.stats.boxqp_solves += 1
+        self.stats.boxqp_iterations += sol.iterations
         return sol
 
     @cached_property
@@ -217,8 +220,8 @@ class IndicatorOracle(SubmodularOracle):
         zbins = np.asarray(zbins)
         blo, bup = bounds_for_binary(self.smap, zbins)
         sol = boxqp.solve_many(self.quad, blo, bup)
-        self.stats.stacked_rows += sol.iterations.size
-        self.stats.stacked_iterations += int(sol.iterations.sum())
+        self.stats.boxqp_solves += sol.iterations.size
+        self.stats.boxqp_iterations += int(sol.iterations.sum())
         return sol.value + (zbins @ self.bincost.linear + self.bincost.constant)
 
     def chain(self, order):

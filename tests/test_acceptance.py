@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import boxqp, model, pathtrace
+from submodqp import boxqp, model, pathtrace, sfm
 from submodqp.bench import bench_rows
-from submodqp.lattice import split
+from submodqp.lattice import bounds_for_binary, split
 
 
 def _report(num, name, ok, detail=""):
@@ -93,11 +93,9 @@ def test_criterion_2_value_function_submodularity():
         smap, _ = split(prob)
         m = smap.binary_dim
         assert m <= 8
-        vals = np.empty(2**m)
-        for code in range(2**m):
-            z = np.array([(code >> (m - 1 - b)) & 1 for b in range(m)], dtype=int)
-            vals[code] = boxqp.value_function(prob.quad, smap, z)
         codes = np.arange(2**m)
+        z = (codes[:, None] >> np.arange(m - 1, -1, -1)) & 1  # all 2^m codes in one stack
+        vals = boxqp.solve_many(prob.quad, *bounds_for_binary(smap, z)).value
         p, q = np.meshgrid(codes, codes, indexing="ij")
         lhs = vals[p] + vals[q]
         rhs = vals[p & q] + vals[p | q]
@@ -129,12 +127,9 @@ def chain_runs():
 def test_criterion_3_chain_matches_oracle(chain_runs):
     worst = 0.0
     for prob, smap, chain, kind in chain_runs:
-        z = np.zeros(smap.binary_dim, dtype=int)
-        for k in range(chain.m + 1):
-            if k:
-                z[chain.order[k - 1]] = 1
-            ref = boxqp.value_function(prob.quad, smap, z)
-            worst = max(worst, abs(ref - chain.values[k]))
+        z = sfm.prefix_sets(chain.order, smap.binary_dim)
+        ref = boxqp.solve_many(prob.quad, *bounds_for_binary(smap, z)).value
+        worst = max(worst, float(np.max(np.abs(ref - chain.values))))
     ok = worst <= 1e-8
     _report(3, "chain correctness", ok, f"(100 chains, n up to 50, worst gap {worst:.2e})")
     assert worst <= 1e-8

@@ -111,9 +111,9 @@ def test_degenerate_gradient_classifies_to_bound():
 
 def test_value_function_four_corners(small_quad):
     smap, _ = lattice.split(sq.IndicatorProblem(small_quad, np.ones(2), np.zeros(2), np.full(2, 10.0)))
-    v = {}
-    for z in ([0, 0], [1, 0], [0, 1], [1, 1]):
-        v[tuple(z)] = boxqp.value_function(small_quad, smap, z)
+    corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    sol = boxqp.solve_many(small_quad, *lattice.bounds_for_binary(smap, np.array(corners)))
+    v = dict(zip(corners, sol.value.tolist()))
     assert v[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert v[1, 0] == pytest.approx(-0.25, abs=1e-12)
     assert v[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -125,7 +125,7 @@ def test_value_function_four_corners(small_quad):
 def test_value_function_all_off_is_constant_term():
     quad = sq.QuadraticForm([[2, -1], [-1, 2]], [1, 0], k0=3.5)
     smap, _ = lattice.split(sq.IndicatorProblem(quad, np.ones(2), np.zeros(2), np.full(2, 10.0)))
-    v0 = boxqp.value_function(quad, smap, [0, 0])
+    v0 = boxqp.solve(quad, *lattice.bounds_for_binary(smap, [0, 0])).value
     assert v0 == pytest.approx(3.5, abs=1e-12)
 
 

@@ -217,10 +217,8 @@ def test_trace_infinite_bounds_matches_naive_chain(tmp_path):
     d = json.loads(out.read_text())
     problem = model.compile_instance(inst)
     smap, _ = lattice.split(problem)
-    naive = sq.FunctionOracle(
-        lambda z: boxqp.value_function(problem.quad, smap, z),
-        smap.binary_dim,
-    ).chain_naive(d["order"])
+    boxes = lattice.bounds_for_binary(smap, sfm.prefix_sets(d["order"], smap.binary_dim))
+    naive = boxqp.solve_many(problem.quad, *boxes).value
     assert d["kind"] == "general"
     assert np.max(np.abs(np.array(d["values"]) - naive)) <= 1e-8
 
@@ -236,6 +234,8 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     ("n", "abc"), ("edges", [[0, 1]]), ("a", "xyz"), ("l", [None]), ("c", [math.inf, 1.0, 1.0]),
     # no truncation: 3.9 vertices is not 3, nor the edge (0.7, 1.9) the edge (0, 1)
     ("n", 3.9), ("n", True), ("edges", [[0.7, 1.9, 1.0]]), ("edges", [[False, 1, 1.0]]),
+    # nor JSON's true and false the numbers 1 and 0
+    ("node_weights", [1.0, 1.0, True]), ("a", [False, 0.5, 0.5]), ("edges", [[0, 1, True]]),
 ])
 def test_malformed_json_values_are_input_errors(tmp_path, capsys, key, value):
     inst, _ = model.generate("chain", (3,), seed=0)
@@ -245,6 +245,20 @@ def test_malformed_json_values_are_input_errors(tmp_path, capsys, key, value):
     path.write_text(json.dumps(d))
     assert _run(["solve", str(path)]) == cli.EXIT_INPUT
     assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("generate", "--dims", "2,,3"), ("generate", "--dims", "2,3,"),
+    ("eval", "--z", "1,,0,1"), ("trace", "--order", "2,,0"), ("trace", "--order", ",2"),
+])
+def test_an_empty_list_entry_is_an_input_error(command, flag, text, tmp_path, capsys):
+    # dropping the empty entry would leave a valid list: dims 2,3, z 1,0,1, order 2,0
+    inst, _ = model.generate("chain", (3,), seed=0)
+    path = tmp_path / "inst.json"
+    sq.save_instance(inst, path)
+    where = [str(path)] if command != "generate" else ["--topology", "grid2d", "--output", str(path)]
+    assert _run([command, *where, flag, text]) == cli.EXIT_INPUT
+    assert f"bad {flag[2:]} list {text!r}" in capsys.readouterr().err
 
 
 def test_solve_exits_2_when_the_gap_does_not_certify(tmp_path, capsys, monkeypatch):

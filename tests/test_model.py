@@ -382,6 +382,38 @@ def test_instance_json_rejects_unknown_key(tmp_path):
         sq.load_instance(path)
 
 
+def _planted(d, key, index, value):
+    """A JSON round trip of ``d`` with ``value`` at ``d[key][index...]``."""
+    root = entries = json.loads(json.dumps(d))
+    *outer, last = (key, *index)
+    for k in outer:
+        entries = entries[k]
+    entries[last] = value
+    return root
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("a", (0,), True), ("c", (1,), False), ("l", (0,), False), ("u", (2,), True),
+    ("node_weights", (2,), True), ("edges", (1, 2), True),
+])
+def test_instance_json_rejects_a_boolean_in_a_numeric_field(key, index, value):
+    # Python reads JSON's true and false as 1 and 0; neither is a number here
+    d = model.instance_to_json_dict(model.generate("chain", (3,), seed=0)[0])
+    model.instance_from_json_dict(_planted(d, key, index, 1))  # the number 1 is read
+    with pytest.raises(InputError, match=f"'{key}' holds the boolean {json.dumps(value)}"):
+        model.instance_from_json_dict(_planted(d, key, index, value))
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("k0", (), True), ("Q", (1, 1), True), ("a", (0,), False), ("c", (2,), True),
+    ("l", (0,), False), ("u", (1,), True),
+])
+def test_problem_json_rejects_a_boolean_in_a_numeric_field(key, index, value):
+    d = sq.InstanceSampler(n=3, regime="nonnegative", seed=0).draw(0).to_json_dict()
+    with pytest.raises(InputError, match=f"'{key}' holds the boolean {json.dumps(value)}"):
+        sq.IndicatorProblem.from_json_dict(_planted(d, key, index, value))
+
+
 def test_instance_json_rejects_bad_literal():
     inst, _ = model.generate("chain", (2,), seed=0)
     d = model.instance_to_json_dict(inst)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import boxqp, lattice, pathtrace
+from submodqp import boxqp, lattice, pathtrace, sfm
 from submodqp.exceptions import InputError, NumericalError
 from submodqp.pathtrace import PathState, chain_general, chain_nonnegative, trace_path
 
@@ -167,7 +167,7 @@ def test_chain_general_endpoint_boxes():
         assert chain.values[-1] == pytest.approx(nonneg.value, abs=1e-9)
         zfull = smap.plus.astype(int)
         full = boxqp.solve(prob.quad, lo, up)
-        vfull = boxqp.value_function(prob.quad, smap, zfull)
+        vfull = boxqp.solve(prob.quad, *lattice.bounds_for_binary(smap, zfull)).value
         assert vfull == pytest.approx(full.value, abs=1e-9)
 
 
@@ -187,12 +187,11 @@ def test_chain_general_with_always_open_matches_boxqp_prefixes():
         coords = list(zip(smap.var.tolist(), smap.plus.tolist()))
         full_coords = list(zip(full.var.tolist(), full.plus.tolist()))
         assert chain.m == sum(1 for i, _ in full_coords if not mask[i])
-        z = np.array([mask[i] and plus for i, plus in full_coords], dtype=int)
-        for k in range(smap.binary_dim + 1):
-            if k:
-                z[full_coords.index(coords[order[k - 1]])] = 1
-            ref = boxqp.value_function(prob.quad, full, z)
-            assert abs(chain.values[k] - ref) <= 1e-8
+        base = np.array([mask[i] and plus for i, plus in full_coords], dtype=int)
+        z = np.tile(base, (smap.binary_dim + 1, 1))
+        z[:, [full_coords.index(c) for c in coords]] = sfm.prefix_sets(order, smap.binary_dim)
+        ref = boxqp.solve_many(prob.quad, *lattice.bounds_for_binary(full, z)).value
+        assert np.max(np.abs(chain.values - ref)) <= 1e-8
 
 
 def test_chain_general_given_stage0_is_bit_identical():
@@ -215,12 +214,9 @@ def test_chain_matches_boxqp_prefixes(regime):
         smap, _ = lattice.split(prob)
         chain = chain_general(prob.quad, smap, range(smap.binary_dim))
         assert chain.kind == ("nonnegative" if regime == "nonnegative" else "general")
-        z = np.zeros(smap.binary_dim, dtype=int)
-        for k in range(smap.binary_dim + 1):
-            if k:
-                z[k - 1] = 1
-            ref = boxqp.value_function(prob.quad, smap, z)
-            assert abs(chain.values[k] - ref) <= 1e-8
+        z = sfm.prefix_sets(range(smap.binary_dim), smap.binary_dim)
+        ref = boxqp.solve_many(prob.quad, *lattice.bounds_for_binary(smap, z)).value
+        assert np.max(np.abs(chain.values - ref)) <= 1e-8
 
 
 @pytest.mark.parametrize("regime", ["nonnegative", "mixed", "negative"])

@@ -413,21 +413,14 @@ def test_oracle_chain_endpoints_match_eval():
         assert np.max(np.abs(values - naive)) <= 1e-8
 
 
-def _naive_chain(problem, order):
-    """m+1 box-QP evaluations over the problem's (possibly infinite) bounds."""
-    smap, bincost = lattice.split(problem)
-    return sq.FunctionOracle(
-        lambda z: boxqp.value_function(problem.quad, smap, z) + bincost(z), smap.binary_dim
-    ).chain_naive(order)
-
-
 def test_oracle_traces_infinite_bounds(monkeypatch):
     problem = _corner_problem([0.1, 0.1], up=(np.inf, 10.0))
     oracle = sq.IndicatorOracle(problem)
     monkeypatch.setattr(oracle, "chain_naive", None)  # the oracle must trace
     values = oracle.chain(np.arange(2))
     assert values[-1] == pytest.approx(-1.0 / 3.0 + 0.2, abs=1e-10)
-    naive = _naive_chain(problem, np.arange(2))
+    # the m+1 prefix boxes over the (partly infinite) bounds, in one stack
+    naive = sq.IndicatorOracle(problem).chain_naive(np.arange(2))
     assert np.max(np.abs(values - naive)) <= 1e-8
 
 
@@ -468,12 +461,9 @@ def test_infinite_bounds_are_traced_exactly(regime, monkeypatch):
         assert oracle.m == int(np.sum(~mask * (1 + ((lo < 0) & (up > 0)))))
         order = np.random.default_rng(seed).permutation(oracle.m)
         chain = pathtrace.chain_general(problem.quad, oracle.smap, order)
-        z = np.zeros(oracle.m, dtype=int)
-        for k in range(oracle.m + 1):
-            if k:
-                z[order[k - 1]] = 1
-            ref = boxqp.value_function(problem.quad, oracle.smap, z)
-            assert abs(chain.values[k] - ref) <= 1e-8 * (1.0 + abs(ref))
+        boxes = lattice.bounds_for_binary(oracle.smap, sfm.prefix_sets(order, oracle.m))
+        ref = boxqp.solve_many(problem.quad, *boxes).value
+        assert np.all(np.abs(chain.values - ref) <= 1e-8 * (1.0 + np.abs(ref)))
         ref = sq.brute_force(problem)
         ex = sq.solve_full(problem, engine="exhaustive")
         mn = sq.solve_full(problem, engine="mnp")
@@ -513,14 +503,14 @@ def test_solve_full_reports_the_oracles_work_counters():
     problem = sq.compile_instance(inst)
     res = sq.solve_full(problem)
     assert res.stats == sfm.SolveStats(
-        chains=8, stages_traced=39, stages_memo=25, stacked_rows=0, stacked_iterations=0,
-        scalar_solves=2, scalar_iterations=6,
+        chains=8, stages_traced=39, stages_memo=25, boxqp_solves=2, boxqp_iterations=6,
     )
     # each chain's 8 stages are traced or read from the memo
     assert res.stats.stages_traced + res.stats.stages_memo == 8 * res.stats.chains
     assert res.to_json_dict()["stats"]["stages_memo"] == 25
     ex = sq.solve_full(problem, engine="exhaustive")
-    assert ex.stats == sfm.SolveStats(0, 0, 0, 256, 568, 1, 2)
+    # 2^8 stacked rows and the minimizer's x, with 568 + 2 iterations
+    assert ex.stats == sfm.SolveStats(0, 0, 0, 257, 570)
 
 
 def test_solve_full_robust_two_chain():
@@ -730,10 +720,9 @@ def test_indicator_oracle_with_always_open_matches_full_cube():
         for _ in range(4):
             z = rng.integers(0, 2, size=oracle.m)
             zfull = _embed(full, oracle.smap, mask, z)
-            ref = boxqp.value_function(prob.quad, full, zfull)
-            assert oracle.eval(z) - oracle.bincost(z) == pytest.approx(ref, abs=1e-12)
-            blo, bup = lattice.bounds_for_binary(full, zfull)
-            assert np.array_equal(oracle.eval_x(z)[1], boxqp.solve(prob.quad, blo, bup).x)
+            ref = boxqp.solve(prob.quad, *lattice.bounds_for_binary(full, zfull))
+            assert oracle.eval(z) - oracle.bincost(z) == pytest.approx(ref.value, abs=1e-12)
+            assert np.array_equal(oracle.eval_x(z)[1], ref.x)
 
 
 def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
@@ -748,12 +737,9 @@ def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     order = np.arange(oracle.m)[::-1]
     assert pathtrace.chain_general(prob.quad, smap, order).kind == "nonnegative"
     values = oracle.chain(order)
-    z = np.zeros(oracle.m, dtype=int)
-    for k in range(oracle.m + 1):
-        if k:
-            z[order[k - 1]] = 1
-        ref = boxqp.value_function(prob.quad, smap, z) + float(prob.costs @ z)
-        assert abs(values[k] - ref) <= 1e-8 * (1.0 + abs(ref))
+    z = sfm.prefix_sets(order, oracle.m)
+    ref = boxqp.solve_many(prob.quad, *lattice.bounds_for_binary(smap, z)).value + z @ prob.costs
+    assert np.all(np.abs(values - ref) <= 1e-8 * (1.0 + np.abs(ref)))
 
 
 def test_solve_full_rejects_unknown_engine():
@@ -794,8 +780,8 @@ def test_chain_with_every_prefix_set_known_traces_no_stage(monkeypatch):
     _, oracle = _memo_oracle()
     order = np.random.default_rng(0).permutation(oracle.m)
     first = oracle.chain(order)
-    assert oracle.stats == sfm.SolveStats(chains=1, stages_traced=oracle.m, scalar_solves=1,
-                                          scalar_iterations=oracle.stats.scalar_iterations)
+    assert oracle.stats == sfm.SolveStats(chains=1, stages_traced=oracle.m, boxqp_solves=1,
+                                          boxqp_iterations=2)  # stage 0
     assert len(oracle.memo) == oracle.m + 1
     monkeypatch.setattr(sfm.pathtrace, "chain_general", None)  # tracing would fail
     assert np.array_equal(oracle.chain(order), first)
@@ -867,6 +853,54 @@ def test_a_rejected_order_is_not_counted():
     assert oracle.stats == sfm.SolveStats()
 
 
+@pytest.mark.parametrize("order, m", [([3, 0, 4], 5), (np.array([1, 0]), 2), ([], 3), ([], 0)])
+def test_row_k_of_prefix_sets_holds_exactly_the_first_k_coordinates(order, m):
+    z = sfm.prefix_sets(order, m)
+    assert z.shape == (len(order) + 1, m) and z.dtype == int
+    for k, row in enumerate(z):
+        assert set(np.flatnonzero(row).tolist()) == {int(c) for c in order[:k]}
+        assert np.all((row == 0) | (row == 1))
+
+
+def test_a_bad_order_raises_before_anything_is_solved(monkeypatch):
+    _, oracle = _memo_oracle()
+    monkeypatch.setattr(boxqp, "solve_many", None)  # solving would fail
+    monkeypatch.setattr(boxqp, "solve", None)
+    for order in ([0, 0], [0, oracle.m], [-1], [True], [0.5]):
+        with pytest.raises(InputError, match="distinct coordinates"):
+            sfm.prefix_sets(order, oracle.m)
+        with pytest.raises(InputError, match="distinct coordinates"):
+            oracle.chain_naive(order)
+    assert oracle.stats == sfm.SolveStats()
+
+
+def test_indicator_chain_naive_is_one_stacked_solve_of_the_prefix_boxes(monkeypatch):
+    prob, oracle = _memo_oracle()
+    order = np.random.default_rng(2).permutation(oracle.m)
+    rows = []
+    solve_many = boxqp.solve_many
+
+    def counted(quad, lo, up):
+        rows.append(len(lo))
+        return solve_many(quad, lo, up)
+
+    monkeypatch.setattr(boxqp, "solve_many", counted)
+    monkeypatch.setattr(boxqp, "solve", None)  # no box is solved alone
+    naive = oracle.chain_naive(order)
+    monkeypatch.undo()
+    assert oracle.m == 9 and rows == [oracle.m + 1]
+    assert oracle.stats == sfm.SolveStats(boxqp_solves=oracle.m + 1, boxqp_iterations=18)
+    assert np.max(np.abs(naive - sq.IndicatorOracle(prob).chain(order))) <= 1e-9
+
+
+def test_function_oracle_chain_naive_calls_eval_once_per_prefix_set():
+    seen = []
+    oracle = sq.FunctionOracle(lambda z: seen.append(z.tolist()) or float(z @ [1, 2, 4]), 3)
+    assert oracle.chain_naive([2, 0, 1]).tolist() == [0.0, 4.0, 5.0, 7.0]
+    assert seen == [[0, 0, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1]]
+    assert oracle.stats == sfm.SolveStats()  # chain_naive is no chain
+
+
 def test_bounded_memo_keeps_mnp_results(monkeypatch):
     problems = [
         sq.InstanceSampler(n=8, regime=regime, seed=900 + seed).draw(0)
@@ -905,7 +939,7 @@ def test_mnp_logs_its_chain_counters(caplog):
     stats = res.stats
     assert stats.chains >= 2 and stats.stages_traced >= 1 and stats.stages_memo >= 1
     # stage 0, which is F(∅), and the rounded set's value with its x
-    assert stats.scalar_solves == 2 and stats.scalar_iterations >= 2
+    assert stats.boxqp_solves == 2 and stats.boxqp_iterations >= 2
 
 
 def test_exhaustive_logs_its_box_qp_counters(caplog):
@@ -914,24 +948,23 @@ def test_exhaustive_logs_its_box_qp_counters(caplog):
         res = sq.solve_full(prob, engine="exhaustive")
     assert _logged(caplog, "exhaustive: ") == [f"exhaustive: {2**6} codes, {res.stats}"]
     stats = res.stats
-    # every code is one stacked row, and every row takes at least one iteration
-    assert stats.stacked_rows == 2**6 and stats.stacked_iterations > stats.stacked_rows
-    assert stats.scalar_solves == 1 and stats.scalar_iterations >= 1  # the minimizer's x
+    # every code is one stacked row, and one more solve gives the minimizer's x
+    assert (stats.boxqp_solves, stats.boxqp_iterations) == (2**6 + 1, 138 + 2)
 
 
-def test_scalar_box_qp_solves_are_counted():
+def test_box_qp_solves_are_counted():
     prob, oracle = _memo_oracle(seed=6)
     assert oracle.stats == sfm.SolveStats()
     res = sq.minimize_mnp(oracle)
     # stage 0, which is F(∅), and the rounded set's value with its x;
     # chains solve none
-    assert (oracle.stats.scalar_solves, oracle.stats.scalar_iterations) == (2, 4)
+    assert (oracle.stats.boxqp_solves, oracle.stats.boxqp_iterations) == (2, 4)
     assert res.stats == oracle.stats and res.stats is not oracle.stats
     oracle = sq.IndicatorOracle(prob)
     res = sq.minimize_exhaustive(oracle)
-    # enumeration solves in stacks; only the minimizer's x is solved alone
-    assert (oracle.stats.scalar_solves, oracle.stats.scalar_iterations) == (1, 1)
-    assert oracle.stats.stacked_rows == 2**oracle.m
+    # one stacked row per code (480 iterations), then the minimizer's x (1)
+    assert oracle.m == 8
+    assert (oracle.stats.boxqp_solves, oracle.stats.boxqp_iterations) == (2**8 + 1, 480 + 1)
     assert res.stats == oracle.stats and res.stats is not oracle.stats
 
 
