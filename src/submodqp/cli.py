@@ -2,10 +2,11 @@
 
 Subcommands: generate, solve, eval, trace, verify, bench.  Every subcommand
 writes machine-readable JSON (or CSV, for bench) to --output and prints a
-one-line summary.  Exit codes: 0 success, 1 input error, 2 numerical failure,
-3 verification failure.  A file that cannot be read or written (missing, a
-directory, not UTF-8, or an --output in a missing directory) is an input
-error.
+one-line summary.  ``eval`` takes one z entry per compiled variable: on n
+robust vertices, n signals (each 1), then n slacks.  Exit codes: 0 success,
+1 input error, 2 numerical failure, 3 verification failure.  A file that
+cannot be read or written (missing, a directory, not UTF-8, or an --output
+in a missing directory) is an input error.
 
 Run it with single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``): its matrices
 are small, so extra BLAS threads cost more than they save (one chain at
@@ -91,13 +92,7 @@ def cmd_solve(args):
 def cmd_eval(args):
     problem = model.compile_instance(model.load_instance(args.input))
     z = np.array(_parse_int_list(args.z, "z"), dtype=int)
-    if z.shape != (problem.n,) or np.any((z != 0) & (z != 1)):
-        raise InputError(f"z must be {problem.n} binary entries")
-    if np.any((z == 0) & ~problem.indicated):
-        raise InputError("z must be 1 on every variable with no indicator (robust signals)")
-    blo = np.where(z == 1, problem.lo, 0.0)
-    bup = np.where(z == 1, problem.up, 0.0)
-    sol = boxqp.solve(problem.quad, blo, bup)
+    sol = boxqp.solve(problem.quad, *problem.box(z))
     payload = {"z": z.tolist(), "value": sol.value, "x": sol.x.tolist()}
     _write_json(args.output, payload)
     print(f"v(z) = {sol.value:.10g}")
@@ -107,7 +102,7 @@ def cmd_eval(args):
 def cmd_trace(args):
     problem = model.compile_instance(model.load_instance(args.input))
     smap, _ = lattice.split(problem)
-    order = _parse_int_list(args.order, "order") if args.order else range(smap.binary_dim)
+    order = range(smap.binary_dim) if args.order is None else _parse_int_list(args.order, "order")
     chain = pathtrace.chain_general(problem.quad, smap, order)
     payload = chain.to_json_dict()
     _write_json(args.output, payload)
@@ -185,7 +180,8 @@ def build_parser():
 
     e = sub.add_parser("eval", help="evaluate the value function at a binary z")
     e.add_argument("input")
-    e.add_argument("--z", required=True, help="comma-separated binary entries")
+    e.add_argument("--z", required=True, help="comma-separated binary entries, one per "
+                   "compiled variable (robust: n signals, each 1, then n slacks)")
     e.add_argument("--output")
     e.set_defaults(fn=cmd_eval)
 

@@ -26,7 +26,8 @@ built from.
 The coupling constraint ``z_minus >= z_plus`` can be dropped because costs are
 nonnegative: any optimum using the spurious corner (1, 0), where both bounds
 of a straddling variable are open, can be repaired to a feasible assignment
-without increasing the objective (:meth:`SignSplitMap.repair`).  The binary
+without increasing the objective: :meth:`SignSplitMap.indicators` closes the
+bound the minimizer x_i does not use (both when x_i = 0).  The binary
 problem is therefore over the full hypercube of ``binary_dim`` coordinates.
 """
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InputError
+from .model import check_binary
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,12 @@ class SignSplitMap:
         """Per variable: whether ``zbin`` opens its lower and its upper bound.
 
         ``zbin`` may stack assignments on leading axes, with the coordinates
-        on the last; the results stack the same way.  An entry that is not 0
-        or 1 raises :class:`InputError`.
+        on the last; the results stack the same way.  ``zbin`` must be binary
+        (:func:`~submodqp.model.check_binary`).
         """
         zbin = np.asarray(zbin)
         m = self.binary_dim
-        if zbin.ndim == 0 or zbin.shape[-1] != m:
-            raise InputError(f"expected binary vector of length {m}")
-        if not ((zbin == 0) | (zbin == 1)).all():
-            raise InputError("a binary vector's entries must be 0 or 1")
+        check_binary(zbin, m)
         is_open = np.empty(zbin.shape[:-1] + (m + 1,), dtype=bool)
         np.equal(zbin, self.plus, out=is_open[..., :m])
         is_open[..., m] = True
@@ -109,36 +107,18 @@ class SignSplitMap:
             )
         return stages
 
-    def forward(self, zbin):
-        """Map a split binary vector to the original indicator vector.
-
-        z_i = 1 when either bound of variable i is open, so always-open
-        variables map to 1.  A straddling variable with both bounds open
-        sits on the spurious corner (z+, z-) = (1, 0) and is rejected here
-        (repair it first).
+    def indicators(self, zbin, x):
+        """The original indicator vector of split assignment ``zbin`` and
+        its box's minimizer ``x``: z_i = 1 when ``zbin`` opens either bound
+        of variable i (always-open variables map to 1), except on a spurious
+        corner (z+, z-) = (1, 0) with x_i neither < 0 nor > 0.  That repairs
+        the corner: x > 0 closes l (sets z-), x < 0 closes u (clears z+) and
+        x = 0 closes both, which keeps x feasible and never raises the cost.
         """
-        lo_open, up_open = self._open_bounds(zbin)
-        spurious = lo_open & up_open & (self.lo_bit != self.up_bit)
-        if spurious.any():
-            i = int(spurious.argmax())
-            raise InputError(f"variable {i}: (z+, z-) = (1, 0) does not map to a binary z")
-        return (lo_open | up_open).astype(int)
-
-    def repair(self, zbin, x):
-        """Resolve spurious (z+, z-) = (1, 0) corners using the sign of x.
-
-        x > 0 closes the lower bound (sets z-), x < 0 closes the upper bound
-        (clears z+), and x = 0 closes both.  The repaired assignment keeps
-        the minimizer feasible, never increases the cost, and maps cleanly
-        to an original binary indicator vector.
-        """
-        zbin = np.array(zbin, dtype=int)
         lo_open, up_open = self._open_bounds(zbin)
         spurious = lo_open & up_open & (self.lo_bit != self.up_bit)
         x = np.asarray(x)
-        zbin[self.lo_bit[spurious & ~(x < 0)]] = 1  # a straddler's l is its z- bit
-        zbin[self.up_bit[spurious & ~(x > 0)]] = 0  # and its u its z+ bit
-        return zbin
+        return ((lo_open | up_open) & ~(spurious & ~(x < 0) & ~(x > 0))).astype(int)
 
 
 def split(problem):

@@ -74,6 +74,16 @@ def check_box(lo, up):
         raise InputError(f"{where}: the box [{l}, {u}] {what}")
 
 
+def check_binary(z, length):
+    """Raise :class:`InputError` unless ``z``, one binary vector or a stack,
+    has ``length`` entries on its last axis, each 0 or 1 (bools pass)."""
+    z = np.asarray(z)
+    if z.ndim == 0 or z.shape[-1] != length:
+        raise InputError(f"expected binary vector of length {length}")
+    if not ((z == 0) | (z == 1)).all():
+        raise InputError("a binary vector's entries must be 0 or 1")
+
+
 def _as_float_vector(values, n, name):
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
@@ -310,6 +320,15 @@ class IndicatorProblem:
         mask.flags.writeable = False
         return mask
 
+    def box(self, z):
+        """(l*z, u*z) for an original indicator vector z, or a stack of them,
+        with 0*inf = 0; z must be binary and 1 where there is no indicator."""
+        z = np.asarray(z)
+        check_binary(z, self.n)
+        if ((z == 0) & ~self.indicated).any():
+            raise InputError("z must be 1 on every variable with no indicator (robust signals)")
+        return np.where(z == 1, self.lo, 0.0), np.where(z == 1, self.up, 0.0)
+
     def discarded(self, z):
         """Sorted vertices whose observation the indicator vector z discards
         (open slacks), or None outside robust mode."""
@@ -341,8 +360,8 @@ class IndicatorProblem:
             return IndicatorProblem(
                 quad=quad,
                 costs=np.array(_json_numbers(d["c"], "c"), dtype=float),
-                lo=np.array([_num_from_json(v) for v in _json_numbers(d["l"], "l")], dtype=float),
-                up=np.array([_num_from_json(v) for v in _json_numbers(d["u"], "u")], dtype=float),
+                lo=np.array(_json_numbers(d["l"], "l"), dtype=float),
+                up=np.array(_json_numbers(d["u"], "u"), dtype=float),
                 mode=d.get("mode", "sparse"),
             )
 
@@ -494,24 +513,19 @@ def _num_to_json(v):
     return v
 
 
-def _num_from_json(v):
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise InputError(f"bad extended-real literal {v!r} (use 'inf' or '-inf')")
-    return float(v)
-
-
 def _json_numbers(value, key):
-    """``value``, JSON numbers (in nested lists) read from ``key``, unchanged;
-    a ``true`` or ``false`` in it, which Python reads as 1 or 0, raises
-    :class:`InputError` naming ``key``."""
+    """``value``, read from ``key``, with every leaf of its nested lists a
+    JSON number: not a bool (which Python reads as 1 or 0) nor a string,
+    except "inf" and "-inf" in ``l`` and ``u``, read as floats.  Any other
+    leaf raises ValueError naming ``key``, an InputError in _json_errors."""
+    if isinstance(value, list):
+        return [_json_numbers(v, key) for v in value]
+    if key in ("l", "u") and value in ("inf", "-inf"):
+        return float(value)
     if isinstance(value, bool):
-        raise InputError(f"{key!r} holds the boolean {json.dumps(value)}, not a number")
-    for v in value if isinstance(value, list) else ():
-        _json_numbers(v, key)
+        raise ValueError(f"{key!r} holds the boolean {json.dumps(value)}, not a number")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} holds {value!r}, not a number")
     return value
 
 
@@ -524,7 +538,7 @@ def _json_errors(what):
         raise
     except KeyError as e:
         raise InputError(f"missing key {e.args[0]!r} in {what} JSON") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an int past 1e308
         raise InputError(f"malformed value in {what} JSON: {e}") from e
 
 
@@ -559,8 +573,8 @@ def instance_from_json_dict(d):
             a=np.array(_json_numbers(d["a"], "a"), dtype=float),
             node_weights=np.array(_json_numbers(d["node_weights"], "node_weights"), dtype=float),
             c=np.array(_json_numbers(d["c"], "c"), dtype=float),
-            l=np.array([_num_from_json(v) for v in _json_numbers(d["l"], "l")], dtype=float),
-            u=np.array([_num_from_json(v) for v in _json_numbers(d["u"], "u")], dtype=float),
+            l=np.array(_json_numbers(d["l"], "l"), dtype=float),
+            u=np.array(_json_numbers(d["u"], "u"), dtype=float),
             mode=d["mode"],
         )
 

@@ -45,15 +45,14 @@ def brute_force(problem):
     k = indicated.size
     if k > BRUTE_GUARD:
         raise InputError(f"brute force guarded at {BRUTE_GUARD} indicators, got {k}")
-    lo, up, c = problem.lo, problem.up, problem.costs
     shifts = np.arange(k - 1, -1, -1)
     best_z, best, best_x = None, np.inf, None
     for start in range(0, 1 << k, sfm.EXHAUSTIVE_CHUNK):
         codes = np.arange(start, min(start + sfm.EXHAUSTIVE_CHUNK, 1 << k))
         z = np.ones((codes.size, problem.n), dtype=int)
         z[:, indicated] = (codes[:, None] >> shifts) & 1
-        sol = boxqp.solve_many(problem.quad, np.where(z == 1, lo, 0.0), np.where(z == 1, up, 0.0))
-        vals = sol.value + z @ c
+        sol = boxqp.solve_many(problem.quad, *problem.box(z))
+        vals = sol.value + z @ problem.costs
         for i in (vals < best - BRUTE_TIE_TOL).nonzero()[0].tolist():
             if vals[i] < best - BRUTE_TIE_TOL:
                 best_z, best, best_x = z[i], float(vals[i]), sol.x[i]

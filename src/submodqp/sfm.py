@@ -448,9 +448,9 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     variables of :func:`submodqp.lattice.split` get no binary coordinate.  The requested engine
     minimizes the (submodular) value-plus-cost function over the remaining
     split coordinates; when none is left, one box-QP solve is the whole
-    minimization.  Finally it repairs any spurious split corner: that
-    closes only bounds the engine's minimizer x does not use, so x stays
-    the minimizer of the repaired box.  A robust problem's
+    minimization.  Finally ``smap.indicators`` maps the result to the original
+    z, repairing any spurious split corner: that closes only bounds the
+    engine's minimizer x does not use, so x stays the minimizer.  A robust problem's
     result lists its discarded observations, and every result carries the
     oracle's work counters (:class:`SolveStats`).  ``tol`` must be finite and
     nonnegative, whatever the engine (:class:`InputError` otherwise).
@@ -470,7 +470,7 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     else:  # with no coordinate, enumeration is one evaluation
         res = minimize_exhaustive(oracle)
 
-    z = smap.forward(smap.repair(res.z, res.x))
+    z = smap.indicators(res.z, res.x)
     value = problem.quad.value(res.x) + float(problem.costs @ z)
     if value > res.value + 1e-7 * (1.0 + abs(res.value)):
         raise NumericalError("the recovered (x, z) is worse than the engine's value")

@@ -118,7 +118,8 @@ def test_eval_rejects_bad_z(tmp_path, capsys):
     assert _run(["eval", str(path), "--z", "0,1"]) == cli.EXIT_INPUT
     assert _run(["eval", str(path), "--z", "0,2,1"]) == cli.EXIT_INPUT
     assert _run(["eval", str(path), "--z", "1,x,0"]) == cli.EXIT_INPUT
-    assert "bad z list" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "expected binary vector of length 3" in err and "0 or 1" in err and "bad z list" in err
 
 
 def test_eval_rejects_a_closed_robust_signal(tmp_path, capsys):
@@ -236,6 +237,10 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     ("n", 3.9), ("n", True), ("edges", [[0.7, 1.9, 1.0]]), ("edges", [[False, 1, 1.0]]),
     # nor JSON's true and false the numbers 1 and 0
     ("node_weights", [1.0, 1.0, True]), ("a", [False, 0.5, 0.5]), ("edges", [[0, 1, True]]),
+    # nor a string that spells a number
+    ("a", ["0.09", 0.5, 0.5]), ("c", ["1", 1.0, 1.0]), ("edges", [[0, 1, "1.0"], [1, 2, 1.0]]),
+    # nor an integer too large for a float
+    ("a", [10**400, 0.5, 0.5]),
 ])
 def test_malformed_json_values_are_input_errors(tmp_path, capsys, key, value):
     inst, _ = model.generate("chain", (3,), seed=0)
@@ -250,6 +255,7 @@ def test_malformed_json_values_are_input_errors(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("command, flag, text", [
     ("generate", "--dims", "2,,3"), ("generate", "--dims", "2,3,"),
     ("eval", "--z", "1,,0,1"), ("trace", "--order", "2,,0"), ("trace", "--order", ",2"),
+    ("trace", "--order", ""),
 ])
 def test_an_empty_list_entry_is_an_input_error(command, flag, text, tmp_path, capsys):
     # dropping the empty entry would leave a valid list: dims 2,3, z 1,0,1, order 2,0

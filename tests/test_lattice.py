@@ -176,7 +176,7 @@ def test_split_unit_box_is_identity():
     assert smap.var.tolist() == list(range(n)) and smap.plus.all()
     assert smap.binary_dim == n
     z = np.array([1, 0, 1, 0, 1])
-    assert np.array_equal(smap.forward(z), z)
+    assert np.array_equal(smap.indicators(z, np.zeros(n)), z)
     assert cost(z) == pytest.approx(1 + 3 + 5)
 
 
@@ -306,7 +306,7 @@ def test_forward_map_and_cost():
             coupled = np.all(z[smap.lo_bit] >= z[smap.up_bit])  # z- >= z+
             if not coupled:
                 continue
-            orig = smap.forward(z)
+            orig = smap.indicators(z, np.zeros(prob.n))
             assert set(np.unique(orig)).issubset({0, 1})
             assert bincost(z) == pytest.approx(float(prob.costs @ orig), abs=1e-12)
 
@@ -332,10 +332,12 @@ def test_a_split_vector_entry_that_is_not_0_or_1_is_rejected():
     assert oracle.eval(z) == oracle.eval(z.astype(bool)) == oracle.eval(z.astype(int))
 
 
-def test_forward_rejects_spurious_corner():
+def test_indicators_map_a_spurious_corner_by_the_sign_of_x():
+    # (z+, z-) = (1, 0) opens both bounds; a nonzero x keeps the one it
+    # uses open, and x = 0 closes both
     smap, _ = lattice.split(_problem(np.array([-1.0]), np.array([1.0])))
-    with pytest.raises(InputError):
-        smap.forward(np.array([1, 0]))
+    for x, z in ((0.5, 1), (-0.5, 1), (0.0, 0)):
+        assert smap.indicators(np.array([1, 0]), np.array([x])).tolist() == [z]
 
 
 def test_split_always_open_layout():
@@ -354,12 +356,13 @@ def test_split_always_open_layout():
     for z in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
         blo, bup = lattice.bounds_for_binary(smap, z)
         assert np.array_equal(blo[mask], lo[mask]) and np.array_equal(bup[mask], up[mask])
-    assert smap.forward(np.array([0, 0, 1])).tolist() == [1, 0, 1, 1, 0]
-    assert smap.forward(np.array([1, 1, 1])).tolist() == [1, 1, 1, 1, 1]
+    x = np.zeros(5)
+    assert smap.indicators(np.array([0, 0, 1]), x).tolist() == [1, 0, 1, 1, 0]
+    assert smap.indicators(np.array([1, 1, 1]), x).tolist() == [1, 1, 1, 1, 1]
     for z in _all_binary(3):
         if z[1] > z[2]:
             continue  # spurious corner
-        orig = smap.forward(z)
+        orig = smap.indicators(z, x)
         assert cost(z) == pytest.approx(float(costs @ orig), abs=1e-12)
 
 
@@ -373,7 +376,7 @@ def test_split_with_every_variable_open():
     assert smap.lo is problem.lo and smap.up is problem.up  # the problem's own bounds
     blo, bup = lattice.bounds_for_binary(smap, np.zeros(0, dtype=int))
     assert np.array_equal(blo, lo) and np.array_equal(bup, up)
-    assert smap.forward(np.zeros(0, dtype=int)).tolist() == [1, 1, 1, 1]
+    assert smap.indicators(np.zeros(0, dtype=int), np.zeros(4)).tolist() == [1, 1, 1, 1]
     assert cost(np.zeros(0)) == pytest.approx(0.5)  # an open variable pays at z = 1
 
 
@@ -479,14 +482,15 @@ def test_bound_table_matches_the_four_box_formulas():
             blo, bup = lattice.bounds_for_binary(smap, z)
             assert list(zip(blo.tolist(), bup.tolist())) == _reference_box(layout, z, lo, up)
             assert np.array_equal(blo_row, blo) and np.array_equal(bup_row, bup)
-            ref = _reference_forward(layout, z)
-            if ref is None:
-                with pytest.raises(InputError):
-                    smap.forward(z)
-                x = rng.choice([-1.0, 0.0, 1.0], n)
-                repaired = smap.repair(z, x)
-                assert repaired.tolist() == _reference_repair(layout, z, x)
-                assert _reference_forward(layout, repaired) is not None
-                continue
-            assert smap.forward(z).tolist() == ref
-            assert smap.repair(z, rng.normal(size=n)).tolist() == z.tolist()
+            x = rng.choice([-1.0, 0.0, 1.0], n)
+            ref = _reference_forward(layout, _reference_repair(layout, z, x))
+            assert ref is not None and smap.indicators(z, x).tolist() == ref
+        # a chain's stage k opens or closes the box of its variable j as the
+        # prefix set order[:k] does
+        owner = {c: i for i, (_, p, q) in enumerate(layout) for c in (p, q) if c is not None}
+        order = rng.permutation(m).tolist()
+        for k, stage in enumerate(smap.stage_bounds(order), 1):
+            z = np.zeros(m, dtype=int)
+            z[order[:k]] = 1
+            j = owner[order[k - 1]]
+            assert stage == (j, *_reference_box(layout, z, lo, up)[j])

@@ -298,6 +298,26 @@ def test_indicated_follows_the_mode():
         sq.IndicatorProblem(quad, *box, mode="dense")
 
 
+def test_box_is_l_z_u_z_for_one_vector_or_a_stack():
+    quad = sq.QuadraticForm(np.eye(4), np.zeros(4))
+    lo, up = np.array([-1.0, -np.inf, 0.5, -2.0]), np.array([1.0, 2.0, np.inf, -1.0])
+    problem = sq.IndicatorProblem(quad, np.ones(4), lo, up)
+    blo, bup = problem.box([0, 1, 0, 1])
+    assert blo.tolist() == [0.0, -np.inf, 0.0, -2.0]
+    assert bup.tolist() == [0.0, 2.0, 0.0, -1.0]  # 0 * inf = 0
+    stack = np.array([[0, 1, 0, 1], [1, 1, 1, 1], [0, 0, 0, 0]])
+    blo_all, bup_all = problem.box(stack.astype(bool))
+    assert blo_all.tolist() == [blo.tolist(), lo.tolist(), [0.0] * 4]
+    assert bup_all.tolist() == [bup.tolist(), up.tolist(), [0.0] * 4]
+    for bad, match in (([0, 1, 0], "length 4"), ([0, 2, 0, 1], "0 or 1"), (1, "length 4")):
+        with pytest.raises(InputError, match=match):
+            problem.box(bad)
+    robust = sq.IndicatorProblem(quad, np.ones(4), lo, up, mode="robust")
+    assert robust.box([1, 1, 0, 0])[1].tolist() == [1.0, 2.0, 0.0, 0.0]
+    with pytest.raises(InputError, match="no indicator"):
+        robust.box(np.array([[1, 1, 0, 0], [1, 0, 1, 1]]))
+
+
 def test_generate_fully_sparse_noiseless():
     inst, truth = model.generate("chain", (5,), signal_sparsity=1.0, noise_sd=0.0, seed=3)
     assert np.all(inst.a == 0.0)
@@ -411,6 +431,27 @@ def test_instance_json_rejects_a_boolean_in_a_numeric_field(key, index, value):
 def test_problem_json_rejects_a_boolean_in_a_numeric_field(key, index, value):
     d = sq.InstanceSampler(n=3, regime="nonnegative", seed=0).draw(0).to_json_dict()
     with pytest.raises(InputError, match=f"'{key}' holds the boolean {json.dumps(value)}"):
+        sq.IndicatorProblem.from_json_dict(_planted(d, key, index, value))
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("a", (0,), "0.09"), ("c", (1,), "1"), ("node_weights", (2,), " 2 "), ("edges", (1, 2), "1.0"),
+    ("l", (0,), "-1"), ("u", (2,), "2.5"), ("a", (1,), "inf"),  # only l and u take inf strings
+])
+def test_instance_json_rejects_a_numeric_string(key, index, value):
+    # a JSON string is not a number, even when it spells one
+    d = model.instance_to_json_dict(model.generate("chain", (3,), seed=0)[0])
+    with pytest.raises(InputError, match=f"'{key}' holds {value!r}, not a number"):
+        model.instance_from_json_dict(_planted(d, key, index, value))
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("k0", (), "3.5"), ("Q", (1, 1), "2"), ("a", (0,), "0.5"), ("c", (2,), "1"),
+    ("l", (1,), "0"), ("u", (0,), "1e3"),
+])
+def test_problem_json_rejects_a_numeric_string(key, index, value):
+    d = sq.InstanceSampler(n=3, regime="nonnegative", seed=0).draw(0).to_json_dict()
+    with pytest.raises(InputError, match=f"'{key}' holds {value!r}, not a number"):
         sq.IndicatorProblem.from_json_dict(_planted(d, key, index, value))
 
 

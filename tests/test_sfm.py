@@ -621,10 +621,10 @@ def test_solve_full_repairs_a_spurious_corner_without_a_second_solve(monkeypatch
 
     (oracle,) = seen
     smap = oracle.smap
-    zbin = smap.repair(smap.plus.astype(int), res.x)
+    zbin = np.array([1, 1, 0, 0, 0, 1])  # the repair, per variable (z+, z-)
     blo, bup = lattice.bounds_for_binary(smap, zbin)
     x = solve(quad, blo, bup).x  # the repaired box, solved again
-    z = smap.forward(zbin)
+    z = smap.indicators(zbin, res.x)
     assert res.z.tolist() == z.tolist() == [1, 1, 0]
     assert np.max(np.abs(res.x - x)) <= 1e-12
     assert res.value == pytest.approx(quad.value(x) + problem.costs @ z, rel=1e-12, abs=1e-12)
