@@ -21,7 +21,7 @@ def main():
         "chain", (8,), signal_sparsity=0.2, noise_sd=0.3, seed=11, edge_weight=2.0
     )
     # tight upper bounds force pivots: variables saturate while others release
-    problem = sq.compile_sparse(
+    problem = sq.compile_instance(
         sq.ProblemInstance(
             inst.graph, inst.a, inst.node_weights, inst.c,
             np.zeros(inst.n), np.full(inst.n, 0.9), mode="sparse",

@@ -16,7 +16,7 @@ def main():
         "grid2d", (5, 5), signal_sparsity=0.0, outlier_fraction=0.12,
         noise_sd=0.2, seed=3, mode="robust", cost=3.0,
     )
-    problem = sq.compile_robust(inst)
+    problem = sq.compile_instance(inst)
     result = sq.solve_full(problem, engine="mnp", tol=1e-7)
 
     planted = sorted(truth["outliers"])
@@ -33,7 +33,7 @@ def main():
     plain = sq.ProblemInstance(
         inst.graph, inst.a, inst.node_weights, np.zeros(inst.n), inst.l, inst.u
     )
-    naive = sq.solve_boxqp(sq.compile_sparse(plain).quad, plain.l, plain.u)
+    naive = sq.solve_boxqp(sq.compile_instance(plain).quad, plain.l, plain.u)
     err_naive = float(np.max(np.abs(naive.x - x_true)))
     print(f"non-robust fit error = {err_naive:.3f} (outliers pull the whole field)")
 

@@ -17,7 +17,7 @@ def main():
         "chain", (24,), signal_sparsity=0.75, noise_sd=0.15, seed=7,
         cost=0.4, edge_weight=0.4,
     )
-    problem = sq.compile_sparse(inst)
+    problem = sq.compile_instance(inst)
 
     result = sq.solve_full(problem, engine="mnp")
     x_true = np.array(truth["x_true"])

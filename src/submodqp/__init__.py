@@ -29,8 +29,6 @@ from .model import (
     QuadraticForm,
     chain_graph,
     compile_instance,
-    compile_robust,
-    compile_sparse,
     generate,
     load_instance,
     save_instance,
@@ -62,8 +60,6 @@ __all__ = [
     "brute_force",
     "chain_graph",
     "compile_instance",
-    "compile_robust",
-    "compile_sparse",
     "generate",
     "greedy_subgradient",
     "load_instance",

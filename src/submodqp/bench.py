@@ -20,7 +20,7 @@ from .sfm import IndicatorOracle
 def _bench_problem(n, seed):
     rng = np.random.default_rng([seed, n])
     graph = model.chain_graph(n, weight=1.0)
-    return model.compile_sparse(
+    return model.compile_instance(
         model.ProblemInstance(
             graph, rng.normal(0.0, 1.5, n), np.ones(n), np.ones(n),
             np.zeros(n), np.full(n, 1.0), mode="sparse",

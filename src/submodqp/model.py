@@ -9,9 +9,9 @@ Two inference modes are supported:
   each observation carries a slack variable ``w_i``, unbounded when the
   observation is discarded at cost ``c_i`` and 0 otherwise.
 
-Both modes compile to the same canonical form: minimize
-``-a^T x + 0.5 x^T Q x + k0 + c^T z`` subject to ``l*z <= x <= u*z`` with
-``z`` binary, where ``Q`` is a Stieltjes matrix (positive definite with
+Both modes compile, by :func:`compile_instance`, to the same canonical form:
+minimize ``-a^T x + 0.5 x^T Q x + k0 + c^T z`` subject to ``l*z <= x <= u*z``
+with ``z`` binary, where ``Q`` is a Stieltjes matrix (positive definite with
 nonpositive off-diagonal entries).  That structure makes the continuous value
 function submodular in ``z``, which the solver modules exploit.  It is an
 invariant of :class:`QuadraticForm`: construction rejects any other Q, so no
@@ -39,7 +39,7 @@ from .exceptions import InputError
 
 MODES = ("sparse", "robust")
 
-RIDGE = 1e-8  # weight of the robust-mode slack ridge (see compile_robust)
+RIDGE = 1e-8  # weight of the robust-mode slack ridge (see compile_instance)
 
 
 def _as_int(value, name):
@@ -366,57 +366,36 @@ class IndicatorProblem:
             )
 
 
-def compile_sparse(inst):
-    """Compile a sparse-mode instance to its indicator quadratic.
+def compile_instance(inst):
+    """Compile an instance of either mode to its indicator quadratic.
 
-    The quadratic reproduces ``sum_i nw_i (x_i - a_i)^2 + sum_ij w_ij (x_i - x_j)^2``
-    exactly: Q = 2 diag(nw) + 2 L, a = 2 nw*obs, k0 = sum nw_i a_i^2.
+    Q = 2 diag(nw) + 2 L, a = 2 nw*obs and k0 = sum nw_i a_i^2 reproduce
+    ``sum_i nw_i (x_i - a_i)^2 + sum_ij w_ij (x_i - x_j)^2`` exactly: the
+    sparse-mode problem.  Robust mode extends it by the slacks (w_1..w_n),
+    with fidelity terms ``nw_i (x_i - w_i - a_i)^2`` and the ridge
+    ``RIDGE * sum_i w_i^2``, which restores strict convexity (the plain
+    reformulation is singular along x_i = w_i) with negligible bias.  Only
+    the slacks carry an indicator, with the discard costs and the box
+    [-inf, inf]: as in the paper, a slack is free exactly when its
+    observation is discarded, and 0 otherwise.  The signals have none (cost
+    0), so each x_i lies in its user bounds [l_i, u_i] under every assignment.
     """
-    if inst.mode != "sparse":
-        raise InputError(f"compile_sparse requires mode='sparse', got {inst.mode!r}")
-    nw = inst.node_weights
+    n, nw = inst.n, inst.node_weights
     with np.errstate(over="ignore"):  # QuadraticForm rejects what overflows
         Q = 2.0 * np.diag(nw) + 2.0 * inst.graph.laplacian()
         a = 2.0 * nw * inst.a
         k0 = float(np.sum(nw * inst.a**2))
-    quad = QuadraticForm(Q, a, k0)
-    return IndicatorProblem(quad, inst.c, inst.l, inst.u, mode="sparse")
-
-
-def compile_robust(inst):
-    """Compile a robust-mode instance: variables (x_1..x_n, w_1..w_n).
-
-    Objective: sum_i nw_i (x_i - w_i - a_i)^2 + sum_ij w_ij (x_i - x_j)^2
-    + RIDGE * sum_i w_i^2.  The ridge restores strict convexity (the plain
-    reformulation is singular along x_i = w_i directions) with negligible
-    bias; any small positive value does that, so it is a constant, not an
-    argument.  Only the w variables carry an indicator, with the discard
-    costs and the box [-inf, inf]: as in the paper, a slack is free exactly
-    when its observation is discarded, and 0 otherwise.  The x variables
-    have none (cost 0), so each x_i lies in its user bounds [l_i, u_i] under
-    every assignment.
-    """
-    if inst.mode != "robust":
-        raise InputError(f"compile_robust requires mode='robust', got {inst.mode!r}")
-    n = inst.n
-    nw = inst.node_weights
-    Q = np.zeros((2 * n, 2 * n))
-    with np.errstate(over="ignore"):  # QuadraticForm rejects what overflows
-        Q[:n, :n] = 2.0 * np.diag(nw) + 2.0 * inst.graph.laplacian()
-        Q[n:, n:] = 2.0 * np.diag(nw) + 2.0 * RIDGE * np.eye(n)
-        Q[:n, n:] = -2.0 * np.diag(nw)
-        Q[n:, :n] = -2.0 * np.diag(nw)
-        a = np.concatenate([2.0 * nw * inst.a, -2.0 * nw * inst.a])
-        k0 = float(np.sum(nw * inst.a**2))
-    quad = QuadraticForm(Q, a, k0)
-    costs = np.concatenate([np.zeros(n), inst.c])
-    lo = np.concatenate([inst.l, np.full(n, -np.inf)])
-    up = np.concatenate([inst.u, np.full(n, np.inf)])
-    return IndicatorProblem(quad, costs, lo, up, mode="robust")
-
-
-def compile_instance(inst):
-    return compile_sparse(inst) if inst.mode == "sparse" else compile_robust(inst)
+        costs, lo, up = inst.c, inst.l, inst.u
+        if inst.mode == "robust":
+            Qx, Q = Q, np.zeros((2 * n, 2 * n))
+            Q[:n, :n] = Qx
+            Q[n:, n:] = 2.0 * np.diag(nw) + 2.0 * RIDGE * np.eye(n)
+            Q[:n, n:] = Q[n:, :n] = -2.0 * np.diag(nw)
+            a = np.concatenate([a, -a])
+            costs = np.concatenate([np.zeros(n), costs])
+            lo = np.concatenate([lo, np.full(n, -np.inf)])
+            up = np.concatenate([up, np.full(n, np.inf)])
+    return IndicatorProblem(QuadraticForm(Q, a, k0), costs, lo, up, mode=inst.mode)
 
 
 TOPOLOGIES = {"chain": 1, "grid2d": 2, "grid3d": 3}  # name -> grid dimensions
@@ -444,7 +423,9 @@ def generate(
     records the planted signal and outlier set.  ``dims`` is one integral
     number or a sequence of them; a bool or a number such as 3.9 raises
     :class:`InputError`, and so does a negative or non-finite ``noise_sd``,
-    or a ``seed`` that is not a nonnegative integer.
+    a ``seed`` that is not a nonnegative integer, or ``bounds`` (every
+    vertex's (l, u), by default +-4 (1 + max |a|)) that are not a pair of
+    real numbers.
     """
     if topology not in TOPOLOGIES:
         raise InputError(f"unknown topology {topology!r}")
@@ -480,8 +461,12 @@ def generate(
         b = 4.0 * (1.0 + float(np.abs(a).max(initial=0.0)))
         lo, up = np.full(n, -b), np.full(n, b)
     else:
-        lo = np.full(n, float(bounds[0]))
-        up = np.full(n, float(bounds[1]))
+        pair = tuple(bounds) if np.iterable(bounds) else ()
+        if len(pair) != 2 or not all(
+            isinstance(b, numbers.Real) and not isinstance(b, bool) for b in pair
+        ):
+            raise InputError(f"bounds must be a pair of real numbers, got {bounds!r}")
+        lo, up = np.full(n, float(pair[0])), np.full(n, float(pair[1]))
 
     inst = ProblemInstance(
         graph=graph,

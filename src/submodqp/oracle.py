@@ -22,7 +22,7 @@ import numpy as np
 from . import boxqp, pathtrace, sfm
 from .exceptions import InputError, NumericalError
 from .lattice import bounds_for_binary, split
-from .model import IndicatorProblem, QuadraticForm, _as_int_at_least
+from .model import Graph, IndicatorProblem, QuadraticForm, _as_int_at_least
 from .sfm import BRUTE_TIE_TOL, IndicatorOracle, SfmResult
 
 BRUTE_GUARD = 14
@@ -115,9 +115,9 @@ def chain_dp(problem):
 class InstanceSampler:
     """Reproducible random Stieltjes indicator problems.
 
-    Q is built as diag + weighted-Laplacian with a diagonal margin of at
-    least 1e-3, so it is a Stieltjes matrix, as :class:`QuadraticForm`
-    requires.  Regimes
+    Q is the Laplacian of a random weighted graph (:meth:`Graph.laplacian`)
+    plus a diagonal margin of at least 1e-3, so it is a Stieltjes matrix, as
+    :class:`QuadraticForm` requires.  Regimes
     steer the bounds: ``nonnegative`` (0 <= l <= u), ``negative``
     (l <= u <= 0) and ``mixed`` (each variable draws one of the three
     patterns, exercising every split branch).  Draws are deterministic in
@@ -142,15 +142,9 @@ class InstanceSampler:
     def draw(self, trial):
         rng = np.random.default_rng([self.seed, _as_int_at_least(trial, "trial", 0)])
         n = self.n
-        Q = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < self.density:
-                    w = rng.uniform(0.1, 1.0)
-                    Q[i, i] += w
-                    Q[j, j] += w
-                    Q[i, j] -= w
-                    Q[j, i] -= w
+        edges = [(i, j, rng.uniform(0.1, 1.0)) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < self.density]  # the test draws before the weight
+        Q = Graph(n, edges).laplacian()
         Q[np.diag_indices(n)] += 1e-3 + rng.uniform(0.2, 2.0, size=n)
         a = rng.normal(0.0, 1.5, size=n)
         c = rng.uniform(0.0, 1.0, size=n)
@@ -353,12 +347,17 @@ def _check_value_submodular(problem, rng):
 
 
 def _check_lovasz_vertices(problem, rng):
+    """The Lovász extension equals F, to 1e-8, at the empty set, the full set
+    and eight vertices drawn from ``rng``: F by :meth:`IndicatorOracle.eval_many`,
+    stacked box QPs that share no code with the traced chain the extension
+    reads."""
     oracle = IndicatorOracle(problem)
-    order = np.arange(oracle.m)
-    for k, (f, z) in enumerate(zip(oracle.chain(order), sfm.prefix_sets(order, oracle.m))):
+    m = oracle.m
+    vertices = np.vstack([np.zeros(m), np.ones(m), rng.integers(2, size=(8, m))])
+    for z, f in zip(vertices, oracle.eval_many(vertices).tolist()):
         gap = abs(sfm.lovasz(oracle, z) - f)
         if gap > 1e-8:
-            return False, {"stage": k, "gap": gap}
+            return False, {"vertex": z.astype(int).tolist(), "gap": gap}
     return True, None
 
 
@@ -463,7 +462,9 @@ def run_property_suite(sampler, trials):
     """Run every registered invariant on ``trials`` sampled instances.
 
     Failures never raise: each produces a replayable witness (instance JSON
-    plus check name and detail) in the report.  A check that raises
+    plus check name and detail) in the report.  Each check gets its own
+    generator ``default_rng([seed, trial, 7])``, so a witness replays the
+    exact probes that failed (:func:`replay_witness`).  A check that raises
     :class:`InputError` or :class:`NumericalError` fails with the detail
     ``{"error": "<type>: <message>"}``, and the remaining checks still run.
     A check that returns ``(None, None)`` counts in ``skipped``, not in
@@ -476,9 +477,8 @@ def run_property_suite(sampler, trials):
     seed = _as_int_at_least(getattr(sampler, "seed", 0), "sampler seed", 0)
     for t in range(trials):
         problem = sampler.draw(t)
-        rng = np.random.default_rng([seed, t, 7])
         for name, check in CHECKS.items():
-            ok, detail = _run_check(check, problem, rng)
+            ok, detail = _run_check(check, problem, np.random.default_rng([seed, t, 7]))
             if ok is None:
                 report.checks[name].skipped += 1
             elif ok:
@@ -494,17 +494,17 @@ def replay_witness(witness):
     """Re-run the named check on a witness payload; returns (ok, detail),
     ``(None, None)`` when the check skips the instance.
 
-    A payload that is not a dict, has no ``"instance"``, or whose ``"seed"``
-    or ``"trial"`` is not a nonnegative integer raises :class:`InputError`;
+    A payload that is not a dict, whose ``"instance"`` is not a dict or
+    whose ``"check"`` names no check, or whose ``"seed"`` or ``"trial"`` is
+    not a nonnegative integer raises :class:`InputError`;
     a check that raises fails as it does in :func:`run_property_suite`.
     """
-    if not isinstance(witness, dict) or "instance" not in witness:
-        raise InputError("a witness must be a JSON object with an \"instance\"")
+    if not (isinstance(witness, dict) and isinstance(witness.get("instance"), dict)):
+        raise InputError("a witness must be a JSON object with an \"instance\" object")
     name = witness.get("check")
-    if name not in CHECKS:
-        raise InputError(f"unknown check {name!r}")
+    if not (isinstance(name, str) and name in CHECKS):
+        raise InputError(f"unknown check {name!r} in the witness's \"check\"")
     seed = _as_int_at_least(witness.get("seed", 0), "witness seed", 0)
     trial = _as_int_at_least(witness.get("trial", 0), "witness trial", 0)
     problem = IndicatorProblem.from_json_dict(witness["instance"])
-    rng = np.random.default_rng([seed, trial, 7])
-    return _run_check(CHECKS[name], problem, rng)
+    return _run_check(CHECKS[name], problem, np.random.default_rng([seed, trial, 7]))

@@ -183,7 +183,9 @@ def test_criterion_6_cubic_scaling():
 
 def test_criterion_7_lovasz_probes():
     rng = np.random.default_rng(123)
+    vertex_rng = np.random.default_rng(124)
     probes = 0
+    vertex_probes = 0
     violations = 0
     seed = 0
     while probes < 1000:
@@ -201,6 +203,15 @@ def test_criterion_7_lovasz_probes():
                 violations += 1
             if k < oracle.m:
                 z[order[k]] = 1.0
+        # exactness against F by stacked box QPs, which share no code with
+        # the traced chain: the empty set, the full set and random vertices
+        vertices = np.vstack([
+            np.zeros(oracle.m), np.ones(oracle.m), vertex_rng.integers(2, size=(4, oracle.m)),
+        ])
+        for z, f in zip(vertices, oracle.eval_many(vertices).tolist()):
+            vertex_probes += 1
+            if abs(sq.lovasz(oracle, z) - f) > 1e-12 * (1.0 + abs(f)):
+                violations += 1
         # convexity probes
         for _ in range(15):
             z1, z2 = rng.random(oracle.m), rng.random(oracle.m)
@@ -210,7 +221,7 @@ def test_criterion_7_lovasz_probes():
             if mid > lam * sq.lovasz(oracle, z1) + (1 - lam) * sq.lovasz(oracle, z2) + 1e-8:
                 violations += 1
     _report(7, "extension exactness and convexity", violations == 0,
-            f"({probes} probes, {violations} violations)")
+            f"({probes} probes, {vertex_probes} vertex probes, {violations} violations)")
     assert violations == 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,39 +11,39 @@ from submodqp import model
 from submodqp.exceptions import InputError
 
 
-def test_compile_sparse_two_vertex_chain():
+def test_sparse_compile_two_vertex_chain():
     # expand sum_i (x_i - a_i)^2 + 0.5 (x1 - x2)^2 and match coefficients
     inst = sq.ProblemInstance(
         sq.chain_graph(2, weight=0.5), a=[1, 0], node_weights=[1, 1],
         c=[0, 0], l=[0, 0], u=[10, 10],
     )
-    p = sq.compile_sparse(inst)
+    p = sq.compile_instance(inst)
     assert np.allclose(p.quad.Q, [[3, -1], [-1, 3]])
     assert np.allclose(p.quad.a, [2, 0])
     assert p.quad.k0 == pytest.approx(1.0)
 
 
-def test_compile_sparse_single_vertex():
+def test_sparse_compile_single_vertex():
     inst = sq.ProblemInstance(sq.Graph(1), a=[5], node_weights=[1], c=[0], l=[0], u=[10])
-    p = sq.compile_sparse(inst)
+    p = sq.compile_instance(inst)
     assert np.allclose(p.quad.Q, [[2]])
     assert np.allclose(p.quad.a, [10])
     assert p.quad.k0 == pytest.approx(25.0)
 
 
-def test_compile_sparse_zero_weight_edge():
+def test_sparse_compile_zero_weight_edge():
     inst = sq.ProblemInstance(
         sq.chain_graph(2, weight=0.0), a=[1, 1], node_weights=[1, 1],
         c=[0, 0], l=[0, 0], u=[1, 1],
     )
-    p = sq.compile_sparse(inst)
+    p = sq.compile_instance(inst)
     assert np.allclose(p.quad.Q, [[2, 0], [0, 2]])
 
 
 def test_sparse_objective_matches_sum_form():
     rng = np.random.default_rng(0)
     inst, _ = model.generate("grid2d", (3, 4), signal_sparsity=0.4, noise_sd=0.3, seed=1)
-    p = sq.compile_sparse(inst)
+    p = sq.compile_instance(inst)
     for _ in range(100):
         x = rng.normal(0, 2, size=inst.n)
         direct = inst.objective_terms(x)
@@ -59,7 +60,7 @@ def assert_stieltjes(Q):
 def test_compiled_q_is_stieltjes():
     for seed in range(5):
         inst, _ = model.generate("chain", (7,), noise_sd=0.5, seed=seed)
-        assert_stieltjes(sq.compile_sparse(inst).quad.Q)
+        assert_stieltjes(sq.compile_instance(inst).quad.Q)
 
 
 def test_from_json_rejects_a_non_stieltjes_problem():
@@ -99,10 +100,10 @@ def _robust_two_chain():
         sq.chain_graph(2, weight=1.0), a=[0, 10], node_weights=[1, 1],
         c=[1, 1], l=[-100, -100], u=[100, 100], mode="robust",
     )
-    return inst, sq.compile_robust(inst)
+    return inst, sq.compile_instance(inst)
 
 
-def test_compile_robust_structure():
+def test_robust_compile_structure():
     _, p = _robust_two_chain()
     assert p.n == 4
     assert_stieltjes(p.quad.Q)
@@ -140,7 +141,7 @@ def test_robust_free_discard_single_vertex():
     inst = sq.ProblemInstance(
         sq.Graph(1), a=[7], node_weights=[1], c=[0], l=[-50], u=[50], mode="robust"
     )
-    p = sq.compile_robust(inst)
+    p = sq.compile_instance(inst)
     res = sq.brute_force(p)
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
@@ -149,10 +150,28 @@ def test_robust_clean_observation_kept():
     inst = sq.ProblemInstance(
         sq.Graph(1), a=[7], node_weights=[1], c=[100], l=[-50], u=[50], mode="robust"
     )
-    res = sq.solve_full(sq.compile_robust(inst), engine="exhaustive")
+    res = sq.solve_full(sq.compile_instance(inst), engine="exhaustive")
     assert res.value == pytest.approx(0.0, abs=1e-9)
     assert res.discarded == []
     assert res.x[0] == pytest.approx(7.0, abs=1e-8)
+
+
+def test_robust_compile_extends_the_sparse_compile():
+    # the x block, the signals' linear term and k0 are the sparse compile's, bit for bit
+    rng = np.random.default_rng(4)
+    for dims in ((5,), (3, 4)):
+        n = math.prod(dims)
+        inst = sq.ProblemInstance(
+            model.grid_graph(dims, weight=0.7), rng.normal(0, 2, n), rng.uniform(0.5, 2.0, n),
+            rng.uniform(0, 1, n), np.full(n, -5.0), np.full(n, 5.0), mode="robust",
+        )
+        robust = sq.compile_instance(inst)
+        sparse = sq.compile_instance(dataclasses.replace(inst, mode="sparse"))
+        assert np.array_equal(robust.quad.Q[:n, :n], sparse.quad.Q)
+        assert np.array_equal(robust.quad.a[:n], sparse.quad.a)
+        assert robust.quad.k0 == sparse.quad.k0
+        assert np.array_equal(robust.quad.a[n:], -sparse.quad.a)
+        assert np.array_equal(robust.quad.Q[:n, n:], -2.0 * np.diag(inst.node_weights))
 
 
 def test_instance_validation_errors():
@@ -375,6 +394,20 @@ def test_generate_takes_integral_dims_of_any_number_type():
     for dims in (4, 4.0, (4,), [np.int64(4)], np.array([4])):
         assert model.generate("chain", dims)[0].n == 4
     assert model.generate("grid2d", (2.0, 3))[0].n == 6
+
+
+@pytest.mark.parametrize("bounds", [(1,), ("x", 1), 5, (0, 1, 2), (True, 1), "ab"])
+def test_generate_rejects_bounds_that_are_not_a_pair_of_numbers(bounds):
+    # raw IndexError, ValueError and TypeError, or a silently dropped third
+    # entry and True read as 1.0
+    with pytest.raises(InputError, match="bounds must be a pair of real numbers"):
+        model.generate("chain", 3, bounds=bounds)
+
+
+def test_generate_takes_bounds_of_any_real_number_type():
+    for bounds in ((-1, 2.5), [np.float64(-1), np.int64(2)], np.array([-1.0, 2.0])):
+        inst, _ = model.generate("chain", 3, bounds=bounds)
+        assert inst.l.tolist() == [-1.0] * 3 and inst.u.tolist() == [float(bounds[1])] * 3
 
 
 def test_instance_json_round_trip(tmp_path):

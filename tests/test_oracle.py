@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -312,7 +313,7 @@ def test_robust_problem_round_trips_its_free_slacks():
     # a discarded observation's slack is free: the JSON spells its box as
     # "-inf"/"inf", and a witness on the problem replays from that JSON
     inst, _ = sq.generate("chain", 3, mode="robust", outlier_fraction=0.34, seed=2)
-    problem = sq.compile_robust(inst)
+    problem = sq.compile_instance(inst)
     d = json.loads(json.dumps(problem.to_json_dict()))
     assert d["l"][3:] == ["-inf"] * 3 and d["u"][3:] == ["inf"] * 3
     back = sq.IndicatorProblem.from_json_dict(d)
@@ -517,3 +518,65 @@ def test_chain_dp_rejects_problems_that_do_not_decouple():
     for inst in (robust, grid):
         with pytest.raises(InputError, match="tridiagonal"):
             oracle.chain_dp(sq.compile_instance(inst))
+
+
+def test_witness_replay_reproduces_a_check_that_draws_random_numbers(monkeypatch):
+    # a planted failure that depends on the check's own draws, run after a
+    # check that draws from its generator too
+    def planted(problem, rng):
+        i, delta = int(rng.integers(problem.n)), float(rng.uniform(0.1, 1.0))
+        return (True, None) if i else (False, {"i": i, "delta": delta})
+
+    permutation = oracle.CHECKS["boxqp_permutation_invariance"]
+    monkeypatch.setattr(
+        oracle, "CHECKS",
+        {"boxqp_permutation_invariance": permutation, "boxqp_isotonicity": planted},
+    )
+    report = sq.run_property_suite(sq.InstanceSampler(n=3, seed=0), trials=20)
+    witnesses = report.checks["boxqp_isotonicity"].failures
+    assert len(witnesses) >= 3
+    for w in witnesses:
+        assert sq.replay_witness(json.loads(json.dumps(w))) == (False, w["detail"])
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"check": ["boxqp_kkt"]}, r"""unknown check \['boxqp_kkt'\] in the witness's "check\""""),
+    ({"instance": [1]}, r"""a witness must be a JSON object with an "instance" object"""),
+])
+def test_witness_replay_names_a_malformed_field(fields, match):
+    with pytest.raises(InputError, match=match):
+        sq.replay_witness(_witness_with(**fields))
+
+
+def test_lovasz_vertex_check_catches_a_corrupted_tracer(monkeypatch):
+    problem = sq.InstanceSampler(n=5, regime="mixed", seed=3).draw(0)
+    check = oracle.CHECKS["lovasz_vertex_exactness"]
+    assert check(problem, np.random.default_rng(0)) == (True, None)
+    chain_general = pathtrace.chain_general
+
+    def corrupted(*args, **kwargs):  # every value after F(empty set) 0.37 too high
+        chain = chain_general(*args, **kwargs)
+        values = chain.values + 0.37
+        values[0] = chain.values[0]
+        return dataclasses.replace(chain, values=values)
+
+    monkeypatch.setattr(pathtrace, "chain_general", corrupted)
+    ok, detail = check(problem, np.random.default_rng(0))
+    assert ok is False and detail["gap"] == pytest.approx(0.37)
+    assert detail["vertex"] == [1] * split(problem)[0].binary_dim  # the empty set passes
+
+
+def test_sampler_draws_are_pinned():
+    # every array of every draw, bit for bit, as the sampler drew them when
+    # it built its Laplacian by hand
+    digest = hashlib.sha256()
+    for regime in oracle.REGIMES:
+        for n in (1, 2, 6, 12):
+            for density in (0.0, 0.5, 1.0):
+                for seed in (0, 3):
+                    sampler = sq.InstanceSampler(n=n, density=density, regime=regime, seed=seed)
+                    for trial in (0, 1):
+                        p = sampler.draw(trial)
+                        for arr in (p.quad.Q, p.quad.a, p.costs, p.lo, p.up):
+                            digest.update(arr.tobytes())
+    assert digest.hexdigest() == "7aed208a804828e10062a90100d7ef22e7d66530394ca207bd35ae533263f3f6"

@@ -487,7 +487,7 @@ def test_robust_instance_with_no_finite_bound_matches_brute_force():
     for seed in range(3):
         inst, truth = sq.generate("chain", 4, mode="robust", outlier_fraction=0.25, seed=seed,
                                   bounds=(-np.inf, np.inf))
-        problem = sq.compile_robust(inst)
+        problem = sq.compile_instance(inst)
         assert np.all(problem.lo == -np.inf) and np.all(problem.up == np.inf)
         ref = sq.brute_force(problem)
         for engine in ("exhaustive", "mnp"):
@@ -518,7 +518,7 @@ def test_solve_full_robust_two_chain():
         sq.chain_graph(2, weight=1.0), a=[0, 10], node_weights=[1, 1],
         c=[1, 1], l=[-100, -100], u=[100, 100], mode="robust",
     )
-    problem = sq.compile_robust(inst)
+    problem = sq.compile_instance(inst)
     for engine in ("exhaustive", "mnp"):
         res = sq.solve_full(problem, engine=engine)
         assert res.value == pytest.approx(1.0, abs=2e-6)  # plus ridge terms
@@ -530,7 +530,7 @@ def test_solve_full_robust_two_chain():
 
 def test_solve_full_zero_signal():
     inst, _ = sq.generate("chain", (4,), signal_sparsity=1.0, noise_sd=0.0, seed=0)
-    res = sq.solve_full(sq.compile_sparse(inst), engine="exhaustive")
+    res = sq.solve_full(sq.compile_instance(inst), engine="exhaustive")
     assert np.array_equal(res.z, np.zeros(4, dtype=int))
     assert np.allclose(res.x, 0.0)
     assert res.value == pytest.approx(0.0, abs=1e-12)
@@ -544,7 +544,7 @@ def test_solve_full_free_indicators_match_boxqp(engine):
         sq.chain_graph(3), a=[1.0, 0.5, 2.0], node_weights=[1, 1, 1],
         c=[0, 0, 0], l=[0, 0, 0], u=[5, 5, 5],
     )
-    problem = sq.compile_sparse(inst)
+    problem = sq.compile_instance(inst)
     res = sq.solve_full(problem, engine=engine)
     ref = boxqp.solve(problem.quad, problem.lo, problem.up)
     assert res.value == pytest.approx(ref.value, abs=1e-9)
@@ -556,7 +556,7 @@ def test_solve_full_robust_free_discard_single_vertex_mnp():
     inst = sq.ProblemInstance(
         sq.Graph(1), a=[7], node_weights=[1], c=[0], l=[-50], u=[50], mode="robust"
     )
-    problem = sq.compile_robust(inst)
+    problem = sq.compile_instance(inst)
     res = sq.solve_full(problem, engine="mnp")
     assert res.value == pytest.approx(sq.brute_force(problem).value, abs=1e-9)
     assert res.value == pytest.approx(0.0, abs=1e-9)
@@ -745,7 +745,7 @@ def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
 def test_solve_full_rejects_unknown_engine():
     inst, _ = sq.generate("chain", (3,), seed=0)
     with pytest.raises(InputError):
-        sq.solve_full(sq.compile_sparse(inst), engine="magic")
+        sq.solve_full(sq.compile_instance(inst), engine="magic")
 
 
 def test_mnp_matches_exhaustive_random_instances():
