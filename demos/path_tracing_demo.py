@@ -12,8 +12,7 @@ import numpy as np
 
 import submodqp as sq
 from submodqp import boxqp, pathtrace
-from submodqp.lattice import bounds_for_binary, split
-from submodqp.sfm import prefix_sets
+from submodqp.lattice import prefix_boxes, split
 
 
 def main():
@@ -39,7 +38,7 @@ def main():
         print(f"  stage {bp.stage:2d}  x = {bp.x:8.5f}  variable {bp.index:2d}  {bp.event}")
 
     # the naive route: the n+1 prefix boxes, solved as one stack
-    boxes = bounds_for_binary(smap, prefix_sets(range(problem.n), smap.binary_dim))
+    boxes = prefix_boxes(smap, range(problem.n))
     worst = np.max(np.abs(boxqp.solve_many(problem.quad, *boxes).value - chain.values))
     print(f"\nmax gap vs {problem.n + 1} independent box-QP solves: {worst:.2e}")
 

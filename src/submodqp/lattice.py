@@ -29,6 +29,14 @@ of a straddling variable are open, can be repaired to a feasible assignment
 without increasing the objective: :meth:`SignSplitMap.indicators` closes the
 bound the minimizer x_i does not use (both when x_i = 0).  The binary
 problem is therefore over the full hypercube of ``binary_dim`` coordinates.
+
+This module owns the split's coordinates and everything that indexes them:
+the bound table, orders of coordinates (:func:`check_order`), the prefix
+sets of an order (:func:`prefix_sets`) and the box of any set of
+coordinates (:func:`bounds_for_binary`, one gather for a whole stack).
+Every box a solver sees comes from that one rule: the judges' and the
+engines' stacked solves, and the stage boxes of a traced chain, which are
+the boxes of its order's prefix sets (:func:`prefix_boxes`).
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import InputError
 from .model import check_binary
 
 
@@ -90,22 +99,11 @@ class SignSplitMap:
         is_open[..., m] = True
         return is_open[..., self.lo_bit], is_open[..., self.up_bit]
 
-    def stage_bounds(self, order):
-        """Per stage of a chain that sets the coordinates in ``order`` one at
-        a time from all clear: (variable, its new lower, its new upper
-        bound), as Python scalars."""
-        plus = self.plus.tolist()
-        is_open = [not p for p in plus] + [True]  # all clear
-        var, lo_bit, up_bit = self.var.tolist(), self.lo_bit.tolist(), self.up_bit.tolist()
-        lo, up = self.lo.tolist(), self.up.tolist()
-        stages = []
-        for c in order:
-            is_open[c] = plus[c]
-            j = var[c]
-            stages.append(
-                (j, lo[j] if is_open[lo_bit[j]] else 0.0, up[j] if is_open[up_bit[j]] else 0.0)
-            )
-        return stages
+    @property
+    def always_open(self):
+        """Per variable: True when it has no coordinate (its bits point at
+        ``binary_dim``), so its box is [l, u] under every assignment."""
+        return self.lo_bit == self.binary_dim
 
     def indicators(self, zbin, x):
         """The original indicator vector of split assignment ``zbin`` and
@@ -180,3 +178,40 @@ def bounds_for_binary(smap, zbin):
     """
     lo_open, up_open = smap._open_bounds(zbin)
     return np.where(lo_open, smap.lo, 0.0), np.where(up_open, smap.up, 0.0)
+
+
+def check_order(order, m):
+    """``order`` as a list of ints.  Its entries must be distinct coordinates
+    of 0..m-1; an integral float passes, and anything else, a bool included,
+    raises :class:`InputError`."""
+    order = list(order)
+    try:
+        ints = [int(i) for i in order]
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, arrays
+        ints = None
+    if (
+        ints != order
+        or not {type(i) for i in order}.isdisjoint((bool, np.bool_))  # True == 1
+        or len(set(ints)) != len(ints)
+        or not all(0 <= i < m for i in ints)
+    ):
+        raise InputError(f"order must list distinct coordinates of 0..{m - 1}")
+    return ints
+
+
+def prefix_sets(order, m):
+    """The ``(len(order) + 1, m)`` bool matrix whose row k is the indicator
+    of ``order[:k]``, for an ``order`` that :func:`check_order` admits."""
+    order = check_order(order, m)
+    # row r holds the ranks up to r: order[i] has rank i + 1 and the rest
+    # k + 1, in the least integer type that holds them, for a cheap compare
+    k = len(order)
+    rank = np.full(m, k + 1, dtype=np.min_scalar_type(k + 1))
+    rank[order] = np.arange(1, k + 1)
+    return np.arange(k + 1, dtype=rank.dtype)[:, None] >= rank
+
+
+def prefix_boxes(smap, order):
+    """The boxes of the prefix sets of ``order`` (:func:`prefix_sets`) as two
+    stacks: row k is the box once ``order[:k]`` is set, row 0 all clear."""
+    return bounds_for_binary(smap, prefix_sets(order, smap.binary_dim))

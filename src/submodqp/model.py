@@ -51,6 +51,15 @@ def _as_int(value, name):
     return int(value)
 
 
+def _as_real(value, name):
+    """``value`` as a float; a bool, or anything that is not a real number
+    (a numeric string included), raises :class:`InputError`.  NaN and the
+    infinities pass, for the caller's range check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _as_int_at_least(value, name, least):
     """``value`` as an int of at least ``least``; anything else raises :class:`InputError`."""
     value = _as_int(value, name)
@@ -76,11 +85,12 @@ def check_box(lo, up):
 
 def check_binary(z, length):
     """Raise :class:`InputError` unless ``z``, one binary vector or a stack,
-    has ``length`` entries on its last axis, each 0 or 1 (bools pass)."""
+    has ``length`` entries on its last axis, each 0 or 1.  A bool array is
+    binary by its type, so only its shape is checked."""
     z = np.asarray(z)
     if z.ndim == 0 or z.shape[-1] != length:
         raise InputError(f"expected binary vector of length {length}")
-    if not ((z == 0) | (z == 1)).all():
+    if z.dtype != bool and not ((z == 0) | (z == 1)).all():
         raise InputError("a binary vector's entries must be 0 or 1")
 
 
@@ -98,6 +108,7 @@ class Graph:
     The vertex count and the edge endpoints must be integral numbers (an
     integral float such as 3.0 counts; a bool or 3.9 raises
     :class:`InputError`), so no file is silently read as another graph.
+    Each edge is three items (i, j, weight), its weight a real number.
     """
 
     num_vertices: int
@@ -107,10 +118,17 @@ class Graph:
         num_vertices = _as_int(self.num_vertices, "num_vertices")
         if num_vertices <= 0:
             raise InputError("num_vertices must be positive")
+        if not np.iterable(self.edges):
+            raise InputError(f"edges must be a sequence of (i, j, weight), got {self.edges!r}")
         seen = set()
         norm = []
         for e in self.edges:
-            i, j, w = _as_int(e[0], "edge endpoint"), _as_int(e[1], "edge endpoint"), float(e[2])
+            try:
+                i, j, w = e
+            except (TypeError, ValueError):
+                raise InputError(f"an edge must be three items (i, j, weight), got {e!r}") from None
+            i, j = _as_int(i, "edge endpoint"), _as_int(j, "edge endpoint")
+            w = _as_real(w, "edge weight")
             if i == j:
                 raise InputError(f"self-loop at vertex {i}")
             if not (0 <= i < num_vertices and 0 <= j < num_vertices):
@@ -176,7 +194,7 @@ class QuadraticForm:
     def __post_init__(self):
         Q = np.array(self.Q, dtype=float)
         a = np.array(self.a, dtype=float).ravel()
-        k0 = float(self.k0)
+        k0 = _as_real(self.k0, "k0")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise InputError(f"Q must be square, got shape {Q.shape}")
         if a.shape[0] != Q.shape[0]:
@@ -425,13 +443,19 @@ def generate(
     :class:`InputError`, and so does a negative or non-finite ``noise_sd``,
     a ``seed`` that is not a nonnegative integer, or ``bounds`` (every
     vertex's (l, u), by default +-4 (1 + max |a|)) that are not a pair of
-    real numbers.
+    real numbers.  Every other scalar must be a real number too, not a bool
+    or a string.
     """
     if topology not in TOPOLOGIES:
         raise InputError(f"unknown topology {topology!r}")
     dims = tuple(_as_int(d, "a dimension") for d in ((dims,) if np.ndim(dims) == 0 else dims))
     if any(d <= 0 for d in dims):
         raise InputError("dims must be positive")
+    signal_sparsity = _as_real(signal_sparsity, "signal_sparsity")
+    outlier_fraction = _as_real(outlier_fraction, "outlier_fraction")
+    noise_sd = _as_real(noise_sd, "noise_sd")
+    cost = _as_real(cost, "cost")
+    edge_weight = _as_real(edge_weight, "edge_weight")
     if not (0.0 <= signal_sparsity <= 1.0 and 0.0 <= outlier_fraction <= 1.0):
         raise InputError("fractions must lie in [0, 1]")
     if not 0.0 <= noise_sd < np.inf:  # NaN fails both comparisons
@@ -461,18 +485,17 @@ def generate(
         b = 4.0 * (1.0 + float(np.abs(a).max(initial=0.0)))
         lo, up = np.full(n, -b), np.full(n, b)
     else:
-        pair = tuple(bounds) if np.iterable(bounds) else ()
-        if len(pair) != 2 or not all(
-            isinstance(b, numbers.Real) and not isinstance(b, bool) for b in pair
-        ):
-            raise InputError(f"bounds must be a pair of real numbers, got {bounds!r}")
-        lo, up = np.full(n, float(pair[0])), np.full(n, float(pair[1]))
+        try:
+            lo_b, up_b = (_as_real(b, "a bound") for b in bounds)
+        except (TypeError, ValueError, InputError):  # not iterable, or not two items
+            raise InputError(f"bounds must be a pair of real numbers, got {bounds!r}") from None
+        lo, up = np.full(n, lo_b), np.full(n, up_b)
 
     inst = ProblemInstance(
         graph=graph,
         a=a,
         node_weights=np.ones(n),
-        c=np.full(n, float(cost)),
+        c=np.full(n, cost),
         l=lo,
         u=up,
         mode=mode,

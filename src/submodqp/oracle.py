@@ -21,8 +21,8 @@ import numpy as np
 
 from . import boxqp, pathtrace, sfm
 from .exceptions import InputError, NumericalError
-from .lattice import bounds_for_binary, split
-from .model import Graph, IndicatorProblem, QuadraticForm, _as_int_at_least
+from .lattice import bounds_for_binary, prefix_boxes, split
+from .model import Graph, IndicatorProblem, QuadraticForm, _as_int_at_least, _as_real
 from .sfm import BRUTE_TIE_TOL, IndicatorOracle, SfmResult
 
 BRUTE_GUARD = 14
@@ -122,8 +122,8 @@ class InstanceSampler:
     (l <= u <= 0) and ``mixed`` (each variable draws one of the three
     patterns, exercising every split branch).  Draws are deterministic in
     (seed, trial).  ``n`` must be a positive integer, ``seed`` and each
-    ``trial`` nonnegative ones, and ``density`` must lie in [0, 1]; anything
-    else raises :class:`InputError`.
+    ``trial`` nonnegative ones, and ``density`` a real number in [0, 1];
+    anything else raises :class:`InputError`.
     """
 
     n: int = 6
@@ -136,6 +136,7 @@ class InstanceSampler:
             raise InputError(f"regime must be one of {REGIMES}")
         object.__setattr__(self, "n", _as_int_at_least(self.n, "n", 1))
         object.__setattr__(self, "seed", _as_int_at_least(self.seed, "seed", 0))
+        object.__setattr__(self, "density", _as_real(self.density, "density"))
         if not 0.0 <= self.density <= 1.0:  # NaN fails both comparisons
             raise InputError(f"density must lie in [0, 1], got {self.density!r}")
 
@@ -232,7 +233,7 @@ def _check_boxqp_kkt(problem, rng):
     if not res <= tol:
         return False, {"residual": res, "tol": tol}
     smap, vc = _chain_for(problem)
-    for k, (x, lo, up) in enumerate(zip(vc.minimizers, *_prefix_boxes(smap, vc.order))):
+    for k, (x, lo, up) in enumerate(zip(vc.minimizers, *prefix_boxes(smap, vc.order))):
         res = boxqp.kkt_residual(problem.quad, lo, up, x)
         if not res <= tol:
             return False, {"stage": k, "residual": res, "tol": tol}
@@ -272,17 +273,11 @@ def _chain_for(problem):
     return smap, pathtrace.chain_general(problem.quad, smap, range(smap.binary_dim))
 
 
-def _prefix_boxes(smap, order):
-    """The boxes of the prefix sets of ``order`` (:func:`sfm.prefix_sets`),
-    as two stacks with one row per set."""
-    return bounds_for_binary(smap, sfm.prefix_sets(order, smap.binary_dim))
-
-
 def _check_chain_matches_oracle(problem, rng):
     """Every value of the problem's chain (:func:`_chain_for`) equals its
     prefix box's value, all solved in one stack, to 1e-8."""
     smap, vc = _chain_for(problem)
-    gaps = np.abs(boxqp.solve_many(problem.quad, *_prefix_boxes(smap, vc.order)).value - vc.values)
+    gaps = np.abs(boxqp.solve_many(problem.quad, *prefix_boxes(smap, vc.order)).value - vc.values)
     at = int(gaps.argmax())
     worst = float(gaps[at])
     return worst <= 1e-8, None if worst <= 1e-8 else {"worst_gap": worst, "stage": at}
@@ -414,7 +409,7 @@ def _check_segment_affine(problem, rng):
     the Q-norm (:func:`_qnorm`).  A chain with no such pair is skipped."""
     smap, vc = _chain_for(problem)
     sampled = False
-    blos, bups = _prefix_boxes(smap, vc.order)
+    blos, bups = prefix_boxes(smap, vc.order)
     for k, c in enumerate(vc.order, start=1):
         j = smap.var[c]
         blo, bup = blos[k], bups[k]  # stage k's box, pinned at j below

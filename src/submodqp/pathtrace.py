@@ -41,13 +41,16 @@ variables keep [l, u]), and each stage switches one coordinate on.  The
 order may stop short of a permutation: a prefix order traces only its own
 stages, which match the first stages of the full chain bit for bit, because
 the trace is sequential.  It takes the sign-split map alone: the map holds
-the unsplit bounds it opens.  :func:`chain_nonnegative` traces a problem
-with l >= 0 over its own split, in ascending coordinate order.  Infinite
-bounds are traced as given: an infinite bound is never a breakpoint,
-because its ratio-test gap is infinite, and every stage target
-min(max(l_j, root), u_j) is finite, because the stationarity root is.
-:func:`check_order` validates an order for a chain.  The Lovász extension
-is read from one costed chain by :func:`submodqp.sfm.lovasz`.
+the unsplit bounds it opens.  The tracer has no box rule of its own: stage
+k's box is row k of :func:`submodqp.lattice.prefix_boxes`, the box
+:func:`~submodqp.lattice.bounds_for_binary` gives the prefix set
+``order[:k]``, and :mod:`submodqp.lattice` also checks the order.
+:func:`chain_nonnegative` traces a problem with l >= 0 over its own split,
+in ascending coordinate order.  Infinite bounds are traced as given: an
+infinite bound is never a breakpoint, because its ratio-test gap is
+infinite, and every stage target min(max(l_j, root), u_j) is finite,
+because the stationarity root is.  The Lovász extension is read from one
+costed chain by :func:`submodqp.sfm.lovasz`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import numpy as np
 from . import boxqp
 from .cholesky import UpdatableCholesky
 from .exceptions import InputError, NumericalError
-from .lattice import bounds_for_binary, split
+from .lattice import check_order, prefix_boxes, split
 
 EVENT_LEAVE_LOWER = "leave_lower"
 EVENT_HIT_UPPER = "hit_upper"
@@ -138,16 +141,16 @@ class PathState:
     bounds, the active-set statuses and the maintained factor over the free
     set, whose index set is always the set of free statuses; ``free`` and
     ``eligible`` are the masks of the last :func:`trace_path` call.  The
-    bounds start as ``smap``'s stage-0 box, every coordinate off, and ``y``
+    bounds start as copies of ``lo`` and ``up``, the stage-0 box, and ``y``
     must be its minimizer.  Variables sitting exactly on a bound go to the
     bound sets (never to the free set), matching the oracle's
     degenerate-KKT convention.
     """
 
-    def __init__(self, quad, smap, y):
+    def __init__(self, quad, smap, y, lo, up):
         self.quad = quad
         self.smap = smap
-        self.lo, self.up = bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int))
+        self.lo, self.up = np.array(lo, dtype=float), np.array(up, dtype=float)
         self.y = np.array(y, dtype=float)
         self.status = np.full(quad.n, _FREE, dtype=np.int8)
         self.status[self.y >= self.up] = _HI
@@ -315,25 +318,6 @@ def _stage_is_noop(state, j, lo_new, up_new):
     return up_new == y_j  # _HI
 
 
-def check_order(order, m):
-    """``order`` as a list of ints.  Its entries must be distinct coordinates
-    of 0..m-1; an integral float passes, and anything else, a bool included,
-    raises :class:`InputError`."""
-    order = list(order)
-    try:
-        ints = [int(i) for i in order]
-    except (TypeError, ValueError, OverflowError):  # NaN, inf, arrays
-        ints = None
-    if (
-        ints != order
-        or not {type(i) for i in order}.isdisjoint((bool, np.bool_))  # True == 1
-        or len(set(ints)) != len(ints)
-        or not all(0 <= i < m for i in ints)
-    ):
-        raise InputError(f"order must list distinct coordinates of 0..{m - 1}")
-    return ints
-
-
 def chain_nonnegative(problem):
     """:func:`chain_general` for a problem with l >= 0, over its own sign
     split in ascending coordinate order: stage k releases the variable of
@@ -362,17 +346,21 @@ def chain_general(quad, smap, order, stage0=None):
     ``"nonnegative"`` when every l of ``smap`` is >= 0 and ``"general"``
     otherwise.  ``stage0`` is the box-QP solution of the stage-0 box when
     the caller already has it; every chain of one minimization starts
-    there, so the caller can solve it once.
+    there, so the caller can solve it once.  Stage k's box is row k of
+    :func:`~submodqp.lattice.prefix_boxes`: only ``smap.var[order[k-1]]`` moves.
     """
     order = check_order(order, smap.binary_dim)
-
+    blo, bup = prefix_boxes(smap, order)
     if stage0 is None:
-        stage0 = boxqp.solve(quad, *bounds_for_binary(smap, np.zeros(smap.binary_dim, dtype=int)))
-    state = PathState(quad, smap, stage0.x)
+        stage0 = boxqp.solve(quad, blo[0], bup[0])
+    state = PathState(quad, smap, stage0.x, blo[0], bup[0])
 
+    var = smap.var[order]  # stage k's new bounds are row k's at var[k-1]
+    stages = np.arange(1, len(order) + 1)
+    news = zip(var.tolist(), blo[stages, var].tolist(), bup[stages, var].tolist())
     values = [stage0.value]
     minimizers = [state.y.copy()]
-    for k, (j, lo_j, up_j) in enumerate(smap.stage_bounds(order), start=1):
+    for k, (j, lo_j, up_j) in enumerate(news, start=1):
         state.stage = k
         if _stage_is_noop(state, j, lo_j, up_j):
             state.lo[j] = lo_j

@@ -31,7 +31,11 @@ problem: oracle construction (with its sign split), minimization, and
 recovery of the original indicator vector and continuous minimizer.
 Variables with no indicator (the signals of a robust problem) and those
 whose indicator cannot change the optimum get no binary coordinate (the
-open rule of :func:`submodqp.lattice.split`).
+open rule of :func:`submodqp.lattice.split`).  The split's coordinates,
+orders of them, their prefix sets and the box of every set are
+:mod:`submodqp.lattice`'s: this module checks orders and builds prefix
+sets through it, and a traced chain takes its stage boxes from
+:func:`~submodqp.lattice.bounds_for_binary` as every stacked solve does.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ import numpy as np
 
 from . import boxqp, pathtrace
 from .exceptions import InputError, NumericalError
-from .lattice import bounds_for_binary, split
+from .lattice import bounds_for_binary, check_order, prefix_sets, split
+from .model import _as_real
 
 EXHAUSTIVE_GUARD = 20  # 2^20 codes take about 10 s on a 10-vertex robust chain
 # codes per eval_many call of minimize_exhaustive, which bounds the rows of
@@ -102,15 +107,6 @@ class SfmResult:
             "discarded": self.discarded,
             "stats": None if self.stats is None else asdict(self.stats),
         }
-
-
-def prefix_sets(order, m):
-    """The ``(len(order) + 1, m)`` int matrix whose row k is the indicator of
-    ``order[:k]``, for an ``order`` that :func:`pathtrace.check_order` admits."""
-    order = pathtrace.check_order(order, m)
-    z = np.zeros((len(order) + 1, m), dtype=int)
-    z[:, order] = np.tri(len(order) + 1, len(order), -1, dtype=int)
-    return z
 
 
 class SubmodularOracle:
@@ -225,7 +221,7 @@ class IndicatorOracle(SubmodularOracle):
         return sol.value + (zbins @ self.bincost.linear + self.bincost.constant)
 
     def chain(self, order):
-        order = pathtrace.check_order(order, self.m)
+        order = check_order(order, self.m)
         # prefix-set bitmasks: the bits are distinct, so the sums are unions
         keys = [0, *itertools.accumulate(1 << c for c in order)]
         memo = self.memo
@@ -351,7 +347,7 @@ def _affine_minimizer(S):
 
 
 def _require_tol(tol):
-    if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
+    if not 0.0 <= _as_real(tol, "tol") < np.inf:  # NaN fails both comparisons
         raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
@@ -462,8 +458,7 @@ def solve_full(problem, engine="mnp", tol=1e-9):
     smap = oracle.smap
     _log.debug(
         "%d variables, %d always open, %d binary coordinates, engine %s",
-        # an always-open variable's bits point at binary_dim
-        smap.n, int(np.count_nonzero(smap.lo_bit == oracle.m)), oracle.m, engine,
+        smap.n, int(np.count_nonzero(smap.always_open)), oracle.m, engine,
     )
     if engine == "mnp" and oracle.m:
         res = minimize_mnp(oracle, tol=tol)

@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import boxqp, model, pathtrace, sfm
+from submodqp import boxqp, model, pathtrace
 from submodqp.bench import bench_rows
-from submodqp.lattice import bounds_for_binary, split
+from submodqp.lattice import bounds_for_binary, prefix_boxes, split
 
 
 def _report(num, name, ok, detail=""):
@@ -127,8 +127,7 @@ def chain_runs():
 def test_criterion_3_chain_matches_oracle(chain_runs):
     worst = 0.0
     for prob, smap, chain, kind in chain_runs:
-        z = sfm.prefix_sets(chain.order, smap.binary_dim)
-        ref = boxqp.solve_many(prob.quad, *bounds_for_binary(smap, z)).value
+        ref = boxqp.solve_many(prob.quad, *prefix_boxes(smap, chain.order)).value
         worst = max(worst, float(np.max(np.abs(ref - chain.values))))
     ok = worst <= 1e-8
     _report(3, "chain correctness", ok, f"(100 chains, n up to 50, worst gap {worst:.2e})")

@@ -218,7 +218,7 @@ def test_trace_infinite_bounds_matches_naive_chain(tmp_path):
     d = json.loads(out.read_text())
     problem = model.compile_instance(inst)
     smap, _ = lattice.split(problem)
-    boxes = lattice.bounds_for_binary(smap, sfm.prefix_sets(d["order"], smap.binary_dim))
+    boxes = lattice.prefix_boxes(smap, d["order"])
     naive = boxqp.solve_many(problem.quad, *boxes).value
     assert d["kind"] == "general"
     assert np.max(np.abs(np.array(d["values"]) - naive)) <= 1e-8

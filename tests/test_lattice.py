@@ -374,8 +374,8 @@ def test_split_with_every_variable_open():
     smap, cost = lattice.split(problem)
     assert smap.binary_dim == 0
     assert smap.lo is problem.lo and smap.up is problem.up  # the problem's own bounds
-    blo, bup = lattice.bounds_for_binary(smap, np.zeros(0, dtype=int))
-    assert np.array_equal(blo, lo) and np.array_equal(bup, up)
+    blo, bup = lattice.prefix_boxes(smap, [])
+    assert np.array_equal(blo, [lo]) and np.array_equal(bup, [up])
     assert smap.indicators(np.zeros(0, dtype=int), np.zeros(4)).tolist() == [1, 1, 1, 1]
     assert cost(np.zeros(0)) == pytest.approx(0.5)  # an open variable pays at z = 1
 
@@ -473,6 +473,7 @@ def test_bound_table_matches_the_four_box_formulas():
         problem = _problem(lo, up, costs, "robust" if trial % 4 == 3 and n % 2 == 0 else "sparse")
         mask = ~problem.indicated | ((costs == 0.0) & (lo <= 0.0) & (up >= 0.0))
         smap, _ = lattice.split(problem)
+        assert np.array_equal(smap.always_open, mask)
         layout, m = _reference_layout(lo, up, mask)
         assert smap.binary_dim == m
         # a stack of assignments gathers every box at once
@@ -485,12 +486,17 @@ def test_bound_table_matches_the_four_box_formulas():
             x = rng.choice([-1.0, 0.0, 1.0], n)
             ref = _reference_forward(layout, _reference_repair(layout, z, x))
             assert ref is not None and smap.indicators(z, x).tolist() == ref
-        # a chain's stage k opens or closes the box of its variable j as the
-        # prefix set order[:k] does
+        # row k of a chain's prefix boxes is the box of the prefix set
+        # order[:k], and it differs from row k-1 only at the variable j of
+        # coordinate order[k-1]
         owner = {c: i for i, (_, p, q) in enumerate(layout) for c in (p, q) if c is not None}
         order = rng.permutation(m).tolist()
-        for k, stage in enumerate(smap.stage_bounds(order), 1):
+        blo, bup = lattice.prefix_boxes(smap, order)
+        assert blo.shape == bup.shape == (m + 1, n)
+        for k in range(m + 1):
             z = np.zeros(m, dtype=int)
             z[order[:k]] = 1
-            j = owner[order[k - 1]]
-            assert stage == (j, *_reference_box(layout, z, lo, up)[j])
+            assert list(zip(blo[k].tolist(), bup[k].tolist())) == _reference_box(layout, z, lo, up)
+            if k:
+                moved = (blo[k] != blo[k - 1]) | (bup[k] != bup[k - 1])
+                assert set(np.flatnonzero(moved).tolist()) <= {owner[order[k - 1]]}

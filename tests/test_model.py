@@ -206,6 +206,50 @@ def test_graph_rejects_non_integral_counts_and_vertex_ids(n, edge):
         model.instance_from_json_dict(d)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"cost": "0.5"}, "cost"),  # loaded as 0.5
+    ({"edge_weight": True}, "edge_weight"),  # loaded as 1.0
+    ({"noise_sd": True}, "noise_sd"),  # loaded as 1.0
+    ({"signal_sparsity": "0.5"}, "signal_sparsity"),  # a raw TypeError
+    ({"outlier_fraction": None}, "outlier_fraction"),  # a raw TypeError
+])
+def test_generate_rejects_scalars_that_are_not_real_numbers(kwargs, name):
+    with pytest.raises(InputError, match=f"{name} must be a real number"):
+        model.generate("chain", 3, **kwargs)
+
+
+def test_generate_takes_scalars_of_any_real_number_type():
+    ref, _ = model.generate("chain", 4, signal_sparsity=0.5, noise_sd=0.0, cost=2.0, edge_weight=1.0)
+    for kwargs in ({"signal_sparsity": np.float64(0.5)}, {"noise_sd": 0}, {"cost": np.int64(2)},
+                   {"edge_weight": 1}, {"outlier_fraction": np.float32(0.0)}):
+        args = dict(signal_sparsity=0.5, noise_sd=0.0, cost=2.0, edge_weight=1.0) | kwargs
+        inst, _ = model.generate("chain", 4, **args)
+        assert inst.graph == ref.graph and np.array_equal(inst.a, ref.a) and np.array_equal(inst.c, ref.c)
+    # NaN is a real number, and the range check refuses it
+    with pytest.raises(InputError, match="fractions must lie in"):
+        model.generate("chain", 3, signal_sparsity=float("nan"))
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([(0, 1)], "three items"),  # a raw IndexError
+    ([(0, 1, 1.0, 5.0)], "three items"),  # the fourth item was dropped
+    ([(0, 1, "a")], "edge weight must be a real number"),  # a raw ValueError
+    ([(0, 1, "0.5")], "edge weight must be a real number"),  # loaded as 0.5
+    ([(0, 1, True)], "edge weight must be a real number"),  # loaded as 1.0
+    (5, "edges must be a sequence"),  # a raw TypeError
+])
+def test_graph_rejects_edges_that_are_not_triples_with_a_real_weight(edges, match):
+    with pytest.raises(InputError, match=match):
+        sq.Graph(2, edges)
+
+
+@pytest.mark.parametrize("k0", ["x", True, None])
+def test_quadratic_form_rejects_a_k0_that_is_not_a_real_number(k0):
+    # "x" raised a raw ValueError and True loaded as 1.0
+    with pytest.raises(InputError, match="k0 must be a real number"):
+        sq.QuadraticForm([[1.0]], [0.0], k0)
+
+
 def test_graph_takes_integral_numbers_as_ints():
     g = sq.Graph(3.0, ((np.int64(0), 1.0, 2.0), (2, 1, 0.5)))
     assert g == sq.Graph(3, ((0, 1, 2.0), (1, 2, 0.5)))
@@ -244,6 +288,22 @@ def test_check_box_admits_infinite_bounds_that_hold_a_point():
     lo, up = np.array([-np.inf, 0.0, 1.0, -np.inf]), np.array([np.inf, 0.0, np.inf, -2.0])
     model.check_box(lo, up)
     model.check_box(np.stack([lo, lo]), np.stack([up, up]))
+
+
+def test_a_bool_stack_is_binary_by_its_type_and_an_int_stack_is_scanned():
+    # check_binary reads only the shape of a bool array, of any stack shape
+    for shape in ((3,), (0, 3), (4, 3), (2, 5, 3)):
+        model.check_binary(np.ones(shape, dtype=bool), 3)
+        model.check_binary(np.zeros(shape, dtype=bool), 3)
+    with pytest.raises(InputError, match="length 3"):
+        model.check_binary(np.ones((4, 2), dtype=bool), 3)
+    # an int or float stack still has every entry checked
+    for dtype in (int, np.int8, float):
+        z = np.zeros((4, 3), dtype=dtype)
+        model.check_binary(z, 3)
+        z[2, 1] = 2
+        with pytest.raises(InputError, match="0 or 1"):
+            model.check_binary(z, 3)
 
 
 @pytest.mark.parametrize("lo, up", [([np.inf, 0.0], [np.inf, 1.0]), ([-np.inf, 0.0], [-np.inf, 1.0])])

@@ -210,7 +210,7 @@ def test_property_suite_and_solve_share_a_ground_set(monkeypatch):
     prob = sq.InstanceSampler(n=6, regime="mixed", seed=0).draw(0)
     full, _ = split(prob)
     suite = oracle._chain_for(prob)[0]
-    assert not np.any(suite.lo_bit == suite.binary_dim)
+    assert not suite.always_open.any()
     for table in ("var", "plus", "lo_bit", "up_bit"):
         assert np.array_equal(getattr(suite, table), getattr(full, table))
 
@@ -246,6 +246,13 @@ def test_bad_seeds_counts_and_trials_are_input_errors(call):
     # numpy would raise a raw ValueError or TypeError, or draw with no edges
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("density", ["0.5", True, None])
+def test_sampler_density_must_be_a_real_number(density):
+    # "0.5" and None raised a raw TypeError, and True drew as density 1
+    with pytest.raises(InputError, match="density must be a real number"):
+        sq.InstanceSampler(density=density)
 
 
 def test_sampler_takes_integral_numbers_as_ints():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submodqp as sq
-from submodqp import boxqp, lattice, pathtrace, sfm
+from submodqp import boxqp, lattice, pathtrace
 from submodqp.exceptions import InputError, NumericalError
 from submodqp.pathtrace import PathState, chain_general, chain_nonnegative, trace_path
 
@@ -41,7 +41,7 @@ def _state(quad, lo, up, y):
     and the stage-0 box is [lo, up]."""
     smap, _ = lattice.split(sq.IndicatorProblem(quad, np.zeros(quad.n), lo, up))
     assert smap.binary_dim == 0
-    return PathState(quad, smap, y)
+    return PathState(quad, smap, y, lo, up)
 
 
 def test_trace_to_stationarity(small_quad):
@@ -189,7 +189,7 @@ def test_chain_general_with_always_open_matches_boxqp_prefixes():
         assert chain.m == sum(1 for i, _ in full_coords if not mask[i])
         base = np.array([mask[i] and plus for i, plus in full_coords], dtype=int)
         z = np.tile(base, (smap.binary_dim + 1, 1))
-        z[:, [full_coords.index(c) for c in coords]] = sfm.prefix_sets(order, smap.binary_dim)
+        z[:, [full_coords.index(c) for c in coords]] = lattice.prefix_sets(order, smap.binary_dim)
         ref = boxqp.solve_many(prob.quad, *lattice.bounds_for_binary(full, z)).value
         assert np.max(np.abs(chain.values - ref)) <= 1e-8
 
@@ -197,8 +197,8 @@ def test_chain_general_with_always_open_matches_boxqp_prefixes():
 def test_chain_general_given_stage0_is_bit_identical():
     prob = sq.InstanceSampler(n=8, regime="mixed", seed=12).draw(0)
     smap, _ = lattice.split(prob)
-    lo0, up0 = lattice.bounds_for_binary(smap, np.zeros(smap.binary_dim))
-    stage0 = boxqp.solve(prob.quad, lo0, up0)
+    lo0, up0 = lattice.prefix_boxes(smap, [])
+    stage0 = boxqp.solve(prob.quad, lo0[0], up0[0])
     order = np.random.default_rng(1).permutation(smap.binary_dim)
     ref = chain_general(prob.quad, smap, order)
     got = chain_general(prob.quad, smap, order, stage0=stage0)
@@ -214,8 +214,7 @@ def test_chain_matches_boxqp_prefixes(regime):
         smap, _ = lattice.split(prob)
         chain = chain_general(prob.quad, smap, range(smap.binary_dim))
         assert chain.kind == ("nonnegative" if regime == "nonnegative" else "general")
-        z = sfm.prefix_sets(range(smap.binary_dim), smap.binary_dim)
-        ref = boxqp.solve_many(prob.quad, *lattice.bounds_for_binary(smap, z)).value
+        ref = boxqp.solve_many(prob.quad, *lattice.prefix_boxes(smap, range(smap.binary_dim))).value
         assert np.max(np.abs(chain.values - ref)) <= 1e-8
 
 
@@ -380,6 +379,43 @@ def test_maintained_indices_and_masks_match_the_statuses(monkeypatch):
     events = (pathtrace.EVENT_LEAVE_LOWER, pathtrace.EVENT_HIT_UPPER,
               pathtrace.EVENT_LEAVE_ZERO, pathtrace.EVENT_HIT_ZERO)
     assert all(seen[e] for e in events) and seen["stages"] > 100
+
+
+def test_every_traced_stage_is_handed_the_box_of_its_prefix_set(monkeypatch):
+    # the box trace_path works in, the state's bounds with the stage's new
+    # bounds of j put in, is row k of lattice.prefix_boxes: on mixed sampler
+    # draws, some with always-open variables, and on robust chains, along
+    # random whole and prefix orders
+    problems = []
+    for seed in range(6):
+        prob = sq.InstanceSampler(n=10, regime="mixed", seed=900 + seed).draw(0)
+        problems.append(_with_open(prob, np.random.default_rng(seed).random(prob.n) < 0.3))
+    for seed in range(4):
+        inst, _ = sq.generate("chain", 8, signal_sparsity=0, outlier_fraction=0.25,
+                              noise_sd=0.25, seed=seed, mode="robust")
+        problems.append(sq.compile_instance(inst))
+    handed = []
+
+    def recording(state, j, lo_j, up_j):
+        lo, up = state.lo.copy(), state.up.copy()
+        lo[j], up[j] = lo_j, up_j
+        handed.append((state.stage, lo, up))
+        return trace_path(state, j, lo_j, up_j)
+
+    monkeypatch.setattr(pathtrace, "trace_path", recording)
+    traced = 0
+    for i, prob in enumerate(problems):
+        smap, _ = lattice.split(prob)
+        rng = np.random.default_rng(i)
+        m = smap.binary_dim
+        for order in (rng.permutation(m), rng.permutation(m)[: m // 2]):
+            handed.clear()
+            chain_general(prob.quad, smap, order)
+            blo, bup = lattice.prefix_boxes(smap, order)
+            for k, lo, up in handed:
+                assert np.array_equal(lo, blo[k]) and np.array_equal(up, bup[k]), (i, k)
+            traced += len(handed)
+    assert traced > 100
 
 
 def test_chain_serialization(small_quad):

@@ -461,7 +461,7 @@ def test_infinite_bounds_are_traced_exactly(regime, monkeypatch):
         assert oracle.m == int(np.sum(~mask * (1 + ((lo < 0) & (up > 0)))))
         order = np.random.default_rng(seed).permutation(oracle.m)
         chain = pathtrace.chain_general(problem.quad, oracle.smap, order)
-        boxes = lattice.bounds_for_binary(oracle.smap, sfm.prefix_sets(order, oracle.m))
+        boxes = lattice.prefix_boxes(oracle.smap, order)
         ref = boxqp.solve_many(problem.quad, *boxes).value
         assert np.all(np.abs(chain.values - ref) <= 1e-8 * (1.0 + np.abs(ref)))
         ref = sq.brute_force(problem)
@@ -737,8 +737,8 @@ def test_indicator_oracle_with_no_open_variable_is_the_full_cube():
     order = np.arange(oracle.m)[::-1]
     assert pathtrace.chain_general(prob.quad, smap, order).kind == "nonnegative"
     values = oracle.chain(order)
-    z = sfm.prefix_sets(order, oracle.m)
-    ref = boxqp.solve_many(prob.quad, *lattice.bounds_for_binary(smap, z)).value + z @ prob.costs
+    z = lattice.prefix_sets(order, oracle.m)
+    ref = boxqp.solve_many(prob.quad, *lattice.prefix_boxes(smap, order)).value + z @ prob.costs
     assert np.all(np.abs(values - ref) <= 1e-8 * (1.0 + np.abs(ref)))
 
 
@@ -855,8 +855,8 @@ def test_a_rejected_order_is_not_counted():
 
 @pytest.mark.parametrize("order, m", [([3, 0, 4], 5), (np.array([1, 0]), 2), ([], 3), ([], 0)])
 def test_row_k_of_prefix_sets_holds_exactly_the_first_k_coordinates(order, m):
-    z = sfm.prefix_sets(order, m)
-    assert z.shape == (len(order) + 1, m) and z.dtype == int
+    z = lattice.prefix_sets(order, m)
+    assert z.shape == (len(order) + 1, m) and z.dtype == bool
     for k, row in enumerate(z):
         assert set(np.flatnonzero(row).tolist()) == {int(c) for c in order[:k]}
         assert np.all((row == 0) | (row == 1))
@@ -868,13 +868,13 @@ def test_a_bad_order_raises_before_anything_is_solved(monkeypatch):
     monkeypatch.setattr(boxqp, "solve", None)
     for order in ([0, 0], [0, oracle.m], [-1], [True], [0.5]):
         with pytest.raises(InputError, match="distinct coordinates"):
-            sfm.prefix_sets(order, oracle.m)
+            lattice.prefix_sets(order, oracle.m)
         with pytest.raises(InputError, match="distinct coordinates"):
             oracle.chain_naive(order)
     assert oracle.stats == sfm.SolveStats()
 
 
-def test_indicator_chain_naive_is_one_stacked_solve_of_the_prefix_boxes(monkeypatch):
+def test_indicator_chain_naive_is_one_stacked_solve_of_the_prefix_set_boxes(monkeypatch):
     prob, oracle = _memo_oracle()
     order = np.random.default_rng(2).permutation(oracle.m)
     rows = []
@@ -1022,6 +1022,33 @@ def test_minimize_mnp_rejects_a_meaningless_tol(tol):
     oracle = sq.FunctionOracle(lambda z: float(z.sum()), 3)
     with pytest.raises(InputError, match="tol must be finite and nonnegative"):
         sq.minimize_mnp(oracle, tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["1e-6", None, True])
+@pytest.mark.parametrize("engine", ["exhaustive", "mnp"])
+def test_solve_full_rejects_a_tol_that_is_not_a_real_number(engine, tol):
+    # "1e-6" and None raised a raw TypeError, and True passed as 1
+    inst, _ = sq.generate("chain", 3, seed=0)
+    with pytest.raises(InputError, match="tol must be a real number"):
+        sq.solve_full(sq.compile_instance(inst), engine=engine, tol=tol)
+
+
+@pytest.mark.parametrize("cost, seed", [(5.0, 9000), (6.0, 9000), (6.0, 9001)])
+def test_unit_weight_robust_chains_that_stop_uncertified_report_it(cost, seed):
+    # Wolfe's test ends MNP on these 20-vertex chains with a duality gap of
+    # 1.5e-5 to 4e-5, above the tolerance of about 1.3e-5 at tol = 1e-6.  The
+    # answer is still the optimum, and the result must say what it proved:
+    # its certificate bounds its distance from the optimum, and it is
+    # converged exactly when that certificate is within the tolerance.
+    inst, _ = sq.generate("chain", 20, signal_sparsity=0, outlier_fraction=0.1, noise_sd=0.25,
+                          seed=seed, mode="robust", cost=cost)
+    problem = sq.compile_instance(inst)
+    res = sq.solve_full(problem, tol=1e-6)
+    ref = sq.solve_full(problem, tol=1e-9)
+    assert ref.converged
+    assert np.array_equal(res.z, ref.z) and res.value == ref.value
+    assert res.certificate >= res.value - ref.value
+    assert res.converged == (res.certificate <= sfm.gap_tolerance(res.value, 1e-6))
 
 
 def test_a_singular_corral_is_a_numerical_error():
